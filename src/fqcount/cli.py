@@ -816,28 +816,21 @@ def _cmd_sieve(args, config: RunConfig, out) -> int:
             expected *= fld.q - i
         payload.update({"distinct_tuples": total, "falling_factorial": expected,
                         "match": total == expected})
-    elif args.system == "sum":
-        b = fld.element(args.b)
-        counter = sieve.subset_sum_counter(fld, n, b)
-        total = sieve.sieve_distinct(counter)
-        subsets = total // factorial(n)
-        formula = counting.subset_sum_count(fld, n, b).value
-        payload.update({"distinct_tuples": total, "subsets": subsets,
-                        "closed_form": formula, "match": subsets == formula})
-    elif args.system == "two-moment":
-        counter = sieve.two_moment_counter(fld, n)
-        total = sieve.sieve_distinct(counter)
-        subsets = total // factorial(n)
-        formula = counting.moment_subset_count(fld, n).value
-        payload.update({"distinct_tuples": total, "subsets": subsets,
-                        "closed_form": formula, "match": subsets == formula})
-    else:  # two-moment-first
-        counter = sieve.two_moment_counter(fld, n)
-        total = sieve.sieve_first_n_minus_1(counter)
-        subsets = total // factorial(n - 1)
-        formula = counting.moment_subset_count_m1(fld, n).value
-        payload.update({"distinct_tuples": total, "subsets": subsets,
-                        "closed_form": formula, "match": subsets == formula})
+    else:
+        first = args.system == "two-moment-first"  # x_n may repeat a member
+        if args.system == "sum":
+            b = fld.element(args.b)
+            counter = sieve.subset_sum_counter(fld, n, b)
+            formula = counting.subset_sum_count(fld, n, b).value
+        else:
+            counter = sieve.two_moment_counter(fld, n)
+            closed = counting.moment_subset_count_m1 if first else counting.moment_subset_count
+            formula = closed(fld, n).value
+        total = (sieve.sieve_first_n_minus_1 if first else sieve.sieve_distinct)(counter)
+        # Tuples to subsets; a remainder is a sieve fault and must not floor away.
+        subsets, rem = divmod(total, factorial(n - 1 if first else n))
+        payload.update({"distinct_tuples": total, "subsets": subsets if rem == 0 else None,
+                        "closed_form": formula, "match": rem == 0 and subsets == formula})
     _emit(payload, config, out)
     return EXIT_OK if payload.get("match", True) else EXIT_MISMATCH
 
@@ -922,24 +915,35 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 # Parser and entry point.
 # ---------------------------------------------------------------------------
 
+def _add_global_args(parser: argparse.ArgumentParser, default) -> None:
+    parser.add_argument("--budget", type=int, default=default,
+                        help=f"enumeration budget (min {MIN_BUDGET})")
+    parser.add_argument("--parallelism", type=int, default=default,
+                        help="verification workers; 0 = auto")
+    parser.add_argument("--format", choices=("json", "csv", "plain"), default=default)
+    parser.add_argument("--config", default=default, help="path to a `key = value` config file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fqcount", description=__doc__)
-    parser.add_argument("--budget", type=int, default=None,
-                        help=f"enumeration budget (min {MIN_BUDGET})")
-    parser.add_argument("--parallelism", type=int, default=None,
-                        help="verification workers; 0 = auto")
-    parser.add_argument("--format", choices=("json", "csv", "plain"), default=None)
-    parser.add_argument("--config", default=None, help="path to a `key = value` config file")
+    _add_global_args(parser, None)
+    # Global options may also follow the subcommand; SUPPRESS keeps a
+    # subcommand that omits them from resetting the values given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_args(common, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[common])
 
     def add_field_args(sp):
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--e", type=int, required=True)
 
-    sp = sub.add_parser("field", help="describe GF(p^e) and its enumeration table")
+    sp = add_command("field", help="describe GF(p^e) and its enumeration table")
     add_field_args(sp)
 
-    sp = sub.add_parser("count", help="distinct-root count for one gap family")
+    sp = add_command("count", help="distinct-root count for one gap family")
     add_field_args(sp)
     sp.add_argument("--gap", type=int, choices=(1, 2, 3), required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -947,13 +951,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, default=None, help="element index (gap 2 only)")
     sp.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
 
-    sp = sub.add_parser("subset-sum", help="n-subsets with a prescribed sum")
+    sp = add_command("subset-sum", help="n-subsets with a prescribed sum")
     add_field_args(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--b", type=int, default=0, help="target sum, as an element index")
     sp.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
 
-    sp = sub.add_parser("mss2", help="two-moment subset counting")
+    sp = add_command("mss2", help="two-moment subset counting")
     add_field_args(sp)
     sp.add_argument("--t", type=int, required=True, help="subset / tuple size")
     sp.add_argument("--m1", type=int, default=0, help="first target, element index")
@@ -962,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--predicate", choices=oracle.MSS2_PREDICATES, default="power-sums")
     sp.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
 
-    sp = sub.add_parser("quadlin", help="diagonal quadratic + linear system count")
+    sp = add_command("quadlin", help="diagonal quadratic + linear system count")
     add_field_args(sp)
     sp.add_argument("--a", required=True, help="comma-separated nonzero element indices")
     sp.add_argument("--a0", type=int, default=0)
@@ -970,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b0", type=int, default=0)
     sp.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
 
-    sp = sub.add_parser("sieve", help="distinct-coordinate sieve demonstrations")
+    sp = add_command("sieve", help="distinct-coordinate sieve demonstrations")
     add_field_args(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--system",
@@ -978,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="unconstrained")
     sp.add_argument("--b", type=int, default=0, help="target sum for --system sum")
 
-    sp = sub.add_parser("wenger", help="jumped Wenger graph spectra")
+    sp = add_command("wenger", help="jumped Wenger graph spectra")
     add_field_args(sp)
     sp.add_argument("--variant", type=int, choices=(1, 2), required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -987,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check-moments", type=int, default=None, dest="check_moments",
                     help="verify the spectrum against T exact trace moments")
 
-    sp = sub.add_parser("verify", help="formula-vs-oracle sweeps")
+    sp = add_command("verify", help="formula-vs-oracle sweeps")
     sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     sp.add_argument("--max-q", type=int, default=None, dest="max_q")
     sp.add_argument("--max-n", type=int, default=None, dest="max_n")

@@ -102,8 +102,6 @@ class ClosedFormTerms:
     n: int
     alpha_n: int
     beta_n: int
-    s_plus: int
-    s_minus: int
     d_terms: tuple[int, int]
     p_terms: tuple[int, int]
 
@@ -114,8 +112,17 @@ def _exact_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
-def _qpow(q: int, m: int) -> Fraction:
-    return Fraction(q ** m) if m >= 0 else Fraction(1, q ** (-m))
+def _alternating_tail(q: int, m: int, length: int) -> int:
+    """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), by Horner's rule.
+
+    The inclusion-exclusion tail shared by the gap-1/2/3 counts, in one
+    linear pass: C(m, i) is updated step by step and no power of q is formed.
+    """
+    acc, c = 0, 1
+    for i in range(length + 1):
+        acc = acc * q + (-c if i % 2 else c)
+        c = c * (m - i) // (i + 1)
+    return acc
 
 
 def v_of(field: FieldSpec, b: FieldElement) -> int:
@@ -153,8 +160,7 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
         value = binomial(q, k) * q ** (n - q) * (q - 1) ** (q - k)
         return ExactCount(value, "closed-form", query,
                           note="reduced-degree regime (n >= q)")
-    total = sum((-1) ** i * binomial(q - k, i) * q ** (n - k - i) for i in range(n - k + 1))
-    return ExactCount(binomial(q, k) * total, "closed-form", query)
+    return ExactCount(binomial(q, k) * _alternating_tail(q, q - k, n - k), "closed-form", query)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +205,7 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
         return ExactCount(0, "closed-form", query)
 
     if n < q:
-        total = Fraction(0)
-        for i in range(n - k + 1):
-            total += (-1) ** i * binomial(q - k, i) * _qpow(q, n - k - 1 - i)
-        total *= binomial(q, k)
+        total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q)
         if n % p == 0:
             sign = (-1) ** ((n - k) + n + n // p)
             total += sign * Fraction(v_of(field, b), q) * binomial(n, k) * binomial(q // p, n // p)
@@ -271,6 +274,7 @@ def quad_lin_solution_count(
         raise ValueError("at least one linear coefficient b_i must be nonzero")
 
     chi = lambda x: quadratic_character(field, x)
+    qf = Fraction(q)
     prod_a = field.product(a)
     b_inv = field.zero
     for ai, bi in zip(a, bvec):
@@ -279,27 +283,27 @@ def quad_lin_solution_count(
 
     if not b_inv.is_zero() and c_inv.is_zero():
         if n % 2 == 0:
-            total = _qpow(q, n - 2)
+            total = qf ** (n - 2)
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = _qpow(q, n - 2) + _qpow(q, (n - 3) // 2) * (q - 1) * chi(arg)
+            total = qf ** (n - 2) + qf ** ((n - 3) // 2) * (q - 1) * chi(arg)
     elif not b_inv.is_zero():
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), field.mul(prod_a, c_inv))
-            total = _qpow(q, n - 2) + _qpow(q, (n - 2) // 2) * chi(arg)
+            total = qf ** (n - 2) + qf ** ((n - 2) // 2) * chi(arg)
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = _qpow(q, n - 2) - _qpow(q, (n - 3) // 2) * chi(arg)
+            total = qf ** (n - 2) - qf ** ((n - 3) // 2) * chi(arg)
     elif c_inv.is_zero():
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), prod_a)
-            total = _qpow(q, n - 2) + v_of(field, a0) * _qpow(q, (n - 2) // 2) * chi(arg)
+            total = qf ** (n - 2) + v_of(field, a0) * qf ** ((n - 2) // 2) * chi(arg)
         else:
             # chi vanishes at a0 = 0, collapsing this case to q^(n-2).
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(a0, prod_a))
-            total = _qpow(q, n - 2) + _qpow(q, (n - 1) // 2) * chi(arg)
+            total = qf ** (n - 2) + qf ** ((n - 1) // 2) * chi(arg)
     else:
-        total = _qpow(q, n - 2)
+        total = qf ** (n - 2)
 
     value = _exact_int(total, "quadratic/linear solution count")
     query = {
@@ -394,15 +398,12 @@ def closed_form_terms(field: FieldSpec, n: int) -> ClosedFormTerms:
     """Bundle of alpha/beta-derived terms entering gap-3 and moment counts."""
     alpha_n, beta_n = alpha_beta(field, n)
     alpha_prev, beta_prev = alpha_beta(field, n - 1) if n >= 1 else (0, 0)
-    s_plus, s_minus = s_plus_minus(field, n)
     sign_n = (-1) ** n
     sign_prev = (-1) ** (n - 1)
     return ClosedFormTerms(
         n=n,
         alpha_n=alpha_n,
         beta_n=beta_n,
-        s_plus=s_plus,
-        s_minus=s_minus,
         d_terms=(alpha_prev + sign_prev * beta_prev, alpha_n - sign_n * beta_n),
         p_terms=(alpha_prev - sign_prev * beta_prev, alpha_n + sign_n * beta_n),
     )
@@ -483,10 +484,7 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
         if k == n:
             return ExactCount(moment_subset_count(field, n).value, "closed-form", query)
         terms = closed_form_terms(field, n)
-        total = Fraction(0)
-        for i in range(n - k + 1):
-            total += (-1) ** i * binomial(q - k, i) * _qpow(q, n - k - 2 - i)
-        total *= binomial(q, k)
+        total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q * q)
         sign = (-1) ** (n - k)
         if n % p == 0:
             p_prev, p_n = terms.p_terms

@@ -34,11 +34,10 @@ MSS2_PREDICATES = ("power-sums", "elementary")
 
 
 class BudgetExceededError(RuntimeError):
-    """An oracle refused to start because the enumeration is too large."""
+    """An oracle or moment check refused to start because the work is too large."""
 
-    def __init__(self, what: str, required: int, max_items: int):
-        super().__init__(
-            f"{what} needs {required} enumerated items, over the budget of {max_items}")
+    def __init__(self, what: str, required: int, max_items: int, unit: str = "enumerated items"):
+        super().__init__(f"{what} needs {required} {unit}, over the budget of {max_items}")
         self.what = what
         self.required = required
         self.max_items = max_items

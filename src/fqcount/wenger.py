@@ -25,6 +25,7 @@ from .exactcomb import binomial
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     EnumerationBudget,
     brute_nk,
     field_tables,
@@ -34,6 +35,8 @@ from .oracle import (
 
 DENSE_VERTEX_LIMIT = 4096
 _FALLBACK_OP_LIMIT = 2 * 10 ** 9
+_BIGINT_POINT_LIMIT = 256  # object-dtype Gram powers past this are too slow
+_INT64_WALK_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,9 @@ def moment_check(
     Bipartiteness collapses tr(A^(2t)) to twice the t-th trace of the point
     Gram matrix, and tr(A) = 0 holds structurally (points and lines are
     disjoint vertex classes).  With big_t at least the number of distinct
-    nonzero levels, agreement determines the spectrum exactly.
+    nonzero levels, agreement determines the spectrum exactly.  A check too
+    large for its route raises BudgetExceededError; too few moments for the
+    report raise ValueError.
     """
     q = graph.family.field.q
     needed = max(1, len(report.nonzero_levels()))
@@ -383,20 +388,21 @@ def moment_check(
             "fewer moments cannot pin the spectrum")
     if report.vertex_count != graph.vertex_count:
         return False
-    int64_safe = graph.vertex_count * q ** (2 * big_t) < 2 ** 62
+    walk_bound = graph.vertex_count * q ** (2 * big_t)
+    int64_safe = walk_bound < _INT64_WALK_LIMIT
     if graph.vertex_count <= dense_vertex_limit:
-        if not int64_safe and graph.n_points > 256:
-            raise ValueError(
-                f"moment order {big_t} needs big-int matrices; graph too large for that route")
+        if not int64_safe and graph.n_points > _BIGINT_POINT_LIMIT:
+            raise BudgetExceededError(f"moment order {big_t} on the big-int dense route",
+                                      graph.n_points, _BIGINT_POINT_LIMIT, unit="points")
         traces = _dense_point_gram_traces(graph, big_t, exact_objects=not int64_safe)
     else:
         if not int64_safe:
-            raise ValueError(
-                f"moment order {big_t} would overflow int64 walk counts for q={q}")
+            raise BudgetExceededError(f"moment order {big_t} at q={q}", walk_bound,
+                                      _INT64_WALK_LIMIT, unit="walk-count range in int64")
         ops = graph.n_points ** 2 * big_t * q
         if ops > _FALLBACK_OP_LIMIT:
-            raise ValueError(
-                f"matrix-free moment check would need ~{ops} operations; graph too large")
+            raise BudgetExceededError("matrix-free moment check", ops, _FALLBACK_OP_LIMIT,
+                                      unit="operations")
         traces = _matrix_free_point_gram_traces(graph, big_t)
     for t in range(1, big_t + 1):
         if 2 * traces[t - 1] != _expected_even_moment(report, q, t):

@@ -5,6 +5,7 @@ these define ground truth by the most literal route available.
 """
 
 import itertools
+from math import comb
 
 
 def ref_nk_distribution(field, u_high, n, ell):
@@ -87,3 +88,8 @@ def ref_quadlin(field, a, a0, bvec, b0):
         if quad == a0 and lin == b0:
             count += 1
     return count
+
+
+def ref_alternating_tail(q, m, length):
+    """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term."""
+    return sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))

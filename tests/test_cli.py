@@ -4,7 +4,7 @@ byte determinism."""
 import io
 import json
 
-from fqcount import cli, counting
+from fqcount import cli, counting, sieve
 from fqcount.counting import ExactCount
 
 
@@ -82,6 +82,35 @@ def test_budget_exceeded_exit_2():
     code, _ = run(["--budget", "10000", "count", "--gap", "1", "--p", "5", "--e", "1",
                    "--n", "7", "--k", "1", "--method", "oracle"])
     assert code == 2
+
+
+def test_moment_check_refused_for_size_exits_2():
+    code, _ = run(["wenger", "--variant", "1", "--p", "5", "--e", "2", "--m", "2",
+                   "--check-moments", "4"])
+    assert code == 2
+
+
+def test_global_options_after_subcommand():
+    args = ["verify", "--suite", "gap1", "--max-q", "5"]
+    code_before, before = run(["--format", "csv", "--parallelism", "1"] + args)
+    code_after, after = run(args + ["--format", "csv", "--parallelism", "1"])
+    assert code_before == code_after == 0
+    assert before == after and before.startswith("suite,")
+    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "7", "--k", "1",
+                    "--method", "oracle"]
+    assert run(oracle_count + ["--budget", "10000"])[0] == 2
+    # a global option given before the subcommand survives one the subcommand omits
+    assert run(["--budget", "10000"] + oracle_count)[0] == 2
+
+
+def test_sieve_non_divisible_total_is_a_mismatch(monkeypatch):
+    real = sieve.sieve_distinct
+    monkeypatch.setattr(sieve, "sieve_distinct", lambda counter: real(counter) + 1)
+    code, text = run(["sieve", "--p", "3", "--e", "2", "--n", "4", "--system", "two-moment"])
+    assert code == 3
+    payload = json.loads(text)
+    assert payload["match"] is False
+    assert payload["subsets"] is None
 
 
 def test_help_exits_zero():

@@ -106,3 +106,13 @@ def test_reduced_regime_above_q_plus_1(f9):
         assert count_nk_gap3(f9, 13, k).value == q * count_nk_gap3(f9, 12, k).value
     # function counts themselves partition q^q
     assert sum(binomial(q, k) * (q - 1) ** (q - k) for k in range(q + 1)) == q ** q
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 4, 70), (11, 2, 80)])
+def test_degrees_past_the_cycle_type_range(p, e, n):
+    """Gap 3 needs only alpha/beta, so degrees with p(n) far past any
+    cycle-type enumeration still answer, and their table is consistent."""
+    f = make_field(p, e)
+    table = [count_nk_gap3(f, n, k).value for k in range(n + 1)]
+    assert sum(table) == f.q ** (n - 2)
+    assert table[n] == moment_subset_count(f, n).value

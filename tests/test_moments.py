@@ -55,8 +55,8 @@ def test_closed_form_terms_invariants():
     for n in range(1, 9):
         terms = closed_form_terms(f9, n)
         a_n, b_n = terms.alpha_n, terms.beta_n
-        assert terms.s_plus == factorial(n) * ((-1) ** n * a_n + b_n) // 2
-        assert terms.s_minus == factorial(n) * ((-1) ** n * a_n - b_n) // 2
+        assert s_plus_minus(f9, n) == (factorial(n) * ((-1) ** n * a_n + b_n) // 2,
+                                       factorial(n) * ((-1) ** n * a_n - b_n) // 2)
         a_prev, b_prev = alpha_beta(f9, n - 1)
         assert terms.d_terms == (a_prev + (-1) ** (n - 1) * b_prev, a_n - (-1) ** n * b_n)
         assert terms.p_terms == (a_prev - (-1) ** (n - 1) * b_prev, a_n + (-1) ** n * b_n)

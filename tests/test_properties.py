@@ -1,0 +1,90 @@
+"""Counting identities as property tests, at the field sizes where the closed
+forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
+range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
+and the quadratic/linear counts summed over a0."""
+
+from hypothesis import given, settings, strategies as st
+
+from fqcount.counting import (
+    _alternating_tail,
+    count_nk_gap1,
+    count_nk_gap2,
+    count_nk_gap3,
+    moment_subset_count,
+    quad_lin_solution_count,
+)
+from fqcount.ff import make_field
+
+from helpers import ref_alternating_tail
+
+FIELDS = {f.q: f for f in (make_field(7, 2), make_field(3, 4), make_field(11, 2),
+                           make_field(5, 4))}
+REDUCED_SPAN = 8  # degrees drawn up to q + REDUCED_SPAN cover the reduced regimes
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+qs = st.sampled_from(sorted(FIELDS))
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_gap1_counts_sum_to_q_power(q, data):
+    n = data.draw(st.integers(1, q + REDUCED_SPAN), label="n")
+    f = FIELDS[q]
+    assert sum(count_nk_gap1(f, n, k).value for k in range(min(n, q) + 1)) == q ** n
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_gap2_counts_sum_to_q_power(q, data):
+    n = data.draw(st.integers(2, q + REDUCED_SPAN), label="n")
+    f = FIELDS[q]
+    b = f.element(data.draw(st.integers(0, q - 1), label="b"))
+    assert sum(count_nk_gap2(f, n, k, b).value for k in range(min(n, q) + 1)) == q ** (n - 1)
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_gap3_counts_sum_to_q_power(q, data):
+    n = data.draw(st.integers(3, q + REDUCED_SPAN), label="n")
+    f = FIELDS[q]
+    assert sum(count_nk_gap3(f, n, k).value for k in range(min(n, q) + 1)) == q ** (n - 2)
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_gap2_summed_over_b_is_gap1(q, data):
+    n = data.draw(st.integers(2, q + REDUCED_SPAN), label="n")
+    k = data.draw(st.integers(0, min(n, q)), label="k")
+    f = FIELDS[q]
+    total = sum(count_nk_gap2(f, n, k, b).value for b in f.elements())
+    assert total == count_nk_gap1(f, n, k).value
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_gap3_all_roots_is_two_moment_count(q, data):
+    n = data.draw(st.integers(3, q), label="n")
+    f = FIELDS[q]
+    assert count_nk_gap3(f, n, n).value == moment_subset_count(f, n).value
+
+
+@PROPERTY
+@given(qs, st.data())
+def test_quadlin_summed_over_a0_is_hyperplane(q, data):
+    n = data.draw(st.integers(1, 12), label="n")
+    f = FIELDS[q]
+    a = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n), label="a")
+    bvec = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n).filter(any),
+                     label="bvec")
+    b0 = f.element(data.draw(st.integers(0, q - 1), label="b0"))
+    a, bvec = [f.element(i) for i in a], [f.element(i) for i in bvec]
+    total = sum(quad_lin_solution_count(f, a, a0, bvec, b0).value for a0 in f.elements())
+    assert total == q ** (n - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(qs, st.data())
+def test_horner_tail_matches_literal_sum(q, data):
+    m = data.draw(st.integers(0, q), label="m")
+    length = data.draw(st.integers(0, q), label="length")
+    assert _alternating_tail(q, m, length) == ref_alternating_tail(q, m, length)

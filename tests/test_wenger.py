@@ -8,6 +8,7 @@ import pytest
 
 from fqcount.cli import wenger_acceptance_families
 from fqcount.ff import make_field
+from fqcount.oracle import BudgetExceededError
 from fqcount.wenger import (
     SpectrumReport,
     WengerFamily,
@@ -199,6 +200,24 @@ def test_moment_check_big_integer_route(fam31):
     bad = SpectrumReport(entries=((3, 1), (2, 2), (1, 1), (0, 5)),
                          vertex_count=18, method="tampered")
     assert not moment_check(g, bad, 40)
+
+
+def test_moment_check_size_refusals_are_budget_errors():
+    """Refusals for size are budget errors; too few moments stays a ValueError."""
+    f7 = make_field(7, 1)
+    dense = WengerFamily(1, f7, 2)  # 343 points: past the big-int dense limit
+    g = build_graph(dense)
+    with pytest.raises(BudgetExceededError):
+        moment_check(g, spectrum_formula(dense), 10)
+    wide = WengerFamily(1, f7, 3)  # 4802 vertices: matrix-free route
+    g = build_graph(wide)
+    with pytest.raises(BudgetExceededError):
+        moment_check(g, spectrum_formula(wide), 12)  # walk counts past int64
+    with pytest.raises(ValueError):
+        moment_check(g, spectrum_formula(wide), 1)  # fewer moments than levels
+    big = WengerFamily(1, make_field(5, 2), 2)  # 15625 points: too many operations
+    with pytest.raises(BudgetExceededError):
+        moment_check(build_graph(big), spectrum_formula(big), 4)
 
 
 def test_export_format(fam31):
