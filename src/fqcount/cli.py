@@ -2,10 +2,10 @@
 JSON/CSV serialization, and the formula-vs-oracle verification sweeps.
 
 Exit codes: 0 success, 1 usage/precondition error, 2 enumeration budget
-exceeded, 3 verification mismatch.  All counts are serialized as decimal
-strings so any JSON consumer survives values past 2**53.  Output bytes are a
-pure function of the inputs and requested format; the parallelism setting
-only schedules independent grid cells and never reorders results.
+exceeded, 3 verification mismatch or a failed internal exact self-check.  All
+counts are serialized as decimal strings so any JSON consumer survives values
+past 2**53.  Output bytes are a pure function of the inputs and requested
+format; grid cells run in grid order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 from typing import Callable, Sequence
@@ -32,7 +31,6 @@ DEFAULT_SEED = 20250808
 MIN_BUDGET = 10 ** 4
 
 ENV_BUDGET = "FQCOUNT_BUDGET"
-ENV_PARALLELISM = "FQCOUNT_PARALLELISM"
 ENV_FORMAT = "FQCOUNT_FORMAT"
 
 SUITE_NAMES = ("gap1", "gap2", "gap3", "subset", "mss2", "quadlin", "sieve", "wenger")
@@ -79,10 +77,6 @@ class RunConfig:
 
     budget: oracle.EnumerationBudget = oracle.DEFAULT_BUDGET
     output_format: str = "json"
-    parallelism: int = 0
-
-    def workers(self) -> int:
-        return self.parallelism if self.parallelism > 0 else (os.cpu_count() or 1)
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -110,38 +104,25 @@ def _parse_int(value: str, what: str) -> int:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     budget = oracle.DEFAULT_MAX_ITEMS
     output_format = "json"
-    parallelism = 0
     if getattr(args, "config", None):
         file_values = load_config_file(args.config)
         if "budget" in file_values:
             budget = _parse_int(file_values["budget"], "budget")
-        if "parallelism" in file_values:
-            parallelism = _parse_int(file_values["parallelism"], "parallelism")
         if "output_format" in file_values:
             output_format = file_values["output_format"]
     if os.environ.get(ENV_BUDGET):
         budget = _parse_int(os.environ[ENV_BUDGET], ENV_BUDGET)
-    if os.environ.get(ENV_PARALLELISM):
-        parallelism = _parse_int(os.environ[ENV_PARALLELISM], ENV_PARALLELISM)
     if os.environ.get(ENV_FORMAT):
         output_format = os.environ[ENV_FORMAT]
     if getattr(args, "budget", None) is not None:
         budget = args.budget
-    if getattr(args, "parallelism", None) is not None:
-        parallelism = args.parallelism
     if getattr(args, "format", None) is not None:
         output_format = args.format
     if budget < MIN_BUDGET:
         raise UsageError(f"budget must be >= {MIN_BUDGET}, got {budget}")
-    if parallelism < 0:
-        raise UsageError(f"parallelism must be >= 0, got {parallelism}")
     if output_format not in ("json", "csv", "plain"):
         raise UsageError(f"output format must be json, csv or plain, got {output_format!r}")
-    return RunConfig(
-        budget=oracle.EnumerationBudget(budget),
-        output_format=output_format,
-        parallelism=parallelism,
-    )
+    return RunConfig(budget=oracle.EnumerationBudget(budget), output_format=output_format)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +192,9 @@ class SuiteResult:
         return [row for row in self.rows if not row.match]
 
 
-def _map_cells(cells: Sequence, worker: Callable, config: RunConfig) -> list[CheckRow]:
-    """Evaluate independent grid cells, merging rows in grid order."""
-    if config.workers() == 1 or len(cells) <= 1:
-        chunks = [worker(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=min(config.workers(), len(cells))) as pool:
-            chunks = list(pool.map(worker, cells))
-    return [row for chunk in chunks for row in chunk]
+def _map_cells(cells: Sequence, worker: Callable) -> list[CheckRow]:
+    """Evaluate grid cells in grid order, concatenating their rows."""
+    return [row for cell in cells for row in worker(cell)]
 
 
 def _apply_filters(fields: Sequence[tuple[int, int]], args_filter: dict) -> list[tuple[int, int]]:
@@ -266,7 +242,7 @@ def run_gap1_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) ->
             repro=f"count --gap 1 --p {fp} --e {fe} --n {n} --k 0 --method both"))
         return rows
 
-    return SuiteResult("gap1", _map_cells(cells, worker, config))
+    return SuiteResult("gap1", _map_cells(cells, worker))
 
 
 def run_gap2_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) -> SuiteResult:
@@ -297,7 +273,7 @@ def run_gap2_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) ->
             "gap2", q, n, n - 2, "sum", b_index, total, q ** (n - 1), total == q ** (n - 1)))
         return rows
 
-    result = SuiteResult("gap2", _map_cells(cells, worker, config))
+    result = SuiteResult("gap2", _map_cells(cells, worker))
 
     # Summing the gap-2 family over b must reconstruct the gap-1 family.
     for fp, fe in _apply_filters(GAP2_FIELDS, filt):
@@ -346,7 +322,7 @@ def run_gap3_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) ->
                                  formula == moment))
         return rows
 
-    return SuiteResult("gap3", _map_cells(cells, worker, config))
+    return SuiteResult("gap3", _map_cells(cells, worker))
 
 
 def run_subset_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) -> SuiteResult:
@@ -375,7 +351,7 @@ def run_subset_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) 
                              marginal == expected))
         return rows
 
-    return SuiteResult("subset", _map_cells(cells, worker, config))
+    return SuiteResult("subset", _map_cells(cells, worker))
 
 
 def run_mss2_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) -> SuiteResult:
@@ -409,7 +385,7 @@ def run_mss2_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) ->
                 repro=f"mss2 --p {fp} --e {fe} --t {n} --mode first-distinct --method both"))
         return rows
 
-    result = SuiteResult("mss2", _map_cells(cells, worker, config))
+    result = SuiteResult("mss2", _map_cells(cells, worker))
     # M1 reaches one size past the field order (the completion may collide).
     for fp, fe in _apply_filters(MSS2_FIELDS, filt):
         fld = ff.make_field(fp, fe)
@@ -425,10 +401,7 @@ def run_mss2_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) ->
 
 
 def _classify_quadlin(fld, a, a0, bvec, b0) -> int:
-    b_inv = fld.zero
-    for ai, bi in zip(a, bvec):
-        b_inv = fld.add(b_inv, fld.mul(fld.mul(bi, bi), fld.inv(ai)))
-    c_inv = fld.sub(fld.mul(b0, b0), fld.mul(a0, b_inv))
+    b_inv, c_inv = counting.quadlin_invariants(fld, a, a0, bvec, b0)
     if not b_inv.is_zero():
         return 1 if c_inv.is_zero() else 2
     return 3 if c_inv.is_zero() else 4
@@ -485,7 +458,7 @@ def run_quadlin_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None,
                        f"--b {b_s} --b0 {b0.index} --method both")))
         return rows
 
-    result = SuiteResult("quadlin", _map_cells(cells, worker, config))
+    result = SuiteResult("quadlin", _map_cells(cells, worker))
     result.notes["instances_per_cell"] = QUADLIN_INSTANCES
     # Fixing everything but a0, the solutions of the linear equation split
     # over the q values of a0, so the case counts must resum to q^(n-1).
@@ -607,15 +580,13 @@ def run_wenger_suite(config: RunConfig, max_q=None, max_n=None, p=None, e=None) 
         incidence = sum(level * mult for level, mult in brute.entries)
         rows.append(CheckRow("wenger", q, m, family.variant, "root-incidences", "",
                              incidence, q ** (m + 1), incidence == q ** (m + 1)))
-        if 2 * q ** (m + 1) <= wenger.DENSE_VERTEX_LIMIT:
-            graph = wenger.build_graph(family, config.budget)
-            big_t = len(brute.nonzero_levels())
-            passed = wenger.moment_check(graph, brute, big_t)
-            rows.append(CheckRow("wenger", q, m, family.variant, "moments", "",
-                                 int(passed), 1, passed, repro=repro))
+        graph = wenger.build_graph(family, config.budget)
+        passed = wenger.moment_check(graph, brute, len(brute.nonzero_levels()))
+        rows.append(CheckRow("wenger", q, m, family.variant, "moments", "",
+                             int(passed), 1, passed, repro=repro))
         return rows
 
-    result = SuiteResult("wenger", _map_cells(families, worker, config))
+    result = SuiteResult("wenger", _map_cells(families, worker))
 
     # Exponent ambiguity for variant 1: exactly one of the two candidate
     # completion families can match the oracle on every family.
@@ -918,8 +889,6 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 def _add_global_args(parser: argparse.ArgumentParser, default) -> None:
     parser.add_argument("--budget", type=int, default=default,
                         help=f"enumeration budget (min {MIN_BUDGET})")
-    parser.add_argument("--parallelism", type=int, default=default,
-                        help="verification workers; 0 = auto")
     parser.add_argument("--format", choices=("json", "csv", "plain"), default=default)
     parser.add_argument("--config", default=default, help="path to a `key = value` config file")
 
@@ -1034,6 +1003,9 @@ def run_command(argv: Sequence[str], out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # every one raised in the package is a failed self-check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

@@ -244,6 +244,21 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
 # Diagonal quadratic + linear system.
 # ---------------------------------------------------------------------------
 
+def quadlin_invariants(
+    field: FieldSpec,
+    a: Sequence[FieldElement],
+    a0: FieldElement,
+    bvec: Sequence[FieldElement],
+    b0: FieldElement,
+) -> tuple[FieldElement, FieldElement]:
+    """The invariants b = sum(b_i^2 / a_i) and c = b0^2 - a0*b that split the
+    quadratic/linear system into its four cases; every a_i must be nonzero."""
+    b = field.zero
+    for ai, bi in zip(a, bvec):
+        b = field.add(b, field.mul(field.mul(bi, bi), field.inv(ai)))
+    return b, field.sub(field.mul(b0, b0), field.mul(a0, b))
+
+
 def quad_lin_solution_count(
     field: FieldSpec,
     a: Sequence[FieldElement],
@@ -254,8 +269,7 @@ def quad_lin_solution_count(
     """Common solutions of sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0.
 
     Requires odd q, all a_i nonzero and at least one b_i nonzero.  The four
-    cases split on whether the invariants b = sum(b_i^2 / a_i) and
-    c = b0^2 - a0*b vanish.
+    cases split on whether the invariants b and c (quadlin_invariants) vanish.
     """
     q, p = field.q, field.p
     if p == 2:
@@ -276,10 +290,7 @@ def quad_lin_solution_count(
     chi = lambda x: quadratic_character(field, x)
     qf = Fraction(q)
     prod_a = field.product(a)
-    b_inv = field.zero
-    for ai, bi in zip(a, bvec):
-        b_inv = field.add(b_inv, field.mul(field.mul(bi, bi), field.inv(ai)))
-    c_inv = field.sub(field.mul(b0, b0), field.mul(a0, b_inv))
+    b_inv, c_inv = quadlin_invariants(field, a, a0, bvec, b0)
 
     if not b_inv.is_zero() and c_inv.is_zero():
         if n % 2 == 0:

@@ -10,7 +10,9 @@ counting roots directly (spectrum_oracle), and the adjacency matrix is
 checked against a claimed spectrum through integer trace moments alone.
 Matching as many even moments as there are distinct nonzero levels pins the
 level multiset uniquely (Vandermonde), so moment_check is a complete
-verification with zero numerical tolerance.
+verification with zero numerical tolerance.  It has one route and no size
+cap: a translation symmetry reduces each trace to the closed walks from q
+points, counted through the incidence lists.
 """
 
 from __future__ import annotations
@@ -25,19 +27,12 @@ from .exactcomb import binomial
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     EnumerationBudget,
     brute_nk,
     field_tables,
     power_row,
     span_root_distribution,
 )
-
-DENSE_VERTEX_LIMIT = 4096
-_FALLBACK_OP_LIMIT = 2 * 10 ** 9
-_BIGINT_POINT_LIMIT = 256  # object-dtype Gram powers past this are too slow
-_INT64_WALK_LIMIT = 2 ** 62
-
 
 @dataclass(frozen=True)
 class WengerFamily:
@@ -114,13 +109,6 @@ class BipartiteGraph:
         point_deg = np.full(self.n_points, q, dtype=np.int64)
         line_deg = np.bincount(self.lines_of_point.ravel(), minlength=self.n_lines)
         return point_deg, line_deg
-
-    def point_line_matrix(self) -> np.ndarray:
-        """Dense 0/1 incidence block (points x lines), int64."""
-        b = np.zeros((self.n_points, self.n_lines), dtype=np.int64)
-        rows = np.repeat(np.arange(self.n_points), self.family.field.q)
-        b[rows, self.lines_of_point.ravel()] = 1
-        return b
 
 
 def _digit_columns(count: int, q: int, width: int) -> np.ndarray:
@@ -325,60 +313,42 @@ def _expected_even_moment(report: SpectrumReport, q: int, t: int) -> int:
     return sum(2 * mult * (q * i) ** t for i, mult in report.entries)
 
 
-def _dense_point_gram_traces(graph: BipartiteGraph, big_t: int,
-                             exact_objects: bool = False) -> list[int]:
-    b = graph.point_line_matrix()
-    gram = b @ b.T
-    if exact_objects:
-        # Python-int entries: slow, but walk counts past int64 stay exact.
-        gram = gram.astype(object)
-    traces = []
-    power = gram.copy()
-    for _ in range(big_t):
-        traces.append(int(np.trace(power)))
-        power = power.dot(gram)
-    return traces
+def _orbit_point_gram_traces(graph: BipartiteGraph, big_t: int) -> list[int]:
+    """tr(Gram^t) of the point Gram matrix for t = 1..big_t, by walk counts.
 
-
-def _matrix_free_point_gram_traces(graph: BipartiteGraph, big_t: int,
-                                   batch: int = 128) -> list[int]:
-    """Diagonal sums of Gram powers without materializing the Gram matrix.
-
-    Walk-counting route for graphs over the dense vertex limit: batches of
-    indicator vectors are pushed through line- and point-incidence gathers.
+    Adding c to point coordinates 2..m+1 and subtracting it from line
+    coordinates 2..m+1 keeps every edge equation l_k + p_k = p1^(e_k) * l1,
+    so diag(Gram^t) depends on p1 alone and each p1 labels q^m points.  The
+    trace is therefore q^m times the closed walks from the q points
+    (p1, 0, ..., 0), whose indices are p1; their indicator vectors are pushed
+    through the incidence gathers.  Every column sums to q^(2t), so int64
+    holds the counts below 2^63 and Python ints take over past that.
     """
     lines_of_point = graph.lines_of_point
-    n = graph.n_points
-    q = graph.family.field.q
+    n, q = lines_of_point.shape
     order = np.argsort(lines_of_point.ravel(), kind="stable")
     points_of_line = (order // q).reshape(n, q)
-    traces = [0] * big_t
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        x = np.zeros((n, stop - start), dtype=np.int64)
-        x[np.arange(start, stop), np.arange(stop - start)] = 1
-        for t in range(big_t):
-            on_lines = x[points_of_line].sum(axis=1)
-            x = on_lines[lines_of_point].sum(axis=1)
-            traces[t] += int(np.trace(x[start:stop]))
+    x = np.zeros((n, q), dtype=np.int64 if q ** (2 * big_t) < 2 ** 63 else object)
+    x[np.arange(q), np.arange(q)] = 1
+    orbit = q ** graph.family.m
+    traces = []
+    for _ in range(big_t):
+        # One incidence column at a time keeps the working set at n x q.
+        on_lines = sum(x[points_of_line[:, j]] for j in range(q))
+        x = sum(on_lines[lines_of_point[:, j]] for j in range(q))
+        traces.append(orbit * sum(int(v) for v in x.diagonal()))
     return traces
 
 
-def moment_check(
-    graph: BipartiteGraph,
-    report: SpectrumReport,
-    big_t: int,
-    dense_vertex_limit: int = DENSE_VERTEX_LIMIT,
-) -> bool:
+def moment_check(graph: BipartiteGraph, report: SpectrumReport, big_t: int) -> bool:
     """Exact spectral verification: even trace moments of the adjacency matrix
     against the claimed level multiset, t = 1..big_t.
 
     Bipartiteness collapses tr(A^(2t)) to twice the t-th trace of the point
     Gram matrix, and tr(A) = 0 holds structurally (points and lines are
     disjoint vertex classes).  With big_t at least the number of distinct
-    nonzero levels, agreement determines the spectrum exactly.  A check too
-    large for its route raises BudgetExceededError; too few moments for the
-    report raise ValueError.
+    nonzero levels, agreement determines the spectrum exactly; fewer moments
+    raise ValueError.
     """
     q = graph.family.field.q
     needed = max(1, len(report.nonzero_levels()))
@@ -388,26 +358,9 @@ def moment_check(
             "fewer moments cannot pin the spectrum")
     if report.vertex_count != graph.vertex_count:
         return False
-    walk_bound = graph.vertex_count * q ** (2 * big_t)
-    int64_safe = walk_bound < _INT64_WALK_LIMIT
-    if graph.vertex_count <= dense_vertex_limit:
-        if not int64_safe and graph.n_points > _BIGINT_POINT_LIMIT:
-            raise BudgetExceededError(f"moment order {big_t} on the big-int dense route",
-                                      graph.n_points, _BIGINT_POINT_LIMIT, unit="points")
-        traces = _dense_point_gram_traces(graph, big_t, exact_objects=not int64_safe)
-    else:
-        if not int64_safe:
-            raise BudgetExceededError(f"moment order {big_t} at q={q}", walk_bound,
-                                      _INT64_WALK_LIMIT, unit="walk-count range in int64")
-        ops = graph.n_points ** 2 * big_t * q
-        if ops > _FALLBACK_OP_LIMIT:
-            raise BudgetExceededError("matrix-free moment check", ops, _FALLBACK_OP_LIMIT,
-                                      unit="operations")
-        traces = _matrix_free_point_gram_traces(graph, big_t)
-    for t in range(1, big_t + 1):
-        if 2 * traces[t - 1] != _expected_even_moment(report, q, t):
-            return False
-    return True
+    traces = _orbit_point_gram_traces(graph, big_t)
+    return all(2 * traces[t - 1] == _expected_even_moment(report, q, t)
+               for t in range(1, big_t + 1))
 
 
 def export_edges(graph: BipartiteGraph, fp: IO[str]) -> int:

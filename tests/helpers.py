@@ -7,6 +7,8 @@ these define ground truth by the most literal route available.
 import itertools
 from math import comb
 
+import numpy as np
+
 
 def ref_nk_distribution(field, u_high, n, ell):
     """Root-count tally over all tails, one polynomial evaluation at a time."""
@@ -93,3 +95,20 @@ def ref_quadlin(field, a, a0, bvec, b0):
 def ref_alternating_tail(q, m, length):
     """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term."""
     return sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))
+
+
+def ref_point_gram_traces(graph, big_t):
+    """tr(Gram^t) for t = 1..big_t from powers of the dense point Gram matrix;
+    Python-int entries once walk counts could pass int64."""
+    q = graph.family.field.q
+    b = np.zeros((graph.n_points, graph.n_lines), dtype=np.int64)
+    b[np.repeat(np.arange(graph.n_points), q), graph.lines_of_point.ravel()] = 1
+    gram = b @ b.T
+    if graph.vertex_count * q ** (2 * big_t) >= 2 ** 62:
+        gram = gram.astype(object)
+    traces = []
+    power = gram
+    for _ in range(big_t):
+        traces.append(int(np.trace(power)))
+        power = power.dot(gram)
+    return traces

@@ -146,7 +146,7 @@ def test_criterion_09_wenger_spectra():
     assert resolution["default_rule_matches_all"] is True
     assert resolution["alternative_rule_matches_all"] is False
     moment_rows = [row for row in result.rows if row.k == "moments"]
-    assert len(moment_rows) == 7  # all acceptance families except (2, 9, 3)
+    assert len(moment_rows) == 8  # every acceptance family
     _report(9, "spectra: formula == oracle, moments verified, exponent rule resolved",
             result)
 

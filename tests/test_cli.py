@@ -84,16 +84,30 @@ def test_budget_exceeded_exit_2():
     assert code == 2
 
 
-def test_moment_check_refused_for_size_exits_2():
-    code, _ = run(["wenger", "--variant", "1", "--p", "5", "--e", "2", "--m", "2",
-                   "--check-moments", "4"])
-    assert code == 2
+def test_moment_check_large_family_exits_0():
+    """31250 vertices: no size refusal on the one moment route."""
+    code, text = run(["wenger", "--variant", "1", "--p", "5", "--e", "2", "--m", "2",
+                      "--check-moments", "4"])
+    assert code == 0
+    assert json.loads(text)["moment_check"] is True
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    """A failed exact self-check is an internal fault, not a usage error."""
+    def failing(field, n, k):
+        raise counting.IntegralityError("gap-1 closed form evaluated to a non-integer")
+
+    monkeypatch.setattr(counting, "count_nk_gap1", failing)
+    code, text = run(["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"])
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_global_options_after_subcommand():
     args = ["verify", "--suite", "gap1", "--max-q", "5"]
-    code_before, before = run(["--format", "csv", "--parallelism", "1"] + args)
-    code_after, after = run(args + ["--format", "csv", "--parallelism", "1"])
+    code_before, before = run(["--format", "csv"] + args)
+    code_after, after = run(args + ["--format", "csv"])
     assert code_before == code_after == 0
     assert before == after and before.startswith("suite,")
     oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "7", "--k", "1",
@@ -152,13 +166,12 @@ def test_verify_csv_rows(tmp_path):
     assert all(line.endswith(",yes") for line in lines[1:])
 
 
-def test_output_byte_determinism_across_parallelism():
-    args = ["verify", "--suite", "quadlin", "--max-q", "5", "--max-n", "2"]
-    _, seq = run(["--parallelism", "1"] + args)
-    _, par = run(["--parallelism", "4"] + args)
-    assert seq == par
-    _, again = run(["--parallelism", "4"] + args)
-    assert par == again
+def test_output_byte_determinism_run_twice():
+    for fmt in ("json", "csv"):
+        args = ["--format", fmt, "verify", "--suite", "quadlin", "--max-q", "5", "--max-n", "2"]
+        code, first = run(args)
+        assert code == 0 and first
+        assert run(args) == (code, first)
 
 
 def test_config_file_and_env_layering(tmp_path, monkeypatch):
@@ -181,13 +194,14 @@ def test_config_file_and_env_layering(tmp_path, monkeypatch):
 
 
 def test_env_parallelism_and_format(monkeypatch):
-    monkeypatch.setenv(cli.ENV_PARALLELISM, "2")
     monkeypatch.setenv(cli.ENV_FORMAT, "plain")
     code, text = run(["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"])
     assert code == 0
     assert 'value = "4"' in text
-    monkeypatch.setenv(cli.ENV_PARALLELISM, "-3")
-    assert run(["field", "--p", "2", "--e", "1"])[0] == 1
+    # the parallelism setting is gone: its flag is unknown, its variable ignored
+    monkeypatch.setenv("FQCOUNT_PARALLELISM", "-3")
+    assert run(["field", "--p", "2", "--e", "1"])[0] == 0
+    assert run(["--parallelism", "2", "field", "--p", "3", "--e", "1"])[0] == 1
 
 
 def test_config_file_rejects_garbage(tmp_path):

@@ -6,9 +6,8 @@ import re
 
 import pytest
 
-from fqcount.cli import wenger_acceptance_families
+from fqcount.cli import WENGER_FAMILIES, wenger_acceptance_families
 from fqcount.ff import make_field
-from fqcount.oracle import BudgetExceededError
 from fqcount.wenger import (
     SpectrumReport,
     WengerFamily,
@@ -18,9 +17,10 @@ from fqcount.wenger import (
     moment_check,
     spectrum_formula,
     spectrum_oracle,
-    _dense_point_gram_traces,
-    _matrix_free_point_gram_traces,
+    _orbit_point_gram_traces,
 )
+
+from helpers import ref_point_gram_traces
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ def test_moment_check_rejects_tampered_spectrum(fam31):
 def test_moment_check_trace_values(fam31):
     """tr(A^2) is twice the edge count; pinned for the smallest family."""
     g = build_graph(fam31)
-    traces = _dense_point_gram_traces(g, 1)
+    traces = _orbit_point_gram_traces(g, 1)
     assert 2 * traces[0] == 54 == 2 * g.edge_count
 
 
@@ -184,40 +184,39 @@ def test_moment_check_larger_families(variant, p, e, m):
     assert moment_check(g, report, len(report.nonzero_levels()))
 
 
-def test_matrix_free_traces_agree_with_dense(fam31):
-    g = build_graph(fam31)
-    assert _matrix_free_point_gram_traces(g, 4) == _dense_point_gram_traces(g, 4)
-    g52 = build_graph(WengerFamily(1, make_field(5, 1), 2))
-    assert _matrix_free_point_gram_traces(g52, 3, batch=17) == _dense_point_gram_traces(g52, 3)
+@pytest.mark.parametrize("variant,p,e,m", [
+    *(fam for fam in WENGER_FAMILIES if 2 * (fam[1] ** fam[2]) ** (fam[3] + 1) <= 4096),
+    (1, 7, 1, 2), (2, 5, 2, 1),
+])
+def test_orbit_traces_agree_with_dense(variant, p, e, m):
+    """The orbit walk counts equal the traces of dense Gram powers."""
+    fam = WengerFamily(variant, make_field(p, e), m)
+    g = build_graph(fam)
+    big_t = 1 + len(spectrum_formula(fam).nonzero_levels())
+    assert _orbit_point_gram_traces(g, big_t) == ref_point_gram_traces(g, big_t)
 
 
 def test_moment_check_big_integer_route(fam31):
-    """Past the int64 walk-count range a small graph switches to Python-int
-    matrices and stays exact."""
+    """Past the int64 walk-count range the walk vectors hold Python ints and
+    stay exact."""
     g = build_graph(fam31)
     report = spectrum_oracle(fam31)
+    assert _orbit_point_gram_traces(g, 40) == ref_point_gram_traces(g, 40)
     assert moment_check(g, report, 40)  # 9^80-scale moments
     bad = SpectrumReport(entries=((3, 1), (2, 2), (1, 1), (0, 5)),
                          vertex_count=18, method="tampered")
     assert not moment_check(g, bad, 40)
 
 
-def test_moment_check_size_refusals_are_budget_errors():
-    """Refusals for size are budget errors; too few moments stays a ValueError."""
+def test_moment_check_has_no_size_cap():
+    """Families past the old dense and int64 limits check true; too few
+    moments stays a ValueError."""
     f7 = make_field(7, 1)
-    dense = WengerFamily(1, f7, 2)  # 343 points: past the big-int dense limit
-    g = build_graph(dense)
-    with pytest.raises(BudgetExceededError):
-        moment_check(g, spectrum_formula(dense), 10)
-    wide = WengerFamily(1, f7, 3)  # 4802 vertices: matrix-free route
-    g = build_graph(wide)
-    with pytest.raises(BudgetExceededError):
-        moment_check(g, spectrum_formula(wide), 12)  # walk counts past int64
+    for m, big_t in ((2, 10), (3, 12)):  # 686 and 4802 vertices
+        fam = WengerFamily(1, f7, m)
+        assert moment_check(build_graph(fam), spectrum_formula(fam), big_t)
     with pytest.raises(ValueError):
-        moment_check(g, spectrum_formula(wide), 1)  # fewer moments than levels
-    big = WengerFamily(1, make_field(5, 2), 2)  # 15625 points: too many operations
-    with pytest.raises(BudgetExceededError):
-        moment_check(build_graph(big), spectrum_formula(big), 4)
+        moment_check(build_graph(fam), spectrum_formula(fam), 1)  # fewer moments than levels
 
 
 def test_export_format(fam31):
