@@ -17,7 +17,6 @@ from .counting import (
     count_nk_gap2,
     count_nk_gap3,
     moment_subset_count,
-    moment_subset_count_elementary,
     moment_subset_count_m1,
     quad_lin_solution_count,
     s_plus_minus,
@@ -29,16 +28,12 @@ from .exactcomb import (
     CycleType,
     binomial,
     enumerate_cycle_types,
-    p_divisible_cycle_count,
     perm_type_count,
-    stirling_cycle,
 )
 from .ff import (
     FieldElement,
     FieldError,
     FieldSpec,
-    arith,
-    char_restriction_trivial,
     make_field,
     quadratic_character,
 )

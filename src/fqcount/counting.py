@@ -447,11 +447,6 @@ def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
     return ExactCount(value, "closed-form", {"kind": "moment-subset", "q": q, "n": n})
 
 
-# Equivalent count under the elementary-symmetric reading (sum and pairwise
-# products zero); the two predicates coincide away from characteristic 2.
-moment_subset_count_elementary = moment_subset_count
-
-
 def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
     """Number M1(n,0,0): (n-1)-subsets S such that appending x_n = -sum(S)
     gives a tuple with vanishing second power sum; x_n may repeat a member."""

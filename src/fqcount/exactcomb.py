@@ -91,25 +91,3 @@ def enumerate_cycle_types(n: int, bound: int = DEFAULT_CYCLE_TYPE_BOUND) -> tupl
     if n > bound:
         raise ValueError(f"n={n} exceeds the cycle-type enumeration bound {bound}")
     return _cycle_types_cached(n)
-
-
-def stirling_cycle(n: int, i: int) -> int:
-    """Unsigned count of permutations of S_n with exactly i cycles."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return sum(perm_type_count(t) for t in enumerate_cycle_types(n) if t.num_cycles() == i)
-
-
-def p_divisible_cycle_count(n: int, i: int, p: int) -> int:
-    """Permutations of S_n with i cycles, every cycle length divisible by p."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    if n % p:
-        return 0
-    total = 0
-    for t in enumerate_cycle_types(n):
-        if t.num_cycles() != i:
-            continue
-        if all(length % p == 0 for length in t.cycle_lengths()):
-            total += perm_type_count(t)
-    return total

@@ -322,23 +322,6 @@ def make_field(p: int, e: int, max_order: int = DEFAULT_ORDER_BOUND) -> FieldSpe
     return cached
 
 
-def arith(field: FieldSpec, op: str, a: FieldElement, b: FieldElement | int | None = None) -> FieldElement:
-    """Dispatch one field operation: add, sub, mul, inv, neg, pow."""
-    if op in ("add", "sub", "mul"):
-        if not isinstance(b, FieldElement):
-            raise FieldError(f"{op} needs a second field element")
-        return getattr(field, op)(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    if op == "pow":
-        if not isinstance(b, int):
-            raise FieldError("pow needs an integer exponent")
-        return field.pow_(a, b)
-    raise FieldError(f"unknown operation {op!r}")
-
-
 def quadratic_character(field: FieldSpec, x: FieldElement) -> int:
     """chi(x) in {-1, 0, 1}: 0 at zero, 1 on nonzero squares, -1 otherwise.
 
@@ -355,14 +338,3 @@ def quadratic_character(field: FieldSpec, x: FieldElement) -> int:
     if t != field.neg(field.one):
         raise FieldError("quadratic character did not evaluate to +-1")  # unreachable
     return -1
-
-
-def char_restriction_trivial(field: FieldSpec) -> bool:
-    """Whether the quadratic character is 1 on every nonzero prime-subfield element.
-
-    Computed by direct evaluation; equality with "extension degree is even" is
-    a tested invariant, not an assumption.
-    """
-    if field.p == 2:
-        raise FieldError("quadratic character undefined in characteristic 2")
-    return all(quadratic_character(field, field.from_int(c)) == 1 for c in range(1, field.p))

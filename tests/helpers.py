@@ -9,6 +9,9 @@ from math import comb
 
 import numpy as np
 
+from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
+from fqcount.ff import FieldError, quadratic_character
+
 
 def ref_nk_distribution(field, u_high, n, ell):
     """Root-count tally over all tails, one polynomial evaluation at a time."""
@@ -112,3 +115,28 @@ def ref_point_gram_traces(graph, big_t):
         traces.append(int(np.trace(power)))
         power = power.dot(gram)
     return traces
+
+
+def stirling_cycle(n, i):
+    """Unsigned count of permutations of S_n with exactly i cycles."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    return sum(perm_type_count(t) for t in enumerate_cycle_types(n) if t.num_cycles() == i)
+
+
+def p_divisible_cycle_count(n, i, p):
+    """Permutations of S_n with i cycles, every cycle length divisible by p."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    if n % p:
+        return 0
+    return sum(perm_type_count(t) for t in enumerate_cycle_types(n)
+               if t.num_cycles() == i and all(length % p == 0 for length in t.cycle_lengths()))
+
+
+def char_restriction_trivial(field):
+    """Whether the quadratic character is 1 on every nonzero prime-subfield
+    element, by direct evaluation."""
+    if field.p == 2:
+        raise FieldError("quadratic character undefined in characteristic 2")
+    return all(quadratic_character(field, field.from_int(c)) == 1 for c in range(1, field.p))

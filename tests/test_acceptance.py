@@ -34,7 +34,7 @@ def _report(number: int, label: str, result: cli.SuiteResult | None = None,
 
 
 def test_criterion_01_gap1_equivalence():
-    result = cli.run_gap1_suite(CONFIG)
+    result = cli.run_suite("gap1", CONFIG)
     f2 = make_field(2, 1)
     anchor = count_nk_gap1(f2, 3, 1).value == brute_nk(f2, [], 3, 2, 1).value == 4
     assert anchor
@@ -47,7 +47,7 @@ def test_criterion_01_gap1_equivalence():
 
 
 def test_criterion_02_gap2_equivalence():
-    result = cli.run_gap2_suite(CONFIG)
+    result = cli.run_suite("gap2", CONFIG)
     for q in (3, 4, 5, 7):
         assert any(row.q == q and row.n == q for row in result.rows)
         assert any(row.q == q and row.n == q + 1 for row in result.rows)
@@ -55,7 +55,7 @@ def test_criterion_02_gap2_equivalence():
 
 
 def test_criterion_03_subset_sum():
-    result = cli.run_subset_suite(CONFIG)
+    result = cli.run_suite("subset", CONFIG)
     qs = {row.q for row in result.rows}
     assert qs == {3, 4, 5, 7, 8, 9, 25}
     assert any(row.q == 25 and row.n == 12 for row in result.rows)
@@ -63,7 +63,7 @@ def test_criterion_03_subset_sum():
 
 
 def test_criterion_04_quadratic_linear_systems():
-    result = cli.run_quadlin_suite(CONFIG)
+    result = cli.run_suite("quadlin", CONFIG)
     per_cell: dict = {}
     cases: dict = {}
     for row in result.rows:
@@ -78,7 +78,7 @@ def test_criterion_04_quadratic_linear_systems():
 
 
 def test_criterion_05_moment_subset_counts():
-    result = cli.run_mss2_suite(CONFIG)
+    result = cli.run_suite("mss2", CONFIG)
     f9 = make_field(3, 2)
     hand = [moment_subset_count(f9, n).value for n in (1, 2, 3, 4)]
     assert hand == [1, 0, 0, 2]
@@ -89,7 +89,7 @@ def test_criterion_05_moment_subset_counts():
 
 
 def test_criterion_06_sieve_cross_checks():
-    result = cli.run_sieve_suite(CONFIG)
+    result = cli.run_suite("sieve", CONFIG)
     kinds = {row.k for row in result.rows}
     assert {"two-moment", "two-moment-first", "signed-split-plus",
             "signed-split-minus"} <= kinds
@@ -99,7 +99,7 @@ def test_criterion_06_sieve_cross_checks():
 
 
 def test_criterion_07_gap3_equivalence():
-    result = cli.run_gap3_suite(CONFIG)
+    result = cli.run_suite("gap3", CONFIG)
     f9 = make_field(3, 2)
     assert count_nk_gap3(f9, 3, 1).value == 9
     assert count_nk_gap3(f9, 3, 0).value == 0
@@ -141,7 +141,7 @@ def test_criterion_08_normalization_and_family_sums():
 
 
 def test_criterion_09_wenger_spectra():
-    result = cli.run_wenger_suite(CONFIG)
+    result = cli.run_suite("wenger", CONFIG)
     resolution = result.notes["variant1_low_exponent"]
     assert resolution["default_rule_matches_all"] is True
     assert resolution["alternative_rule_matches_all"] is False

@@ -4,6 +4,8 @@ byte determinism."""
 import io
 import json
 
+import pytest
+
 from fqcount import cli, counting, sieve
 from fqcount.counting import ExactCount
 
@@ -157,6 +159,17 @@ def test_verify_detects_corrupted_formula(monkeypatch):
     assert "count --gap 2" in text
 
 
+@pytest.mark.parametrize("name", cli.SUITE_NAMES)
+def test_verify_filters_apply_to_every_suite(name):
+    # gap3 and mss2 have no field with q <= 5: their smallest is q = 9
+    max_q = 9 if name in ("gap3", "mss2") else 5
+    result = cli.run_suite(name, cli.RunConfig(), max_q=max_q, max_n=3)
+    assert result.rows and result.ok
+    assert all(row.q <= max_q for row in result.rows)
+    assert all(row.q == 0 for row in result.rows if row.k == "exponent-rule")
+    assert all(row.n <= 3 for row in result.rows if isinstance(row.n, int))
+
+
 def test_verify_csv_rows(tmp_path):
     path = tmp_path / "rows.csv"
     code, _ = run(["verify", "--suite", "subset", "--max-q", "4", "--csv", str(path)])
@@ -204,13 +217,18 @@ def test_env_parallelism_and_format(monkeypatch):
     assert run(["--parallelism", "2", "field", "--p", "3", "--e", "1"])[0] == 1
 
 
-def test_config_file_rejects_garbage(tmp_path):
+def test_config_file_rejects_garbage(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("budget: 123\n")
     code, _ = run(["--config", str(config), "field", "--p", "2", "--e", "1"])
     assert code == 1
     code, _ = run(["--config", str(tmp_path / "missing.conf"), "field", "--p", "2", "--e", "1"])
     assert code == 1
+    # a misspelled key, or the removed `parallelism`, is an error, not a default
+    config.write_text("# comment\nbudjet = 10\nparallelism = 4\n")
+    code, _ = run(["--config", str(config), "field", "--p", "2", "--e", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: {config}:2: unknown config key 'budjet'\n")
 
 
 def test_counts_serialize_as_strings():

@@ -7,10 +7,10 @@ from fqcount.exactcomb import (
     CycleType,
     binomial,
     enumerate_cycle_types,
-    p_divisible_cycle_count,
     perm_type_count,
-    stirling_cycle,
 )
+
+from helpers import p_divisible_cycle_count, stirling_cycle
 
 
 def cycle_type_of(perm):

@@ -4,13 +4,13 @@ import pytest
 
 from fqcount.ff import (
     FieldError,
-    arith,
     canonical_modulus,
-    char_restriction_trivial,
     is_prime,
     make_field,
     quadratic_character,
 )
+
+from helpers import char_restriction_trivial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 ODD_FIELDS_729 = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
@@ -96,23 +96,6 @@ def test_arith_identities():
         f = make_field(p, e)
         for x in f.elements():
             assert f.add(x, f.neg(x)) == f.zero
-
-
-def test_arith_dispatch():
-    f = make_field(3, 2)
-    a, b = f.element(4), f.element(7)
-    assert arith(f, "add", a, b) == f.add(a, b)
-    assert arith(f, "sub", a, b) == f.sub(a, b)
-    assert arith(f, "mul", a, b) == f.mul(a, b)
-    assert arith(f, "neg", a) == f.neg(a)
-    assert arith(f, "inv", a) == f.inv(a)
-    assert arith(f, "pow", a, 5) == f.pow_(a, 5)
-    with pytest.raises(FieldError):
-        arith(f, "inv", f.zero)
-    with pytest.raises(FieldError):
-        arith(f, "frobnicate", a)
-    with pytest.raises(FieldError):
-        arith(f, "pow", a, a)
 
 
 def test_cross_field_elements_rejected():

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from fqcount.cli import WENGER_FAMILIES, wenger_acceptance_families
+from fqcount.cli import WENGER_FAMILIES
 from fqcount.ff import make_field
 from fqcount.wenger import (
     SpectrumReport,
@@ -21,6 +21,11 @@ from fqcount.wenger import (
 )
 
 from helpers import ref_point_gram_traces
+
+
+def wenger_acceptance_families():
+    """The families of the `verify` wenger suite."""
+    return [WengerFamily(variant, make_field(p, e), m) for variant, p, e, m in WENGER_FAMILIES]
 
 
 @pytest.fixture(scope="module")
