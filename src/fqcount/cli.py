@@ -2,7 +2,8 @@
 JSON/CSV serialization, and the formula-vs-oracle verification sweeps.
 
 Exit codes: 0 success, 1 usage/precondition error, 2 enumeration budget
-exceeded, 3 verification mismatch or a failed internal exact self-check.  All
+exceeded, 3 verification mismatch or an internal fault (a failed exact
+self-check, or a precondition error the command's own screening let pass).  All
 counts are serialized as decimal strings so any JSON consumer survives values
 past 2**53.  Output bytes are a pure function of the inputs and requested
 format; grid cells run in grid order.
@@ -45,6 +46,7 @@ GAP2_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (3, 2))
 GAP2_MAX_N = {3: 6, 4: 6, 5: 6, 7: 8, 9: 6}
 GAP3_FIELD = (3, 2)
 GAP3_DEGREES = (3, 4, 5, 6, 9, 10)  # 9 and 10 exercise the reduced tables
+GAP3_WIDE_MAX_N = {(5, 2): 7, (7, 2): 6}  # n = 5 at q = 25 has p | n
 SUBSET_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2))
 SUBSET_MAX_N = 12
 MSS2_FIELDS = ((3, 2), (5, 2))
@@ -436,7 +438,11 @@ SUITES: dict[str, Suite] = {
         ([(p, e, n) for p, e in GAP2_FIELDS
           for n in range(2, min(GAP2_MAX_N[p ** e], GAP1_MAX_N[p ** e]) + 1)], _gap2_sum_over_b),
     )),
-    "gap3": Suite((([(*GAP3_FIELD, n) for n in GAP3_DEGREES], _gap_check(3)),)),
+    "gap3": Suite((
+        ([(*GAP3_FIELD, n) for n in GAP3_DEGREES], _gap_check(3)),
+        ([(p, e, n) for (p, e), top in GAP3_WIDE_MAX_N.items() for n in range(3, top + 1)],
+         _gap_check(3)),
+    )),
     "subset": Suite((
         ([(p, e, n) for p, e in SUBSET_FIELDS for n in range(min(p ** e, SUBSET_MAX_N) + 1)],
          _subset_check),
@@ -499,8 +505,31 @@ def write_rows_csv(rows: Sequence[CheckRow], fp) -> None:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
+# A command screens what the user gave before any work starts: a violated
+# precondition is a UsageError (exit 1), so a ValueError that still escapes
+# the library is an internal fault (exit 3).
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _from_user(build, *args):
+    """Build a field, element or family from user values; the ValueError of
+    its own validation is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _require_moment_field(fld, what: str) -> None:
+    _require(fld.p != 2 and fld.e % 2 == 0, f"{what} need odd characteristic and an even "
+             f"extension degree, got q = {fld.p}^{fld.e}")
+
+
 def _field_from_args(args) -> ff.FieldSpec:
-    return ff.make_field(args.p, args.e)
+    return _from_user(ff.make_field, args.p, args.e)
 
 
 def _parse_vector(fld: ff.FieldSpec, text: str):
@@ -508,7 +537,7 @@ def _parse_vector(fld: ff.FieldSpec, text: str):
         indices = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise UsageError(f"expected comma-separated element indices, got {text!r}") from None
-    return [fld.element(i) for i in indices]
+    return [_from_user(fld.element, i) for i in indices]
 
 
 def _cmd_field(args, config: RunConfig, out) -> int:
@@ -551,9 +580,12 @@ def _run_both(args, config, out, formula_fn, oracle_fn, payload_base: dict) -> i
 def _cmd_count(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
     gap = args.gap
-    b = fld.element(args.b) if args.b is not None else fld.zero
-    if gap != 2 and args.b not in (None, 0):
-        raise UsageError("--b is only meaningful for --gap 2")
+    _require(gap == 2 or args.b in (None, 0), "--b is only meaningful for --gap 2")
+    _require(args.n >= gap, f"gap-{gap} counts need degree n >= {gap}, got {args.n}")
+    _require(args.k >= 0, f"k must be >= 0, got {args.k}")
+    if gap == 3 and args.method != "oracle":
+        _require_moment_field(fld, "gap-3 closed forms")
+    b = _from_user(fld.element, args.b) if args.b is not None else fld.zero
     query = counting.CountQuery(fld.q, fld.p, fld.e, args.n, args.n - gap, args.k,
                                 b.index if gap == 2 else 0)
     return _run_both(
@@ -567,7 +599,8 @@ def _cmd_count(args, config: RunConfig, out) -> int:
 
 def _cmd_subset_sum(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
-    b = fld.element(args.b)
+    b = _from_user(fld.element, args.b)
+    _require(0 <= args.n <= fld.q, f"subset size must lie in [0, {fld.q}], got {args.n}")
     return _run_both(
         args, config, out,
         lambda: counting.subset_sum_count(fld, args.n, b),
@@ -579,15 +612,21 @@ def _cmd_subset_sum(args, config: RunConfig, out) -> int:
 
 def _cmd_mss2(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
-    m1 = fld.element(args.m1)
-    m2 = fld.element(args.m2)
+    m1 = _from_user(fld.element, args.m1)
+    m2 = _from_user(fld.element, args.m2)
     mode = args.mode
+    low, high = (1, fld.q + 1) if mode == "first-distinct" else (0, fld.q)
+    if args.method != "oracle" and mode != "sum-only":
+        _require(m1.is_zero() and m2.is_zero(),
+                 "closed forms for two-moment counts need m1 = m2 = 0")
+        _require_moment_field(fld, "two-moment closed forms")
+        low += 1  # the closed forms start at one subset element, or two tuple entries
+    _require(low <= args.t <= high,
+             f"--t must lie in [{low}, {high}] for this mode and method, got {args.t}")
 
     def formula():
         if mode == "sum-only":
             return counting.subset_sum_count(fld, args.t, m1)
-        if not (m1.is_zero() and m2.is_zero()):
-            raise UsageError("closed forms for two-moment counts need m1 = m2 = 0")
         if mode == "power-sums":
             return counting.moment_subset_count(fld, args.t)
         return counting.moment_subset_count_m1(fld, args.t)
@@ -606,8 +645,16 @@ def _cmd_quadlin(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
     a = _parse_vector(fld, args.a)
     bvec = _parse_vector(fld, args.b)
-    a0 = fld.element(args.a0)
-    b0 = fld.element(args.b0)
+    a0 = _from_user(fld.element, args.a0)
+    b0 = _from_user(fld.element, args.b0)
+    _require(len(a) >= 1 and len(a) == len(bvec),
+             "coefficient vectors must be nonempty and equal-length")
+    if args.method != "oracle":
+        _require(fld.p != 2, "quadratic/linear system counts need odd q")
+        _require(not any(x.is_zero() for x in a),
+                 "every quadratic coefficient a_i must be nonzero")
+        _require(not all(x.is_zero() for x in bvec),
+                 "at least one linear coefficient b_i must be nonzero")
     return _run_both(
         args, config, out,
         lambda: counting.quad_lin_solution_count(fld, a, a0, bvec, b0),
@@ -619,6 +666,16 @@ def _cmd_quadlin(args, config: RunConfig, out) -> int:
 
 def _cmd_sieve(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
+    first = args.system == "two-moment-first"
+    low, high = 1 + first, exactcomb.DEFAULT_CYCLE_TYPE_BOUND + first
+    if args.system == "sum":
+        _from_user(fld.element, args.b)
+        high = min(high, fld.q)
+    elif args.system != "unconstrained":
+        _require_moment_field(fld, "two-moment sieves")
+        high = min(high, fld.q + first)
+    _require(low <= args.n <= high,
+             f"--n must lie in [{low}, {high}] for --system {args.system}, got {args.n}")
     total, subsets, closed = _sieve_compare(fld, args.n, args.system, args.b)
     payload: dict = {"query": {"kind": "sieve", "q": fld.q, "n": args.n, "system": args.system},
                      "distinct_tuples": total}
@@ -632,7 +689,7 @@ def _cmd_sieve(args, config: RunConfig, out) -> int:
 
 def _cmd_wenger(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
-    family = wenger.WengerFamily(args.variant, fld, args.m)
+    family = _from_user(wenger.WengerFamily, args.variant, fld, args.m)
     payload: dict = {"query": {"kind": "wenger", "variant": args.variant,
                                "q": fld.q, "m": args.m}}
     reports = {}
@@ -651,6 +708,12 @@ def _cmd_wenger(args, config: RunConfig, out) -> int:
         exit_code = EXIT_MISMATCH
 
     if args.check_moments is not None or args.export is not None:
+        report = reports.get("oracle") or reports["formula"]
+        if args.check_moments is not None:
+            needed = max(1, len(report.nonzero_levels()))
+            _require(args.check_moments >= needed,
+                     f"--check-moments {args.check_moments} is below the {needed} distinct "
+                     "nonzero levels; fewer moments cannot pin the spectrum")
         graph = wenger.build_graph(family, config.budget)
         if args.export is not None:
             with open(args.export, "w", encoding="utf-8") as fp:
@@ -658,7 +721,6 @@ def _cmd_wenger(args, config: RunConfig, out) -> int:
             payload["exported_edges"] = written
             payload["export_path"] = args.export
         if args.check_moments is not None:
-            report = reports.get("oracle") or reports["formula"]
             passed = wenger.moment_check(graph, report, args.check_moments)
             payload["moment_check"] = passed
             if not passed:
@@ -820,13 +882,12 @@ def run_command(argv: Sequence[str], out=None) -> int:
     except oracle.BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ff.FieldError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # every one raised in the package is a failed self-check
+    except (ArithmeticError, ValueError) as exc:
+        # A failed exact self-check, or a precondition that the package broke
+        # itself: user values were screened before the work started.
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except SystemExit as exc:  # argparse --help

@@ -5,12 +5,15 @@ enumerations are exact and deterministic: field elements are handled as
 enumeration indices through integer lookup tables, tallies are integer
 bincounts, and no floating point is involved anywhere.
 
-The hot loops are vectorized over fixed-order chunks of the enumeration
-space, so results (and effective enumeration order) do not depend on chunk
-size or worker count.  Root counting sweeps the constant coefficient
-analytically: for each higher-coefficient prefix the evaluation vector is
-computed once and a value histogram then yields the root count of all q
-constant-term extensions at once.
+The root-count and quadratic/linear oracles share one enumeration core,
+`_level_sums`.  It visits every digit tuple once and builds its sums level
+by level, W_k = W_(k-1) + step_k[d], so each new level costs one table gather
+per entry instead of re-adding every earlier level.  The sums arrive in
+blocks of a bounded number of entries; tallies are sums over the blocks, so
+they do not depend on the block size or the order of enumeration.  Root
+counting sweeps the constant coefficient analytically: for each
+higher-coefficient prefix the value histogram of its evaluation vector yields
+the root counts of all q constant-term extensions at once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .ff import FieldElement, FieldSpec
 
 DEFAULT_MAX_ITEMS = 10 ** 8
 TABLE_ORDER_LIMIT = 1 << 10  # dense q*q lookup tables stay desk scale
-_PREFIX_CHUNK = 1 << 14
+_BLOCK_ENTRIES = 1 << 16  # table entries per block of `_level_sums`
 
 MSS2_MODES = ("sum-only", "power-sums", "first-distinct")
 MSS2_PREDICATES = ("power-sums", "elementary")
@@ -77,8 +80,7 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
         return cached
     q, p, e = field.q, field.p, field.e
     if q > TABLE_ORDER_LIMIT:
-        raise ValueError(
-            f"oracle lookup tables support q <= {TABLE_ORDER_LIMIT}, got q={q}")
+        raise BudgetExceededError("oracle lookup tables", q, TABLE_ORDER_LIMIT, "field elements")
 
     powers = p ** np.arange(e, dtype=np.int64)
     digits = (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % p
@@ -116,6 +118,8 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
         "mul": mul.astype(np.int32),
         "neg": neg.astype(np.int32),
         "inv": inv.astype(np.int32),
+        "log": log,  # -1 at zero
+        "antilog": antilog,
     }
     for arr in tables.values():
         arr.setflags(write=False)  # shared across callers
@@ -123,9 +127,47 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
     return tables
 
 
-def power_row(field: FieldSpec, exponent: int) -> tuple[int, ...]:
-    """Indices of x**exponent across the enumeration order."""
-    return tuple(field.index(field.pow_(x, exponent)) for x in field.elements())
+def power_row(field: FieldSpec, exponent: int) -> np.ndarray:
+    """Indices of x**exponent across the enumeration order, with 0**0 = 1."""
+    t = field_tables(field)
+    row = np.zeros(field.q, dtype=np.int32)  # 0**k = 0 for k >= 1
+    row[1:] = t["antilog"][t["log"][1:] * exponent % (field.q - 1)]
+    if exponent == 0:
+        row[0] = 1  # the index of one
+    return row
+
+
+# ---------------------------------------------------------------------------
+# Enumeration core: every sum start + sum_i step_i[d_i], in blocks.
+# ---------------------------------------------------------------------------
+
+def _level_sums(add_t: np.ndarray, start: np.ndarray, steps: Sequence[np.ndarray]):
+    """Yield every row start + sum_i steps[i][d_i] over all digit tuples, as
+    (rows, width) blocks of at most max(_BLOCK_ENTRIES, q * width) entries.
+
+    start holds `width` element indices and each step is a (q, width) table.
+    The first levels are built one level at a time, W_k = add[W_(k-1),
+    step_k[d]], into an inner table that fits one block; the remaining levels
+    come from this function again, started at zero, and each block of theirs
+    is joined to the inner table by one flat gather on the add table.
+    """
+    q, width = add_t.shape[0], start.shape[0]
+    inner = start[None, :]
+    levels = 0
+    while levels < len(steps) and (levels == 0 or inner.size * q <= _BLOCK_ENTRIES):
+        inner = add_t[inner[:, None, :], steps[levels][None, :, :]].reshape(-1, width)
+        levels += 1
+    if levels == len(steps):
+        yield inner
+        return
+    flat_add = add_t.ravel()
+    inner_q = inner.astype(np.intp) * q
+    per_block = max(1, _BLOCK_ENTRIES // inner.size)
+    zero = np.zeros(width, dtype=add_t.dtype)
+    for outer in _level_sums(add_t, zero, steps[levels:]):
+        for s in range(0, outer.shape[0], per_block):
+            block = outer[s:s + per_block, None, :]
+            yield np.take(flat_add, inner_q + block).reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +179,6 @@ def span_root_distribution(
     fixed_row: Sequence[int],
     basis_rows: Sequence[Sequence[int]],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    chunk: int = _PREFIX_CHUNK,
 ) -> list[int]:
     """Zero-count tally of fixed + sum(c_i * basis_i) over all coefficients.
 
@@ -147,36 +188,25 @@ def span_root_distribution(
     vectors whose function has exactly j zeros, for j = 0..q.
     """
     q = field.q
-    t = field_tables(field)
-    add_t, mul_t, neg_t = t["add"], t["mul"], t["neg"]
     m = len(basis_rows)
     if m < 1:
         raise ValueError("need at least the constant basis function")
-    one_row = [field.index(field.one)] * q
-    if list(basis_rows[0]) != one_row:
+    if list(basis_rows[0]) != [field.index(field.one)] * q:
         raise ValueError("basis_rows[0] must be the constant-one function")
     if len(fixed_row) != q or any(len(r) != q for r in basis_rows):
         raise ValueError("rows must have one value per field element")
-    total = q ** m
-    budget.check(total, "coefficient-space enumeration")
+    budget.check(q ** m, "coefficient-space enumeration")
 
-    rows = np.asarray(basis_rows[1:], dtype=np.int32).reshape(m - 1, q)
-    fixed = np.asarray(fixed_row, dtype=np.int32)
-    n_prefix = q ** (m - 1)
+    t = field_tables(field)
+    mul_t = t["mul"]
+    steps = [mul_t[:, np.asarray(row, dtype=np.intp)] for row in basis_rows[1:]]
     tally = np.zeros(q + 1, dtype=np.int64)
-    digit_base = q ** np.arange(m - 1, dtype=np.int64)
-    for start in range(0, n_prefix, chunk):
-        stop = min(start + chunk, n_prefix)
-        nrows = stop - start
-        idx = np.arange(start, stop, dtype=np.int64)
-        w = np.broadcast_to(fixed, (nrows, q)).copy()
-        for pos in range(m - 1):
-            digit = ((idx // digit_base[pos]) % q).astype(np.int32)
-            w = add_t[w, mul_t[digit[:, None], rows[pos][None, :]]]
-        neg_w = neg_t[w]
-        flat = np.arange(nrows, dtype=np.int64)[:, None] * q + neg_w
-        hist = np.bincount(flat.ravel(), minlength=nrows * q)
-        tally += np.bincount(hist, minlength=q + 1)[: q + 1]
+    for w in _level_sums(t["add"], np.asarray(fixed_row, dtype=np.int32), steps):
+        # The constant c gives w + c, with as many zeros as w has entries -c;
+        # as c runs over the field, so does -c, so the zero counts of one
+        # prefix are its value multiplicities.
+        flat = w + np.arange(w.shape[0], dtype=np.intp)[:, None] * q
+        tally += np.bincount(np.bincount(flat.ravel(), minlength=w.size), minlength=q + 1)
     return [int(x) for x in tally]
 
 
@@ -184,16 +214,13 @@ def span_root_distribution(
 # Distinct-root counting for polynomial families.
 # ---------------------------------------------------------------------------
 
-def _u_eval_row(field: FieldSpec, u_high: tuple[FieldElement, ...], n: int, ell: int) -> tuple[int, ...]:
+def _u_eval_row(field: FieldSpec, u_high: tuple[FieldElement, ...], n: int, ell: int) -> np.ndarray:
     """Values of the fixed part x^n + sum(u_d x^d), d = n-1 down to ell+1."""
-    degrees = range(n - 1, ell, -1)
-    row = []
-    for x in field.elements():
-        acc = field.pow_(x, n)
-        for coeff, d in zip(u_high, degrees):
-            acc = field.add(acc, field.mul(coeff, field.pow_(x, d)))
-        row.append(field.index(acc))
-    return tuple(row)
+    t = field_tables(field)
+    acc = power_row(field, n)
+    for coeff, d in zip(u_high, range(n - 1, ell, -1)):
+        acc = t["add"][acc, t["mul"][coeff.index, power_row(field, d)]]
+    return acc
 
 
 @lru_cache(maxsize=512)
@@ -433,7 +460,6 @@ def brute_quadlin(
     bvec: Sequence[FieldElement],
     b0: FieldElement,
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    chunk: int = 1 << 16,
 ) -> ExactCount:
     """Count tuples in F_q^n satisfying sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0."""
     q = field.q
@@ -442,24 +468,16 @@ def brute_quadlin(
         raise ValueError("coefficient vectors must be nonempty and equal-length")
     for x in (*a, *bvec, a0, b0):
         field._check(x)
-    total = q ** n
-    budget.check(total, "tuple enumeration")
+    budget.check(q ** n, "tuple enumeration")
     t = field_tables(field)
-    add_t, mul_t = t["add"], t["mul"]
-    a_idx = np.asarray([x.index for x in a], dtype=np.int32)
-    b_idx = np.asarray([x.index for x in bvec], dtype=np.int32)
-    base = q ** np.arange(n, dtype=np.int64)
+    mul_t = t["mul"]
+    squares = mul_t[np.arange(q), np.arange(q)]
+    # steps[i][x] = (a_i * x^2, b_i * x): coordinate i's share of the two sums.
+    steps = np.stack([mul_t[[x.index for x in a]][:, squares],
+                      mul_t[[x.index for x in bvec]]], axis=2)
     count = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        quad = np.zeros(stop - start, dtype=np.int32)
-        lin = np.zeros(stop - start, dtype=np.int32)
-        for pos in range(n):
-            x = ((idx // base[pos]) % q).astype(np.int32)
-            quad = add_t[quad, mul_t[a_idx[pos], mul_t[x, x]]]
-            lin = add_t[lin, mul_t[b_idx[pos], x]]
-        count += int(((quad == a0.index) & (lin == b0.index)).sum())
+    for w in _level_sums(t["add"], np.zeros(2, dtype=np.int32), steps):
+        count += int(np.count_nonzero((w[:, 0] == a0.index) & (w[:, 1] == b0.index)))
     query = {
         "kind": "quadlin",
         "q": q,

@@ -148,8 +148,7 @@ def build_graph(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET
     p1 = digits[:, 0].astype(np.int32)
     powers = {}
     for expo in set(family.coordinate_exponents()):
-        row = np.asarray(power_row(f, expo), dtype=np.int32)
-        powers[expo] = row[p1]
+        powers[expo] = power_row(f, expo)[p1]
 
     base = q ** np.arange(m + 1, dtype=np.int64)
     lines = np.empty((n_vec, q), dtype=np.int64)

@@ -33,6 +33,23 @@ def ref_nk_distribution(field, u_high, n, ell):
     return tally
 
 
+def ref_span_root_distribution(field, fixed_row, basis_rows):
+    """Zero-count tally of fixed + sum(c_i * basis_i), one coefficient vector
+    and one field element at a time."""
+    q = field.q
+    el = field.element
+    tally = [0] * (q + 1)
+    for coeffs in itertools.product(range(q), repeat=len(basis_rows)):
+        roots = 0
+        for xi in range(q):
+            acc = el(fixed_row[xi])
+            for ci, row in zip(coeffs, basis_rows):
+                acc = field.add(acc, field.mul(el(ci), el(row[xi])))
+            roots += acc.is_zero()
+        tally[roots] += 1
+    return tally
+
+
 def ref_subset_sum_counts(field, n):
     """M(n, b) for every b by direct subset enumeration."""
     q = field.q

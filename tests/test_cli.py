@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fqcount import cli, counting, sieve
+from fqcount import cli, counting, sieve, wenger
 from fqcount.counting import ExactCount
 
 
@@ -80,9 +80,53 @@ def test_usage_errors_exit_1():
                 "--budget", "10"])[0] == 1  # below the budget floor
 
 
+@pytest.mark.parametrize("argv", [
+    "count --gap 2 --p 3 --e 1 --n 1 --k 0",
+    "count --gap 1 --p 3 --e 1 --n 3 --k -1",
+    "subset-sum --p 3 --e 1 --n 4",
+    "mss2 --p 3 --e 2 --t 0",
+    "mss2 --p 3 --e 2 --t 11 --mode first-distinct",
+    "quadlin --p 3 --e 1 --a 0,1 --b 1,1",
+    "quadlin --p 3 --e 1 --a 1 --b 1 --a0 9",
+    "sieve --p 3 --e 1 --n 0",
+    "sieve --p 3 --e 1 --n 2 --system two-moment",
+    "wenger --variant 1 --p 3 --e 1 --m 3",
+    "wenger --variant 1 --p 3 --e 1 --m 1 --check-moments 1",
+])
+def test_user_preconditions_exit_1(argv, capsys):
+    assert run(argv.split())[0] == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_only_routes_skip_closed_form_preconditions():
+    assert run(["count", "--gap", "3", "--p", "3", "--e", "1", "--n", "4", "--k", "1",
+                "--method", "oracle"])[0] == 0
+    assert run(["mss2", "--p", "3", "--e", "2", "--t", "0", "--method", "oracle"])[0] == 0
+    assert run(["quadlin", "--p", "2", "--e", "2", "--a", "1", "--b", "1",
+                "--method", "oracle"])[0] == 0
+
+
+def test_internal_value_error_exits_3(monkeypatch, capsys):
+    """A ValueError from inside the package, past the command's own screening
+    of its arguments, is an internal fault, not a usage error."""
+    def failing(family, top_exponent, level, budget):
+        raise ValueError("unsupported completion gap 5")
+
+    monkeypatch.setattr(wenger, "_completion_count", failing)
+    code, text = run(["wenger", "--variant", "1", "--p", "3", "--e", "1", "--m", "1",
+                      "--method", "formula"])
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err == "internal error: unsupported completion gap 5\n"
+
+
 def test_budget_exceeded_exit_2():
     code, _ = run(["--budget", "10000", "count", "--gap", "1", "--p", "5", "--e", "1",
                    "--n", "7", "--k", "1", "--method", "oracle"])
+    assert code == 2
+    # the oracle's lookup tables stop at q = 1024: a size refusal too
+    code, _ = run(["count", "--gap", "1", "--p", "2", "--e", "11", "--n", "1", "--k", "1",
+                   "--method", "oracle"])
     assert code == 2
 
 

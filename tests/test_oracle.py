@@ -1,8 +1,12 @@
 """The vectorized enumeration oracles against literal pure-python loops, plus
 budget and determinism behavior."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fqcount import oracle
 from fqcount.exactcomb import binomial
 from fqcount.ff import make_field
 from fqcount.oracle import (
@@ -22,6 +26,7 @@ from helpers import (
     ref_first_distinct,
     ref_nk_distribution,
     ref_quadlin,
+    ref_span_root_distribution,
     ref_subset_sum_counts,
     ref_two_moment_subsets,
 )
@@ -89,16 +94,17 @@ def test_budget_refusal_names_size():
     assert sum(brute_nk_distribution(f5, [], 7, 6)) == 5 ** 7
 
 
-def test_span_distribution_chunk_independence():
-    """Chunked partitions of the prefix space merge to identical tallies."""
+@pytest.mark.parametrize("block", ["1", "q", "7q"])
+def test_span_distribution_block_independence(monkeypatch, block):
+    """Any block size partitions the enumeration into identical tallies."""
     f9 = make_field(3, 2)
-    rows = [[f9.index(f9.one)] * 9, [f9.index(x) for x in f9.elements()]]
-    fixed = [f9.index(f9.pow_(x, 2)) for x in f9.elements()]
+    rows = [[f9.index(f9.pow_(x, d)) for x in f9.elements()] for d in range(4)]
+    fixed = [f9.index(f9.pow_(x, 5)) for x in f9.elements()]
     base = span_root_distribution(f9, fixed, rows)
-    for chunk in (1, 2, 7):
-        assert span_root_distribution(f9, fixed, rows, chunk=chunk) == base
-    # repeated calls are identical
+    assert sum(base) == 9 ** 4
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", {"1": 1, "q": 9, "7q": 63}[block])
     assert span_root_distribution(f9, fixed, rows) == base
+    assert span_root_distribution(f9, fixed, rows) == base  # repeated calls agree
 
 
 def test_span_distribution_validates_constant_row():
@@ -189,9 +195,18 @@ def test_brute_quadlin_against_reference():
     ]
     for a, a0, bvec, b0 in cases:
         assert brute_quadlin(f3, a, a0, bvec, b0).value == ref_quadlin(f3, a, a0, bvec, b0)
-    # chunking does not change the result
-    a, a0, bvec, b0 = cases[3]
-    assert brute_quadlin(f3, a, a0, bvec, b0, chunk=5).value == ref_quadlin(f3, a, a0, bvec, b0)
+
+
+@pytest.mark.parametrize("block", ["1", "q", "7q"])
+def test_brute_quadlin_block_independence(monkeypatch, block):
+    f5 = make_field(5, 1)
+    a = [f5.element(i) for i in (1, 2, 4, 3)]
+    bvec = [f5.element(i) for i in (1, 0, 3, 2)]
+    a0, b0 = f5.element(2), f5.element(4)
+    expected = ref_quadlin(f5, a, a0, bvec, b0)
+    assert brute_quadlin(f5, a, a0, bvec, b0).value == expected
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", {"1": 1, "q": 5, "7q": 35}[block])
+    assert brute_quadlin(f5, a, a0, bvec, b0).value == expected
 
 
 def test_quadlin_budget():
@@ -199,3 +214,42 @@ def test_quadlin_budget():
     with pytest.raises(BudgetExceededError):
         brute_quadlin(f9, [f9.one] * 9, f9.zero, [f9.one] * 9, f9.zero,
                       EnumerationBudget(10 ** 4))
+
+
+# Random spans and systems against the literal references, with block sizes
+# from one table row up, so that the enumeration crosses block boundaries.
+SMALL_FIELDS = {f.q: f for f in (make_field(2, 1), make_field(3, 1), make_field(2, 2),
+                                 make_field(5, 1), make_field(7, 1), make_field(2, 3),
+                                 make_field(3, 2))}
+ORACLE_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _draw_block(data, q, width):
+    return data.draw(st.sampled_from([1, width, q * width, 7 * q * width, 1 << 16]), label="block")
+
+
+@ORACLE_PROPERTY
+@given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
+def test_span_distribution_matches_literal(q, data):
+    f = SMALL_FIELDS[q]
+    m = data.draw(st.integers(1, 4 if q <= 5 else 3), label="m")
+    row = st.lists(st.integers(0, q - 1), min_size=q, max_size=q)
+    fixed = data.draw(row, label="fixed")
+    basis = [[1] * q] + [data.draw(row, label=f"basis{i}") for i in range(1, m)]
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, q)):
+        got = span_root_distribution(f, fixed, basis)
+    assert got == ref_span_root_distribution(f, fixed, basis)
+
+
+@ORACLE_PROPERTY
+@given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
+def test_brute_quadlin_matches_literal(q, data):
+    f = SMALL_FIELDS[q]
+    n = data.draw(st.integers(1, 4 if q <= 5 else 3), label="n")
+    coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    a = [f.element(i) for i in data.draw(coeffs, label="a")]
+    bvec = [f.element(i) for i in data.draw(coeffs, label="bvec")]
+    a0, b0 = (f.element(data.draw(st.integers(0, q - 1), label=name)) for name in ("a0", "b0"))
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, 2)):
+        got = brute_quadlin(f, a, a0, bvec, b0).value
+    assert got == ref_quadlin(f, a, a0, bvec, b0)
