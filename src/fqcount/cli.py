@@ -47,10 +47,9 @@ GAP2_MAX_N = {3: 6, 4: 6, 5: 6, 7: 8, 9: 6}
 GAP3_FIELD = (3, 2)
 GAP3_DEGREES = (3, 4, 5, 6, 9, 10)  # 9 and 10 exercise the reduced tables
 GAP3_WIDE_MAX_N = {(5, 2): 7, (7, 2): 6}  # n = 5 at q = 25 has p | n
-SUBSET_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2))
+SUBSET_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (7, 2), (2, 6), (3, 4))
 SUBSET_MAX_N = 12
-MSS2_FIELDS = ((3, 2), (5, 2))
-MSS2_MAX_N = 12
+MSS2_FIELDS = ((3, 2), (5, 2), (7, 2))  # every n <= q
 QUADLIN_FIELDS = ((3, 1), (5, 1), (3, 2))
 QUADLIN_MAX_N = 5
 QUADLIN_INSTANCES = 200
@@ -448,10 +447,9 @@ SUITES: dict[str, Suite] = {
          _subset_check),
     )),
     "mss2": Suite((
-        ([(p, e, n) for p, e in MSS2_FIELDS for n in range(1, min(p ** e, MSS2_MAX_N) + 1)],
-         _mss2_check),
+        ([(p, e, n) for p, e in MSS2_FIELDS for n in range(1, p ** e + 1)], _mss2_check),
         # M1 reaches one size past the field order (the completion may collide).
-        ([(p, e, p ** e + 1) for p, e in MSS2_FIELDS if p ** e <= MSS2_MAX_N], _mss2_m1),
+        ([(p, e, p ** e + 1) for p, e in MSS2_FIELDS], _mss2_m1),
     )),
     "quadlin": Suite(((_QUADLIN_CELLS, _quadlin_check), (_QUADLIN_CELLS, _quadlin_sum_over_a0)),
                      notes={"instances_per_cell": QUADLIN_INSTANCES}),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence, Union
 
@@ -405,8 +406,12 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
     return s_plus, s_minus
 
 
+@lru_cache(maxsize=1024)
 def closed_form_terms(field: FieldSpec, n: int) -> ClosedFormTerms:
-    """Bundle of alpha/beta-derived terms entering gap-3 and moment counts."""
+    """Bundle of alpha/beta-derived terms entering gap-3 and moment counts.
+
+    Cached: every k of a gap-3 table of degree n reads the same terms.
+    """
     alpha_n, beta_n = alpha_beta(field, n)
     alpha_prev, beta_prev = alpha_beta(field, n - 1) if n >= 1 else (0, 0)
     sign_n = (-1) ** n

@@ -88,19 +88,26 @@ def _psub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     return _trim(tuple(out))
 
 
+def _pdivmod(a: tuple[int, ...], b: tuple[int, ...],
+             p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by the nonzero trimmed polynomial b."""
+    r = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * lead_inv % p
+        if c:
+            quot[i - db] = c
+            for j in range(db + 1):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return _trim(tuple(quot)), _trim(tuple(r[:db]))
+
+
 def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     a, b = _trim(a), _trim(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)  # monic divisor
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * bm[j]) % p
-        a, b = b, _trim(tuple(r[:db]))
+        a, b = b, _pdivmod(a, b, p)[1]
     return a
 
 
@@ -267,13 +274,26 @@ class FieldSpec:
         self._check(a)
         if a.is_zero():
             raise FieldError("inversion of zero")
-        return self.pow_(a, self.q - 2)
+        p = self.p
+        if self.e == 1:
+            return FieldElement(self, (pow(a.coeffs[0], p - 2, p),))
+        # Extended Euclid against the modulus, keeping s_i * a = r_i (mod it).
+        r0, r1 = self.modulus, _trim(a.coeffs)
+        s0, s1 = (), (1,)
+        while r1:
+            quot, rem = _pdivmod(r0, r1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
+        scale = pow(r0[0], p - 2, p)  # the gcd r0 is a nonzero constant
+        return self._wrap(tuple(c * scale % p for c in s0))
 
     def pow_(self, a: FieldElement, k: int) -> FieldElement:
         """a**k by square-and-multiply; negative k inverts first."""
         self._check(a)
         if k < 0:
             return self.pow_(self.inv(a), -k)
+        if self.e == 1:
+            return FieldElement(self, (pow(a.coeffs[0], k, self.p),))
         result = self.one
         acc = a
         while k:

@@ -1,9 +1,9 @@
-"""Brute-force ground truth by literal exhaustive enumeration.
+"""Independent exact ground truth: exhaustive enumeration and a subset DP.
 
 Every closed form in this package is validated against a function here.  The
-enumerations are exact and deterministic: field elements are handled as
-enumeration indices through integer lookup tables, tallies are integer
-bincounts, and no floating point is involved anywhere.
+routes are exact and deterministic: field elements are handled as
+enumeration indices through integer lookup tables, tallies are integers, and
+no floating point is involved anywhere.
 
 The root-count and quadratic/linear oracles share one enumeration core,
 `_level_sums`.  It visits every digit tuple once and builds its sums level
@@ -14,6 +14,14 @@ they do not depend on the block size or the order of enumeration.  Root
 counting sweeps the constant coefficient analytically: for each
 higher-coefficient prefix the value histogram of its evaluation vector yields
 the root counts of all q constant-term extensions at once.
+
+Subset counts come from a dynamic program over accumulator states instead of
+a walk over subsets.  A state is the sum, or the sum and a second accumulator.
+Adjoining the elements one at a time maps each state through a permutation, so
+one table of counts by (size, state) covers every subset of every size in
+q steps.  The counts can pass 2^63, so the table is kept modulo a few 61-bit
+primes whose product exceeds every count.  The Chinese remainder theorem
+rebuilds only the counts a caller reads.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ _BLOCK_ENTRIES = 1 << 16  # table entries per block of `_level_sums`
 
 MSS2_MODES = ("sum-only", "power-sums", "first-distinct")
 MSS2_PREDICATES = ("power-sums", "elementary")
+SUBSET_PREDICATES = ("sum-only", *MSS2_PREDICATES)
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,9 +61,9 @@ class EnumerationBudget:
 
     max_items: int = DEFAULT_MAX_ITEMS
 
-    def check(self, required: int, what: str) -> None:
+    def check(self, required: int, what: str, unit: str = "enumerated items") -> None:
         if required > self.max_items:
-            raise BudgetExceededError(what, required, self.max_items)
+            raise BudgetExceededError(what, required, self.max_items, unit)
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -65,6 +74,11 @@ DEFAULT_BUDGET = EnumerationBudget()
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+
+
+def _check_table_order(q: int) -> None:
+    if q > TABLE_ORDER_LIMIT:
+        raise BudgetExceededError("oracle lookup tables", q, TABLE_ORDER_LIMIT, "field elements")
 
 
 def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
@@ -79,8 +93,7 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
     if cached is not None:
         return cached
     q, p, e = field.q, field.p, field.e
-    if q > TABLE_ORDER_LIMIT:
-        raise BudgetExceededError("oracle lookup tables", q, TABLE_ORDER_LIMIT, "field elements")
+    _check_table_order(q)
 
     powers = p ** np.arange(e, dtype=np.int64)
     digits = (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % p
@@ -281,82 +294,81 @@ def brute_nk(
 
 
 # ---------------------------------------------------------------------------
-# Subset enumeration (colex order by largest element, fully vectorized).
+# Subset tallies: a dynamic program over accumulator states, modulo primes.
 # ---------------------------------------------------------------------------
 
-def _subset_state_tallies(
-    field: FieldSpec,
-    t_max: int,
-    trans: np.ndarray,  # (q, n_states) int32: state after adjoining element m
-    start_state: int,
-    n_states: int,
-    budget: EnumerationBudget,
-    what: str,
-) -> list[np.ndarray]:
-    """Per-size state tallies over every subset of the field of size <= t_max.
-
-    Subsets are enumerated in colexicographic order, built up by largest
-    element; each subset of each size is visited exactly once.
-    """
-    q = field.q
-    if not 0 <= t_max <= q:
-        raise ValueError(f"subset size must lie in [0, {q}], got {t_max}")
-    enumerated = sum(binomial(q, j) for j in range(1, t_max + 1))
-    budget.check(enumerated, what)
-
-    tallies = [np.zeros(n_states, dtype=np.int64) for _ in range(t_max + 1)]
-    tallies[0][start_state] = 1
-    if t_max == 0:
-        return tallies
-
-    cur = trans[:, start_state].astype(np.int32)  # singletons {m}, m ascending
-    bounds = np.arange(q + 1, dtype=np.int64)  # bounds[m] = #subsets with max < m
-    for size in range(1, t_max + 1):
-        tallies[size] = np.bincount(cur, minlength=n_states).astype(np.int64)
-        if size == t_max:
-            break
-        pieces = []
-        new_bounds = [0]
-        for m in range(q):
-            prev = cur[: bounds[m]]  # size-`size` subsets with max element < m
-            pieces.append(trans[m][prev])
-            new_bounds.append(new_bounds[-1] + prev.shape[0])
-        cur = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int32)
-        bounds = np.asarray(new_bounds, dtype=np.int64)
-    return tallies
+# The 17 largest primes below 2^61.  Their product passes every binomial
+# C(q, k) with q <= TABLE_ORDER_LIMIT, and two residues sum below 2^62.
+_MODULI = tuple((1 << 61) - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829))
 
 
-def _pair_transitions(field: FieldSpec, predicate: str) -> np.ndarray:
-    """State transitions for packed (first, second) accumulator pairs."""
+def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
+    """The moduli a table of subset sizes 0..t_max needs, and its DP state
+    updates: adjoining element a touches sizes 1..min(t_max, a + 1)."""
+    largest = binomial(q, min(t_max, q // 2))  # no count in the table exceeds it
+    moduli, product = [], 1
+    while product <= largest:
+        moduli.append(_MODULI[len(moduli)])
+        product *= moduli[-1]
+    return tuple(moduli), len(moduli) * sum(min(t_max, a + 1) for a in range(q)) * n_states
+
+
+def _dest_maps(field: FieldSpec, predicate: str) -> list[np.ndarray]:
+    """dest[a][s]: the state of S + {a} for a subset S in state s; each map
+    permutes the states."""
     q = field.q
     t = field_tables(field)
     add_t, mul_t = t["add"], t["mul"]
-    states = np.arange(q * q, dtype=np.int64)
-    first = (states // q).astype(np.int32)
-    second = (states % q).astype(np.int32)
-    trans = np.empty((q, q * q), dtype=np.int32)
-    for m in range(q):
-        new_first = add_t[first, m]
-        if predicate == "power-sums":
-            new_second = add_t[second, mul_t[m, m]]
-        elif predicate == "elementary":
-            # pairwise-product sum picks up m * (previous plain sum)
-            new_second = add_t[second, mul_t[m, first]]
-        else:
-            raise ValueError(f"unknown predicate {predicate!r}")
-        trans[m] = new_first.astype(np.int64) * q + new_second
-    return trans
+    if predicate == "sum-only":
+        return [add_t[:, a] for a in range(q)]
+    first = np.repeat(np.arange(q), q)  # state s = s1 * q + s2
+    second = np.tile(np.arange(q), q)
+    dests = []
+    for a in range(q):
+        # the pairwise-product sum picks up a * (the previous plain sum)
+        step = mul_t[a, a] if predicate == "power-sums" else mul_t[a, first]
+        dests.append(add_t[first, a].astype(np.intp) * q + add_t[second, step])
+    return dests
 
 
-@lru_cache(maxsize=64)
-def _pair_tallies_cached(
-    field: FieldSpec, t_max: int, predicate: str, budget: EnumerationBudget
-) -> tuple[tuple[int, ...], ...]:
-    trans = _pair_transitions(field, predicate)
-    tallies = _subset_state_tallies(
-        field, t_max, trans, start_state=0, n_states=field.q ** 2,
-        budget=budget, what=f"subset enumeration ({predicate})")
-    return tuple(tuple(int(x) for x in tally) for tally in tallies)
+@lru_cache(maxsize=8)
+def _subset_dp(
+    field: FieldSpec, predicate: str, t_max: int, budget: EnumerationBudget
+) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """Per modulus P, the (t_max + 1, states) table of subset counts mod P by
+    size and accumulator state, over every subset of the field.
+
+    Elements are adjoined one at a time.  Adjoining a sends a size-j subset in
+    state s to size j + 1 in state dest_a(s), for every size at once; the old
+    values are read through the inverse map, so each step is one gather-add.
+    """
+    q = field.q
+    n_states = q if predicate == "sum-only" else q * q
+    moduli, updates = _dp_plan(q, t_max, n_states)
+    budget.check(updates, f"subset DP ({predicate})", "DP state updates")
+    sources = [np.argsort(dest) for dest in _dest_maps(field, predicate)]
+    tables = []
+    for modulus in moduli:
+        dp = np.zeros((t_max + 1, n_states), dtype=np.int64)
+        dp[0, 0] = 1  # the empty subset, in the zero state
+        for a, src in enumerate(sources):
+            k = min(t_max, a + 1)  # a subset of elements 0..a has at most a + 1 of them
+            grown = dp[1:k + 1]
+            grown += dp[:k, src]
+            np.subtract(grown, modulus, out=grown, where=grown >= modulus)
+        dp.setflags(write=False)  # shared across callers
+        tables.append(dp)
+    return moduli, tuple(tables)
+
+
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The least x >= 0 with x = residues[i] mod moduli[i], in Garner's form."""
+    x, product = 0, 1
+    for r, modulus in zip(residues, moduli):
+        x += product * ((r - x) * pow(product, -1, modulus) % modulus)
+        product *= modulus
+    return x
 
 
 def subset_pair_tally(
@@ -364,23 +376,43 @@ def subset_pair_tally(
     t_size: int,
     predicate: str = "power-sums",
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> list[list[int]]:
-    """Joint tally over size-t subsets of (sum, second accumulator) values.
+    states: Sequence[int] | None = None,
+) -> list:
+    """Exact counts of size-t subsets by accumulator state.
 
-    The second accumulator is the sum of squares under the power-sums
-    predicate and the sum of pairwise products under the elementary one.
+    Under the two pair predicates a state packs the subset's sum s1 and its
+    second accumulator s2 as s1 * q + s2.  The second accumulator is the sum of
+    squares under "power-sums" and the sum of pairwise products under
+    "elementary".  Under "sum-only" the state is s1 alone.
+
+    Returns the counts at `states`, in order.  By default it returns every
+    count: the q x q joint table (rows by s1) for a pair predicate, the q sum
+    counts for "sum-only".  Only the returned counts are rebuilt from their
+    residues.  One table of every size 0..q serves all sizes when the budget
+    allows it, and a table of sizes 0..t otherwise.
     """
     q = field.q
-    flat = _pair_tallies_cached(field, t_size, predicate, budget)[t_size]
-    return [list(flat[i * q: (i + 1) * q]) for i in range(q)]
+    if predicate not in SUBSET_PREDICATES:
+        raise ValueError(f"predicate must be one of {SUBSET_PREDICATES}, got {predicate!r}")
+    if not 0 <= t_size <= q:
+        raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
+    _check_table_order(q)  # _MODULI covers every table up to this order
+    n_states = q if predicate == "sum-only" else q * q
+    full = _dp_plan(q, q, n_states)[1] <= budget.max_items
+    moduli, tables = _subset_dp(field, predicate, q if full else t_size, budget)
+    cells = np.arange(n_states) if states is None else np.asarray(states, dtype=np.intp)
+    residues = np.stack([table[t_size, cells] for table in tables], axis=1).tolist()
+    counts = [_crt(r, moduli) for r in residues]
+    if states is None and predicate != "sum-only":
+        return [counts[i * q: (i + 1) * q] for i in range(q)]
+    return counts
 
 
 def subset_sum_distribution(
     field: FieldSpec, t_size: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> list[int]:
     """Counts of size-t subsets per sum value (all b at once)."""
-    joint = subset_pair_tally(field, t_size, "power-sums", budget)
-    return [sum(row) for row in joint]
+    return subset_pair_tally(field, t_size, "sum-only", budget)
 
 
 def brute_subsets_mss2(
@@ -402,7 +434,7 @@ def brute_subsets_mss2(
 
     The `predicate` switch selects the power-sum or elementary-symmetric
     reading of the second accumulator; the two must tally identically away
-    from characteristic 2.
+    from characteristic 2.  Every mode reads `subset_pair_tally`.
     """
     q = field.q
     m1 = m1 if m1 is not None else field.zero
@@ -414,20 +446,13 @@ def brute_subsets_mss2(
         raise ValueError(f"predicate must be one of {MSS2_PREDICATES}, got {predicate!r}")
 
     if mode == "sum-only":
-        if not 0 <= t_size <= q:
-            raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
-        dist = subset_sum_distribution(field, t_size, budget)
-        value = dist[m1.index]
+        [value] = subset_pair_tally(field, t_size, "sum-only", budget, [m1.index])
     elif mode == "power-sums":
-        if not 0 <= t_size <= q:
-            raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
-        joint = subset_pair_tally(field, t_size, predicate, budget)
-        value = joint[m1.index][m2.index]
+        [value] = subset_pair_tally(field, t_size, predicate, budget, [m1.index * q + m2.index])
     else:  # first-distinct
         if not 1 <= t_size <= q + 1:
             raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
-        joint = subset_pair_tally(field, t_size - 1, predicate, budget)
-        value = 0
+        states = []
         for s1_idx in range(q):
             s1 = field.element(s1_idx)
             last = field.sub(m1, s1)
@@ -435,7 +460,8 @@ def brute_subsets_mss2(
                 need = field.sub(m2, field.mul(last, last))
             else:
                 need = field.sub(m2, field.mul(last, s1))
-            value += joint[s1_idx][need.index]
+            states.append(s1_idx * q + need.index)
+        value = sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
 
     query = {
         "kind": "mss2",

@@ -78,6 +78,28 @@ def ref_two_moment_subsets(field, n):
     return count
 
 
+def ref_subset_pair_tally(field, n, predicate):
+    """Joint (sum, second accumulator) tally of the n-subsets, one subset at a
+    time: sums of squares for "power-sums", sums of pairwise products for
+    "elementary"."""
+    q = field.q
+    joint = [[0] * q for _ in range(q)]
+    for subset in itertools.combinations(range(q), n):
+        xs = [field.element(i) for i in subset]
+        s1 = field.zero
+        for x in xs:
+            s1 = field.add(s1, x)
+        s2 = field.zero
+        if predicate == "power-sums":
+            for x in xs:
+                s2 = field.add(s2, field.mul(x, x))
+        else:
+            for x, y in itertools.combinations(xs, 2):
+                s2 = field.add(s2, field.mul(x, y))
+        joint[s1.index][s2.index] += 1
+    return joint
+
+
 def ref_first_distinct(field, n):
     """(n-1)-subsets whose forced completion zeroes the second power sum."""
     q = field.q

@@ -57,7 +57,7 @@ def test_criterion_02_gap2_equivalence():
 def test_criterion_03_subset_sum():
     result = cli.run_suite("subset", CONFIG)
     qs = {row.q for row in result.rows}
-    assert qs == {3, 4, 5, 7, 8, 9, 25}
+    assert qs == {3, 4, 5, 7, 8, 9, 25, 49, 64, 81}
     assert any(row.q == 25 and row.n == 12 for row in result.rows)
     _report(3, "subset-sum closed form == subset enumeration", result)
 
@@ -83,8 +83,9 @@ def test_criterion_05_moment_subset_counts():
     hand = [moment_subset_count(f9, n).value for n in (1, 2, 3, 4)]
     assert hand == [1, 0, 0, 2]
     qs = {row.q for row in result.rows}
-    assert qs == {9, 25}
-    assert any(row.q == 25 and row.n == 12 for row in result.rows)
+    assert qs == {9, 25, 49}
+    for q in qs:
+        assert any(row.q == q and row.n == q for row in result.rows)
     _report(5, "two-moment subset counts == subset enumeration (M and M1)", result)
 
 

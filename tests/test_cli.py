@@ -130,6 +130,13 @@ def test_budget_exceeded_exit_2():
     assert code == 2
 
 
+def test_subset_dp_budget_refusal_exits_2(capsys):
+    code, text = run(["--budget", "10000", "mss2", "--p", "5", "--e", "2", "--t", "12",
+                      "--method", "oracle"])
+    assert (code, text) == (2, "")
+    assert "146250 DP state updates" in capsys.readouterr().err
+
+
 def test_moment_check_large_family_exits_0():
     """31250 vertices: no size refusal on the one moment route."""
     code, text = run(["wenger", "--variant", "1", "--p", "5", "--e", "2", "--m", "2",

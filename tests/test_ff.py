@@ -160,3 +160,17 @@ def test_quadratic_character_small_fields():
 @pytest.mark.parametrize("p,e", ODD_FIELDS_729)
 def test_char_restriction_matches_degree_parity(p, e):
     assert char_restriction_trivial(make_field(p, e)) == (e % 2 == 0)
+
+
+INVERSE_FIELDS = sorted(set(SMALL_FIELDS + ODD_FIELDS_729 + [(2, 5), (2, 6), (3, 3), (5, 3)]),
+                        key=lambda pe: pe[0] ** pe[1])
+
+
+@pytest.mark.parametrize("p,e", INVERSE_FIELDS)
+def test_inverse_matches_fermat_power(p, e):
+    """The Euclidean (e > 1) and builtin-pow (e = 1) inverses against x^(q-2)."""
+    f = make_field(p, e)
+    for x in itertools.islice(f.elements(), 1, None):
+        inv = f.inv(x)
+        assert inv == f.pow_(x, f.q - 2)
+        assert f.mul(x, inv) == f.one

@@ -4,6 +4,7 @@ against independent routes."""
 
 import pytest
 
+from fqcount import counting
 from fqcount.counting import count_nk_gap1, count_nk_gap3, moment_subset_count
 from fqcount.exactcomb import binomial
 from fqcount.ff import make_field
@@ -116,3 +117,22 @@ def test_degrees_past_the_cycle_type_range(p, e, n):
     table = [count_nk_gap3(f, n, k).value for k in range(n + 1)]
     assert sum(table) == f.q ** (n - 2)
     assert table[n] == moment_subset_count(f, n).value
+
+
+def test_table_computes_its_terms_once(monkeypatch):
+    """A degree-n table reads one cached set of alpha/beta terms: two sums
+    for the terms and one for the k = n delegate to M(n, 0, 0)."""
+    calls = []
+    alpha_beta = counting.alpha_beta
+
+    def counted(field, n):
+        calls.append(n)
+        return alpha_beta(field, n)
+
+    monkeypatch.setattr(counting, "alpha_beta", counted)
+    counting.closed_form_terms.cache_clear()
+    f81 = make_field(3, 4)
+    table = [count_nk_gap3(f81, 40, k).value for k in range(41)]
+    counting.closed_form_terms.cache_clear()  # no terms built on the counter outlive it
+    assert sorted(calls) == [39, 40, 40]
+    assert sum(table) == 81 ** 38

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqcount import oracle
+from fqcount.counting import moment_subset_count, moment_subset_count_m1, subset_sum_count
 from fqcount.exactcomb import binomial
 from fqcount.ff import make_field
 from fqcount.oracle import (
@@ -27,6 +28,7 @@ from helpers import (
     ref_nk_distribution,
     ref_quadlin,
     ref_span_root_distribution,
+    ref_subset_pair_tally,
     ref_subset_sum_counts,
     ref_two_moment_subsets,
 )
@@ -120,6 +122,105 @@ def test_subset_layers_match_binomials_and_reference(p, e):
         joint = subset_pair_tally(f, t)
         assert sum(sum(row) for row in joint) == binomial(f.q, t)
         assert subset_sum_distribution(f, t) == ref_subset_sum_counts(f, t)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_subset_dp_every_state_against_literal(p, e):
+    """Every size and state of both pair predicates, and the sum-only table,
+    against one-subset-at-a-time tallies; the pair readings differ in
+    characteristic 2."""
+    f = make_field(p, e)
+    for t in range(f.q + 1):
+        for predicate in oracle.MSS2_PREDICATES:
+            assert subset_pair_tally(f, t, predicate) == ref_subset_pair_tally(f, t, predicate)
+        assert subset_pair_tally(f, t, "sum-only") == ref_subset_sum_counts(f, t)
+        states = [f.q * f.q - 1, 0, 5 % f.q]
+        joint = subset_pair_tally(f, t, "elementary")
+        assert subset_pair_tally(f, t, "elementary", states=states) == \
+            [joint[s // f.q][s % f.q] for s in states]
+
+
+@pytest.fixture
+def fresh_subset_dp():
+    oracle._subset_dp.cache_clear()
+    yield
+    oracle._subset_dp.cache_clear()
+
+
+@pytest.mark.parametrize("moduli", [(8191, 131071, 524287), (31, 37, 41, 43, 47, 53)])
+def test_subset_dp_chinese_remainders(monkeypatch, fresh_subset_dp, moduli):
+    """Small moduli force two or more residues per count; the exact tallies
+    must not change."""
+    fields = {9: make_field(3, 2), 25: make_field(5, 2)}
+    expected = {(q, pred, t): subset_pair_tally(f, t, pred) for q, f in fields.items()
+                for pred in oracle.SUBSET_PREDICATES for t in range(q + 1)}
+    oracle._subset_dp.cache_clear()
+    monkeypatch.setattr(oracle, "_MODULI", moduli)
+    assert len(oracle._dp_plan(25, 25, 625)[0]) >= 2
+    for (q, pred, t), tally in expected.items():
+        assert subset_pair_tally(fields[q], t, pred) == tally, (q, pred, t)
+
+
+def test_subset_dp_moduli_cover_every_table():
+    """Distinct primes below 2^61 whose product passes every C(q, k) the
+    lookup tables allow."""
+    def is_prime(n):  # Miller-Rabin, deterministic for n < 3.3e24 with these bases
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    moduli = oracle._MODULI
+    assert len(set(moduli)) == len(moduli)
+    assert all(m < 2 ** 61 and is_prime(m) for m in moduli)
+    product = 1
+    for m in moduli:
+        product *= m
+    q = oracle.TABLE_ORDER_LIMIT
+    assert product > binomial(q, q // 2)
+
+
+def test_subset_dp_mss2_q81_against_closed_forms():
+    """Every size at q = 81, where the counts need two 61-bit moduli."""
+    f = make_field(3, 4)
+    assert len(oracle._dp_plan(81, 81, 81 * 81)[0]) == 2
+    for n in range(1, 82):
+        expected = moment_subset_count(f, n).value
+        for predicate in oracle.MSS2_PREDICATES:
+            assert brute_subsets_mss2(f, n, predicate=predicate).value == expected, (n, predicate)
+    for n in range(2, 83):
+        expected = moment_subset_count_m1(f, n).value
+        for predicate in oracle.MSS2_PREDICATES:
+            got = brute_subsets_mss2(f, n, mode="first-distinct", predicate=predicate).value
+            assert got == expected, (n, predicate)
+
+
+def test_subset_sums_q625():
+    f = make_field(5, 4)
+    for n in range(13):
+        dist = subset_sum_distribution(f, n)
+        assert sum(dist) == binomial(f.q, n)
+        for b in (0, 1, 5, 124, 624):
+            assert dist[b] == subset_sum_count(f, n, f.element(b)).value, (n, b)
+
+
+def test_subset_dp_budget_counts_state_updates():
+    f25 = make_field(5, 2)
+    with pytest.raises(BudgetExceededError) as info:
+        subset_pair_tally(f25, 12, budget=EnumerationBudget(10 ** 4))
+    # one modulus x (1 + 2 + ... + 12 + 13 * 12) adjoin steps x 625 states
+    assert info.value.required == 234 * 625
+    assert "DP state updates" in str(info.value)
 
 
 def test_mss2_modes_against_references():
