@@ -277,24 +277,16 @@ def _mss2_check(config, fld, n):
     return rows + (_mss2_m1(config, fld, n) if n >= 2 else [])
 
 
-def _classify_quadlin(fld, a, a0, bvec, b0) -> int:
-    b_inv, c_inv = counting.quadlin_invariants(fld, a, a0, bvec, b0)
-    if not b_inv.is_zero():
-        return 1 if c_inv.is_zero() else 2
-    return 3 if c_inv.is_zero() else 4
-
-
 def quadlin_instances(fld, n: int, count: int, seed: int):
-    """Deterministic admissible instances; n >= 2 sweeps visit all four cases."""
+    """Deterministic admissible instances with their case and closed-form
+    count; n >= 2 sweeps visit all four cases."""
     rng = random.Random(f"{seed}:{fld.q}:{n}")
     q = fld.q
     out = []
+    have_cases = set()
     attempts = 0
     needed_cases = {1, 2} if n == 1 else {1, 2, 3, 4}
-    while True:
-        have_cases = {case for *_, case in out}
-        if len(out) >= count and needed_cases <= have_cases:
-            break
+    while len(out) < count or not needed_cases <= have_cases:
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("quadlin instance generation failed to cover all cases")
@@ -304,20 +296,20 @@ def quadlin_instances(fld, n: int, count: int, seed: int):
             continue
         a0 = fld.element(rng.randrange(q))
         b0 = fld.element(rng.randrange(q))
-        case = _classify_quadlin(fld, a, a0, bvec, b0)
+        case, closed_form = counting.quadlin_case_count(fld, a, a0, bvec, b0)
         if len(out) < count or case not in have_cases:
-            out.append((a, a0, bvec, b0, case))
+            out.append((a, a0, bvec, b0, case, closed_form.value))
+            have_cases.add(case)
     return out
 
 
 def _quadlin_check(config, fld, n):
     rows = []
-    for ordinal, (a, a0, bvec, b0, case) in enumerate(
+    for ordinal, (a, a0, bvec, b0, case, closed_form) in enumerate(
             quadlin_instances(fld, n, QUADLIN_INSTANCES, DEFAULT_SEED)):
         a_s = ",".join(str(x.index) for x in a)
         b_s = ",".join(str(x.index) for x in bvec)
-        rows.append(("", case, ordinal,
-                     counting.quad_lin_solution_count(fld, a, a0, bvec, b0).value,
+        rows.append(("", case, ordinal, closed_form,
                      oracle.brute_quadlin(fld, a, a0, bvec, b0, config.budget).value,
                      f"quadlin --p {fld.p} --e {fld.e} --a {a_s} --a0 {a0.index} "
                      f"--b {b_s} --b0 {b0.index} --method both"))

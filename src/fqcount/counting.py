@@ -272,6 +272,19 @@ def quad_lin_solution_count(
     Requires odd q, all a_i nonzero and at least one b_i nonzero.  The four
     cases split on whether the invariants b and c (quadlin_invariants) vanish.
     """
+    return quadlin_case_count(field, a, a0, bvec, b0)[1]
+
+
+def quadlin_case_count(
+    field: FieldSpec,
+    a: Sequence[FieldElement],
+    a0: FieldElement,
+    bvec: Sequence[FieldElement],
+    b0: FieldElement,
+) -> tuple[int, ExactCount]:
+    """The system's case and quad_lin_solution_count, from one evaluation of
+    the invariants: case 1 or 2 when b != 0 and c is zero or not, case 3 or 4
+    when b = 0 and c is zero or not."""
     q, p = field.q, field.p
     if p == 2:
         raise ValueError("quadratic/linear system counts need odd q")
@@ -293,20 +306,24 @@ def quad_lin_solution_count(
     prod_a = field.product(a)
     b_inv, c_inv = quadlin_invariants(field, a, a0, bvec, b0)
 
-    if not b_inv.is_zero() and c_inv.is_zero():
+    if not b_inv.is_zero():
+        case = 1 if c_inv.is_zero() else 2
+    else:
+        case = 3 if c_inv.is_zero() else 4
+    if case == 1:
         if n % 2 == 0:
             total = qf ** (n - 2)
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
             total = qf ** (n - 2) + qf ** ((n - 3) // 2) * (q - 1) * chi(arg)
-    elif not b_inv.is_zero():
+    elif case == 2:
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), field.mul(prod_a, c_inv))
             total = qf ** (n - 2) + qf ** ((n - 2) // 2) * chi(arg)
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
             total = qf ** (n - 2) - qf ** ((n - 3) // 2) * chi(arg)
-    elif c_inv.is_zero():
+    elif case == 3:
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), prod_a)
             total = qf ** (n - 2) + v_of(field, a0) * qf ** ((n - 2) // 2) * chi(arg)
@@ -327,7 +344,7 @@ def quad_lin_solution_count(
         "bvec": [x.index for x in bvec],
         "b0": b0.index,
     }
-    return ExactCount(value, "closed-form", query)
+    return case, ExactCount(value, "closed-form", query)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Independent exact ground truth: exhaustive enumeration and a subset DP.
+"""Independent exact ground truth: enumeration and a subset DP.
 
 Every closed form in this package is validated against a function here.  The
 routes are exact and deterministic: field elements are handled as
@@ -13,7 +13,10 @@ blocks of a bounded number of entries; tallies are sums over the blocks, so
 they do not depend on the block size or the order of enumeration.  Root
 counting sweeps the constant coefficient analytically: for each
 higher-coefficient prefix the value histogram of its evaluation vector yields
-the root counts of all q constant-term extensions at once.
+the root counts of all q constant-term extensions at once.  A span through
+zero is homogeneous, since mu * f has the zeros of f: the root oracle then
+sweeps one coefficient vector per scalar class and weights its tally by
+q - 1, which is still the exact tally over every coefficient vector.
 
 Subset counts come from a dynamic program over accumulator states instead of
 a walk over subsets.  A state is the sum, or the sum and a second accumulator.
@@ -193,12 +196,20 @@ def span_root_distribution(
     basis_rows: Sequence[Sequence[int]],
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> list[int]:
-    """Zero-count tally of fixed + sum(c_i * basis_i) over all coefficients.
+    """Exact zero-count tally of fixed + sum(c_i * basis_i) over all coefficients.
 
     Rows hold element indices of function values across the enumeration
     order.  basis_rows[0] must be the constant-one function; its coefficient
     is the analytically swept one.  Returns tally[j] = number of coefficient
     vectors whose function has exactly j zeros, for j = 0..q.
+
+    A span through zero (fixed_row all zeros) is homogeneous: mu * f has the
+    zeros of f for mu != 0, and scaling the constant with the rest leaves the
+    constant sweep's tally unchanged.  So one representative per scalar class
+    of the non-constant coefficients is enumerated, the one whose first
+    nonzero coefficient is 1, and its tally is weighted by q - 1; the zero
+    vector adds one function with q zeros and q - 1 constants with none.
+    The budget counts the coefficient vectors actually swept.
     """
     q = field.q
     m = len(basis_rows)
@@ -208,19 +219,41 @@ def span_root_distribution(
         raise ValueError("basis_rows[0] must be the constant-one function")
     if len(fixed_row) != q or any(len(r) != q for r in basis_rows):
         raise ValueError("rows must have one value per field element")
-    budget.check(q ** m, "coefficient-space enumeration")
+    homogeneous = not any(fixed_row)  # index 0 is the zero element
+    if homogeneous:  # q constants for each of the (q^(m-1) - 1) / (q - 1) representatives
+        budget.check(q * (q ** (m - 1) - 1) // (q - 1), "coefficient-space enumeration")
+    else:
+        budget.check(q ** m, "coefficient-space enumeration")
 
     t = field_tables(field)
-    mul_t = t["mul"]
+    add_t, mul_t = t["add"], t["mul"]
     steps = [mul_t[:, np.asarray(row, dtype=np.intp)] for row in basis_rows[1:]]
+    if not homogeneous:
+        tally = _constant_sweep_tally(add_t, np.asarray(fixed_row, dtype=np.int32), steps)
+    else:
+        tally = np.zeros(q + 1, dtype=np.int64)
+        for j, step in enumerate(steps):  # first nonzero coefficient at j, equal to one
+            tally += _constant_sweep_tally(add_t, step[1], steps[j + 1:])
+        tally *= q - 1
+        tally[q] += 1  # the zero function
+        tally[0] += q - 1  # the nonzero constants
+    return [int(x) for x in tally]
+
+
+def _constant_sweep_tally(
+    add_t: np.ndarray, start: np.ndarray, steps: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Zero-count tally of start + sum_i steps[i][d_i] + c over every digit
+    tuple and every constant c."""
+    q = add_t.shape[0]
     tally = np.zeros(q + 1, dtype=np.int64)
-    for w in _level_sums(t["add"], np.asarray(fixed_row, dtype=np.int32), steps):
+    for w in _level_sums(add_t, start, steps):
         # The constant c gives w + c, with as many zeros as w has entries -c;
         # as c runs over the field, so does -c, so the zero counts of one
         # prefix are its value multiplicities.
         flat = w + np.arange(w.shape[0], dtype=np.intp)[:, None] * q
         tally += np.bincount(np.bincount(flat.ravel(), minlength=w.size), minlength=q + 1)
-    return [int(x) for x in tally]
+    return tally
 
 
 # ---------------------------------------------------------------------------

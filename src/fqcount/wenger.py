@@ -5,14 +5,15 @@ The graphs are bipartite point/line incidence graphs on two copies of
 F_q^(m+1).  Their eigenvalues are +-sqrt(q*i) for integer levels i, so the
 whole spectrum is carried as (level, multiplicity) pairs and never touches a
 real number: multiplicities come either from the closed-form root counts
-(spectrum_formula) or from enumerating the q^(m+1) coefficient vectors and
-counting roots directly (spectrum_oracle), and the adjacency matrix is
-checked against a claimed spectrum through integer trace moments alone.
+(spectrum_formula) or from counting the roots of every coefficient vector's
+function, one vector per scalar class (spectrum_oracle), and the adjacency
+matrix is checked against a claimed spectrum through integer trace moments
+alone.
 Matching as many even moments as there are distinct nonzero levels pins the
 level multiset uniquely (Vandermonde), so moment_check is a complete
 verification with zero numerical tolerance.  It has one route and no size
-cap: a translation symmetry reduces each trace to the closed walks from q
-points, counted through the incidence lists.
+cap: a translation and a scaling symmetry reduce each trace to the closed
+walks from two points, counted through the incidence lists.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .exactcomb import binomial
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     EnumerationBudget,
     brute_nk,
     field_tables,
@@ -80,7 +82,7 @@ class BipartiteGraph:
     """
 
     family: WengerFamily
-    lines_of_point: np.ndarray  # (q^(m+1), q) line index, column = first line coordinate
+    lines_of_point: np.ndarray  # (q^(m+1), q) int32 line index, column = first line coordinate
 
     @property
     def n_points(self) -> int:
@@ -141,6 +143,8 @@ def build_graph(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET
     m = family.m
     n_vec = q ** (m + 1)
     budget.check(n_vec, "point/line materialization")
+    if n_vec > 1 << 31:
+        raise BudgetExceededError("int32 point/line indices", n_vec, 1 << 31, "vectors")
     tables = field_tables(f)
     mul_t, neg_t, add_t = tables["mul"], tables["neg"], tables["add"]
 
@@ -151,7 +155,7 @@ def build_graph(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET
         powers[expo] = power_row(f, expo)[p1]
 
     base = q ** np.arange(m + 1, dtype=np.int64)
-    lines = np.empty((n_vec, q), dtype=np.int64)
+    lines = np.empty((n_vec, q), dtype=np.int32)  # each column is built in int64
     for l1 in range(q):
         acc = np.full(n_vec, l1, dtype=np.int64)  # digit 0 of the line
         for slot, expo in enumerate(family.coordinate_exponents(), start=1):
@@ -214,8 +218,9 @@ def _entries_from_counts(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 def spectrum_oracle(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET) -> SpectrumReport:
-    """Level multiplicities by enumerating all coefficient vectors and counting
-    the roots of each induced univariate function."""
+    """Level multiplicities by counting the roots of each coefficient vector's
+    univariate function; the span is homogeneous, so the root oracle
+    enumerates one vector per scalar class."""
     f = family.field
     q = f.q
     basis = [power_row(f, expo) for expo in family.basis_exponents()]
@@ -315,28 +320,40 @@ def _expected_even_moment(report: SpectrumReport, q: int, t: int) -> int:
 def _orbit_point_gram_traces(graph: BipartiteGraph, big_t: int) -> list[int]:
     """tr(Gram^t) of the point Gram matrix for t = 1..big_t, by walk counts.
 
+    Two symmetries keep every edge equation l_k + p_k = p1^(e_k) * l1.
     Adding c to point coordinates 2..m+1 and subtracting it from line
-    coordinates 2..m+1 keeps every edge equation l_k + p_k = p1^(e_k) * l1,
-    so diag(Gram^t) depends on p1 alone and each p1 labels q^m points.  The
-    trace is therefore q^m times the closed walks from the q points
-    (p1, 0, ..., 0), whose indices are p1; their indicator vectors are pushed
-    through the incidence gathers.  Every column sums to q^(2t), so int64
-    holds the counts below 2^63 and Python ints take over past that.
+    coordinates 2..m+1 is one, so diag(Gram^t) depends on p1 alone and each
+    p1 labels q^m points.  Scaling p1 by lambda != 0 and p_k, l_k by
+    lambda^(e_k) is the other, so every p1 != 0 has the closed walks of
+    p1 = 1.  The trace is therefore q^m * (W_0 + (q - 1) * W_1), with W_i the
+    closed walks of length 2t from the point (i, 0, ..., 0), whose index is i.
+    A closed walk of length 2t is two walks of length t from the start that
+    end at the same vertex, so W_i = |A^t e_i|^2: each start's indicator
+    vector is pushed big_t half-steps through the incidence gathers.  The
+    walks of length t number q^t, so int64 holds the squared norms below
+    2^63 and Python ints take over past that.
     """
     lines_of_point = graph.lines_of_point
     n, q = lines_of_point.shape
-    order = np.argsort(lines_of_point.ravel(), kind="stable")
-    points_of_line = (order // q).reshape(n, q)
-    x = np.zeros((n, q), dtype=np.int64 if q ** (2 * big_t) < 2 ** 63 else object)
-    x[np.arange(q), np.arange(q)] = 1
-    orbit = q ** graph.family.m
-    traces = []
-    for _ in range(big_t):
-        # One incidence column at a time keeps the working set at n x q.
-        on_lines = sum(x[points_of_line[:, j]] for j in range(q))
-        x = sum(on_lines[lines_of_point[:, j]] for j in range(q))
-        traces.append(orbit * sum(int(v) for v in x.diagonal()))
-    return traces
+    order = np.argsort(lines_of_point.ravel())  # the sums ignore the order within a line
+    points_of_line = (order // q).astype(np.int32).reshape(n, q)
+    # One contiguous index row per incidence column: to lines, then to points.
+    gathers = (np.ascontiguousarray(points_of_line.T), np.ascontiguousarray(lines_of_point.T))
+    dtype = np.int64 if q ** (2 * big_t) < 2 ** 63 else object
+    walks = []
+    for start in (0, 1):
+        x = np.zeros(n, dtype=dtype)
+        x[start] = 1
+        closed = []
+        for t in range(big_t):
+            columns = gathers[t % 2]
+            pushed = x[columns[0]]
+            for column in columns[1:]:
+                pushed += x[column]
+            x = pushed
+            closed.append(int(np.dot(x, x)))
+        walks.append(closed)
+    return [q ** graph.family.m * (w0 + (q - 1) * w1) for w0, w1 in zip(*walks)]
 
 
 def moment_check(graph: BipartiteGraph, report: SpectrumReport, big_t: int) -> bool:

@@ -156,6 +156,23 @@ def ref_point_gram_traces(graph, big_t):
     return traces
 
 
+def ref_orbit_point_gram_traces(graph, big_t):
+    """tr(Gram^t) for t = 1..big_t from the closed walks of all q points
+    (p1, 0, ..., 0), each standing for the q^m translates of its p1."""
+    lines_of_point = graph.lines_of_point
+    n, q = lines_of_point.shape
+    order = np.argsort(lines_of_point.ravel(), kind="stable")
+    points_of_line = (order // q).reshape(n, q)
+    x = np.zeros((n, q), dtype=np.int64 if q ** (2 * big_t) < 2 ** 63 else object)
+    x[np.arange(q), np.arange(q)] = 1
+    traces = []
+    for _ in range(big_t):
+        on_lines = sum(x[points_of_line[:, j]] for j in range(q))
+        x = sum(on_lines[lines_of_point[:, j]] for j in range(q))
+        traces.append(q ** graph.family.m * sum(int(v) for v in x.diagonal()))
+    return traces
+
+
 def stirling_cycle(n, i):
     """Unsigned count of permutations of S_n with exactly i cycles."""
     if not 1 <= i <= n:
@@ -179,3 +196,4 @@ def char_restriction_trivial(field):
     if field.p == 2:
         raise FieldError("quadratic character undefined in characteristic 2")
     return all(quadratic_character(field, field.from_int(c)) == 1 for c in range(1, field.p))
+

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fqcount import cli, counting, sieve, wenger
+from fqcount import cli, counting, ff, sieve, wenger
 from fqcount.counting import ExactCount
 
 
@@ -295,3 +295,16 @@ def test_csv_output_format_single_command():
                       "--n", "3", "--k", "1"])
     assert code == 0
     assert any(line.startswith("value,") for line in text.splitlines())
+
+
+def test_quadlin_cell_evaluates_invariants_once_per_instance(monkeypatch):
+    """The case and the closed-form count of a drawn instance come from one
+    evaluation of the invariants."""
+    calls = []
+    original = counting.quadlin_invariants
+    monkeypatch.setattr(counting, "quadlin_invariants",
+                        lambda *args: calls.append(args) or original(*args))
+    rows = cli._quadlin_check(cli.RunConfig(), ff.make_field(5, 1), 3)
+    assert len(rows) == cli.QUADLIN_INSTANCES
+    assert all(row[3] == row[4] for row in rows)
+    assert 0 < len(calls) <= len(rows)

@@ -22,6 +22,7 @@ from fqcount.oracle import (
     subset_pair_tally,
     subset_sum_distribution,
 )
+from fqcount.wenger import WengerFamily, spectrum_oracle
 
 from helpers import (
     ref_first_distinct,
@@ -340,6 +341,36 @@ def test_span_distribution_matches_literal(q, data):
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, q)):
         got = span_root_distribution(f, fixed, basis)
     assert got == ref_span_root_distribution(f, fixed, basis)
+
+
+@ORACLE_PROPERTY
+@given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
+def test_homogeneous_span_distribution_matches_literal(q, data):
+    """Spans through zero take the one-vector-per-scalar-class route; m = 1
+    is the constant row alone."""
+    f = SMALL_FIELDS[q]
+    m = data.draw(st.integers(1, 4 if q <= 5 else 3), label="m")
+    row = st.lists(st.integers(0, q - 1), min_size=q, max_size=q)
+    basis = [[1] * q] + [data.draw(row, label=f"basis{i}") for i in range(1, m)]
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, q)):
+        got = span_root_distribution(f, [0] * q, basis)
+    assert got == ref_span_root_distribution(f, [0] * q, basis)
+
+
+def test_homogeneous_span_budget_counts_swept_vectors():
+    """The Wenger family (1, 11, 4) sweeps q constants for each of the
+    (q^4 - 1) / (q - 1) scalar-class representatives, 16104 vectors against
+    q^5 = 161051; the refusal comes before any lookup table is touched."""
+    fam = WengerFamily(1, make_field(11, 1), 4)
+    rows = [oracle.power_row(fam.field, d) for d in fam.basis_exponents()]
+    zero = [0] * 11
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExceededError) as info:
+            span_root_distribution(fam.field, zero, rows, EnumerationBudget(16103))
+    assert info.value.required == 11 * (11 ** 4 - 1) // 10 == 16104
+    tally = span_root_distribution(fam.field, zero, rows, EnumerationBudget(16104))
+    assert sum(tally) == 11 ** 5 and tally[11] == 1  # only the zero vector vanishes everywhere
+    assert spectrum_oracle(fam, EnumerationBudget(16104)).multiplicity(11) == 1
 
 
 @ORACLE_PROPERTY

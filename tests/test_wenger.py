@@ -4,6 +4,7 @@ exponent-rule resolution, moment verification, and the edge export format."""
 import io
 import re
 
+import numpy as np
 import pytest
 
 from fqcount.cli import WENGER_FAMILIES
@@ -20,7 +21,7 @@ from fqcount.wenger import (
     _orbit_point_gram_traces,
 )
 
-from helpers import ref_point_gram_traces
+from helpers import ref_orbit_point_gram_traces, ref_point_gram_traces
 
 
 def wenger_acceptance_families():
@@ -199,6 +200,28 @@ def test_orbit_traces_agree_with_dense(variant, p, e, m):
     g = build_graph(fam)
     big_t = 1 + len(spectrum_formula(fam).nonzero_levels())
     assert _orbit_point_gram_traces(g, big_t) == ref_point_gram_traces(g, big_t)
+
+
+@pytest.mark.parametrize("variant,p,e,m", [*WENGER_FAMILIES, (1, 7, 1, 3), (1, 13, 1, 2)])
+def test_two_start_traces_match_every_start(variant, p, e, m):
+    """Walks from the two starts p1 = 0 and p1 = 1 give the traces that the
+    walks from all q points (p1, 0, ..., 0) give."""
+    fam = WengerFamily(variant, make_field(p, e), m)
+    g = build_graph(fam)
+    big_t = 1 + len(spectrum_formula(fam).nonzero_levels())
+    assert _orbit_point_gram_traces(g, big_t) == ref_orbit_point_gram_traces(g, big_t)
+
+
+@pytest.mark.parametrize("variant,p,e,m,vertices", [(1, 7, 1, 5, 235298), (1, 11, 1, 4, 322102)])
+def test_large_families_verified(variant, p, e, m, vertices):
+    """Families of 10^5 vertices: closed form against the oracle, and a
+    complete moment check; the incidence lists are int32."""
+    fam = WengerFamily(variant, make_field(p, e), m)
+    formula = spectrum_formula(fam)
+    assert formula.same_spectrum(spectrum_oracle(fam))
+    g = build_graph(fam)
+    assert g.vertex_count == vertices and g.lines_of_point.dtype == np.int32
+    assert moment_check(g, formula, len(formula.nonzero_levels()))
 
 
 def test_moment_check_big_integer_route(fam31):
