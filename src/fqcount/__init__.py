@@ -9,7 +9,6 @@ jumped Wenger graphs built from those counts.
 
 from .counting import (
     ClosedFormTerms,
-    CountQuery,
     ExactCount,
     alpha_beta,
     closed_form_terms,

@@ -550,14 +550,14 @@ def _run_both(args, config, out, formula_fn, oracle_fn, payload_base: dict) -> i
     if method in ("formula", "both"):
         result = formula_fn()
         payload["value"] = result.value
-        payload["method"] = result.method
+        payload["method"] = "closed-form"
         if result.note:
             payload["note"] = result.note
     if method in ("oracle", "both"):
         result = oracle_fn()
         if method == "oracle":
             payload["value"] = result.value
-            payload["method"] = result.method
+            payload["method"] = "oracle"
         else:
             payload["oracle_value"] = result.value
             payload["match"] = payload["value"] == result.value
@@ -576,14 +576,13 @@ def _cmd_count(args, config: RunConfig, out) -> int:
     if gap == 3 and args.method != "oracle":
         _require_moment_field(fld, "gap-3 closed forms")
     b = _from_user(fld.element, args.b) if args.b is not None else fld.zero
-    query = counting.CountQuery(fld.q, fld.p, fld.e, args.n, args.n - gap, args.k,
-                                b.index if gap == 2 else 0)
     return _run_both(
         args, config, out,
         lambda: _nk_formula(fld, gap, args.n, args.k, b),
         lambda: oracle.brute_nk(fld, _fixed_high(fld, gap, b), args.n, args.n - gap, args.k,
                                 config.budget),
-        {"query": query.as_dict()},
+        {"query": {"kind": "distinct-root-count", "q": fld.q, "p": fld.p, "e": fld.e,
+                   "n": args.n, "ell": args.n - gap, "k": args.k, "b": b.index}},
     )
 
 

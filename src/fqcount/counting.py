@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from .exactcomb import binomial, enumerate_cycle_types, perm_type_count
 from .ff import FieldElement, FieldSpec, quadratic_character
@@ -29,67 +29,15 @@ class IntegralityError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class CountQuery:
-    """A fully specified distinct-root counting problem.
-
-    The fixed part is x^n for gaps 1 and 3 and x^n - b*x^(n-1) for gap 2;
-    b_index is the enumeration index of b and must be 0 for gaps 1 and 3.
-    """
-
-    q: int
-    p: int
-    e: int
-    n: int
-    ell: int
-    k: int
-    b_index: int = 0
-
-    def __post_init__(self) -> None:
-        gap = self.n - self.ell
-        if gap not in (1, 2, 3):
-            raise ValueError(f"coefficient gap n - ell must be 1, 2 or 3, got {gap}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if gap != 2 and self.b_index != 0:
-            raise ValueError("coefficient parameter b must be zero unless the gap is 2")
-
-    @property
-    def gap(self) -> int:
-        return self.n - self.ell
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "distinct-root-count",
-            "q": self.q,
-            "p": self.p,
-            "e": self.e,
-            "n": self.n,
-            "ell": self.ell,
-            "k": self.k,
-            "b": self.b_index,
-        }
-
-
-QueryLike = Union[CountQuery, Mapping[str, object]]
-
-
-@dataclass(frozen=True)
 class ExactCount:
-    """An exact nonnegative count plus how it was obtained."""
+    """An exact nonnegative count, with a note naming a reduced regime."""
 
     value: int
-    method: str  # "closed-form" or "oracle"
-    query: QueryLike
     note: str | None = None
 
     def __post_init__(self) -> None:
         if self.value < 0:
-            raise IntegralityError(f"negative count {self.value} for {self.query}")
-
-    def query_dict(self) -> dict:
-        if isinstance(self.query, CountQuery):
-            return self.query.as_dict()
-        return dict(self.query)
+            raise IntegralityError(f"negative count {self.value}")
 
 
 @dataclass(frozen=True)
@@ -154,14 +102,12 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
         raise ValueError(f"degree must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    query = CountQuery(q, field.p, field.e, n, n - 1, k)
     if k > min(n, q):
-        return ExactCount(0, "closed-form", query)
+        return ExactCount(0)
     if n >= q:
         value = binomial(q, k) * q ** (n - q) * (q - 1) ** (q - k)
-        return ExactCount(value, "closed-form", query,
-                          note="reduced-degree regime (n >= q)")
-    return ExactCount(binomial(q, k) * _alternating_tail(q, q - k, n - k), "closed-form", query)
+        return ExactCount(value, note="reduced-degree regime (n >= q)")
+    return ExactCount(binomial(q, k) * _alternating_tail(q, q - k, n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +124,7 @@ def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
     if n % p == 0:
         sign = (-1) ** (n + n // p)
         m += sign * Fraction(v_of(field, b), q) * binomial(q // p, n // p)
-    value = _exact_int(m, f"M({n}, b)")
-    return ExactCount(value, "closed-form",
-                      {"kind": "subset-sum", "q": q, "n": n, "b": b.index})
+    return ExactCount(_exact_int(m, f"M({n}, b)"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +145,15 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
         raise ValueError(f"gap-2 counts need degree n >= 2, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    query = CountQuery(q, field.p, field.e, n, n - 2, k, b.index)
     if k > min(n, q):
-        return ExactCount(0, "closed-form", query)
+        return ExactCount(0)
 
     if n < q:
         total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q)
         if n % p == 0:
             sign = (-1) ** ((n - k) + n + n // p)
             total += sign * Fraction(v_of(field, b), q) * binomial(n, k) * binomial(q // p, n // p)
-        return ExactCount(_exact_int(total, f"N_{k} gap2"), "closed-form", query)
+        return ExactCount(_exact_int(total, f"N_{k} gap2"))
 
     if n == q:
         note = "reduced-degree regime (n == q)"
@@ -224,21 +167,21 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
                 value = 2 if k == 1 else 0
             else:
                 value = 1 if k in (0, 2) else 0
-            return ExactCount(value, "closed-form", query, note=note)
+            return ExactCount(value, note=note)
         if not b.is_zero():
             if k == q:
-                return ExactCount(0, "closed-form", query, note=note)
+                return ExactCount(0, note=note)
             val = Fraction(binomial(q, k), q) * ((q - 1) ** (q - k) - (-1) ** (q - k))
-            return ExactCount(_exact_int(val, "N_k gap2 n=q"), "closed-form", query, note=note)
+            return ExactCount(_exact_int(val, "N_k gap2 n=q"), note=note)
         if k == q:
-            return ExactCount(1, "closed-form", query, note=note)
+            return ExactCount(1, note=note)
         if k == q - 1:
-            return ExactCount(0, "closed-form", query, note=note)
+            return ExactCount(0, note=note)
         val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
-        return ExactCount(_exact_int(val, "N_k gap2 n=q"), "closed-form", query, note=note)
+        return ExactCount(_exact_int(val, "N_k gap2 n=q"), note=note)
 
     value = q ** (n - q - 1) * binomial(q, k) * (q - 1) ** (q - k)
-    return ExactCount(value, "closed-form", query, note="reduced-degree regime (n > q)")
+    return ExactCount(value, note="reduced-degree regime (n > q)")
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +277,7 @@ def quadlin_case_count(
     else:
         total = qf ** (n - 2)
 
-    value = _exact_int(total, "quadratic/linear solution count")
-    query = {
-        "kind": "quadlin",
-        "q": q,
-        "n": n,
-        "a": [x.index for x in a],
-        "a0": a0.index,
-        "bvec": [x.index for x in bvec],
-        "b0": b0.index,
-    }
-    return case, ExactCount(value, "closed-form", query)
+    return case, ExactCount(_exact_int(total, "quadratic/linear solution count"))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +398,7 @@ def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
         total += Fraction(q - 1, 2 * q) * (alpha + (-1) ** n * beta)
     else:
         total += Fraction(q - 1, 2 * q * s) * (alpha - (-1) ** n * beta)
-    value = _exact_int(total, f"M({n},0,0)")
-    return ExactCount(value, "closed-form", {"kind": "moment-subset", "q": q, "n": n})
+    return ExactCount(_exact_int(total, f"M({n},0,0)"))
 
 
 def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
@@ -482,8 +414,7 @@ def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
         total += Fraction(q - 1, 2 * s) * (alpha - (-1) ** (n - 1) * beta)
     else:
         total += Fraction(q - 1, 2 * q) * (alpha + (-1) ** (n - 1) * beta)
-    value = _exact_int(total, f"M1({n},0,0)")
-    return ExactCount(value, "closed-form", {"kind": "moment-subset-m1", "q": q, "n": n})
+    return ExactCount(_exact_int(total, f"M1({n},0,0)"))
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +435,12 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
         raise ValueError(f"gap-3 counts need degree n >= 3, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    query = CountQuery(q, field.p, field.e, n, n - 3, k)
     if k > min(n, q):
-        return ExactCount(0, "closed-form", query)
+        return ExactCount(0)
 
     if n < q:
         if k == n:
-            return ExactCount(moment_subset_count(field, n).value, "closed-form", query)
+            return moment_subset_count(field, n)
         terms = closed_form_terms(field, n)
         total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q * q)
         sign = (-1) ** (n - k)
@@ -523,29 +453,29 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
             d_prev, d_n = terms.d_terms
             total += -sign * binomial(n - 1, k) * Fraction(q - 1, 2 * q) * d_prev
             total += sign * binomial(n, k) * Fraction(q - 1, 2 * q * s) * d_n
-        return ExactCount(_exact_int(total, f"N_{k} gap3"), "closed-form", query)
+        return ExactCount(_exact_int(total, f"N_{k} gap3"))
 
     if n == q:
         note = "reduced-degree regime (n == q)"
         if k == q:
-            return ExactCount(1, "closed-form", query, note=note)
+            return ExactCount(1, note=note)
         if k in (q - 1, q - 2):
-            return ExactCount(0, "closed-form", query, note=note)
+            return ExactCount(0, note=note)
         val = Fraction(q - 1, q) * binomial(q, k) * (
             Fraction((q - 1) ** (q - k - 1), q)
             + (-1) ** (q - k - 1) * (q - k)
             + (-1) ** (q - k) * Fraction(q + 1, q)
         )
-        return ExactCount(_exact_int(val, "N_k gap3 n=q"), "closed-form", query, note=note)
+        return ExactCount(_exact_int(val, "N_k gap3 n=q"), note=note)
 
     if n == q + 1:
         note = "reduced-degree regime (n == q + 1)"
         if k == q:
-            return ExactCount(1, "closed-form", query, note=note)
+            return ExactCount(1, note=note)
         if k == q - 1:
-            return ExactCount(0, "closed-form", query, note=note)
+            return ExactCount(0, note=note)
         val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
-        return ExactCount(_exact_int(val, "N_k gap3 n=q+1"), "closed-form", query, note=note)
+        return ExactCount(_exact_int(val, "N_k gap3 n=q+1"), note=note)
 
     value = q ** (n - q - 2) * binomial(q, k) * (q - 1) ** (q - k)
-    return ExactCount(value, "closed-form", query, note="reduced-degree regime (n > q + 1)")
+    return ExactCount(value, note="reduced-degree regime (n > q + 1)")

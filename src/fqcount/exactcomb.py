@@ -48,9 +48,6 @@ class CycleType:
         """All cycle lengths, ascending, with multiplicity."""
         return tuple(i + 1 for i, ci in enumerate(self.c) for _ in range(ci))
 
-    def perm_count(self) -> int:
-        return perm_type_count(self)
-
 
 def perm_type_count(t: CycleType) -> int:
     """Number of permutations of S_n with the given cycle structure."""

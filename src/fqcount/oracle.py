@@ -314,16 +314,7 @@ def brute_nk(
 ) -> ExactCount:
     """Literal count of tails making the polynomial have exactly k distinct roots."""
     dist = brute_nk_distribution(field, u_high, n, ell, budget)
-    value = dist[k] if 0 <= k <= field.q else 0
-    query = {
-        "kind": "distinct-root-count",
-        "q": field.q,
-        "n": n,
-        "ell": ell,
-        "k": k,
-        "u_high": [c.index for c in u_high],
-    }
-    return ExactCount(value, "oracle", query)
+    return ExactCount(dist[k] if 0 <= k <= field.q else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +486,7 @@ def brute_subsets_mss2(
                 need = field.sub(m2, field.mul(last, s1))
             states.append(s1_idx * q + need.index)
         value = sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
-
-    query = {
-        "kind": "mss2",
-        "q": q,
-        "t": t_size,
-        "m1": m1.index,
-        "m2": m2.index,
-        "mode": mode,
-        "predicate": predicate,
-    }
-    return ExactCount(value, "oracle", query)
+    return ExactCount(value)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +518,4 @@ def brute_quadlin(
     count = 0
     for w in _level_sums(t["add"], np.zeros(2, dtype=np.int32), steps):
         count += int(np.count_nonzero((w[:, 0] == a0.index) & (w[:, 1] == b0.index)))
-    query = {
-        "kind": "quadlin",
-        "q": q,
-        "n": n,
-        "a": [x.index for x in a],
-        "a0": a0.index,
-        "bvec": [x.index for x in bvec],
-        "b0": b0.index,
-    }
-    return ExactCount(count, "oracle", query)
+    return ExactCount(count)

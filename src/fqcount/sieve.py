@@ -37,17 +37,20 @@ class SymmetricCounter:
 
     n: int
     count_for_type: Callable[[CycleType], int]
-    description: str = ""
+
+
+def _signed_type_sum(n: int, count_for_type: Callable[[CycleType], int]) -> int:
+    """sum over cycle types t of n points of (-1)^(n - cycles(t)) * C(t) * count(t)."""
+    total = 0
+    for t in enumerate_cycle_types(n):
+        sign = -1 if (n - t.num_cycles()) % 2 else 1
+        total += sign * perm_type_count(t) * count_for_type(t)
+    return total
 
 
 def sieve_distinct(counter: SymmetricCounter) -> int:
     """Exact count of all-coordinates-distinct tuples in the underlying set."""
-    n = counter.n
-    total = 0
-    for t in enumerate_cycle_types(n):
-        sign = -1 if (n - t.num_cycles()) % 2 else 1
-        total += sign * perm_type_count(t) * counter.count_for_type(t)
-    return total
+    return _signed_type_sum(counter.n, counter.count_for_type)
 
 
 def sieve_first_n_minus_1(counter: SymmetricCounter) -> int:
@@ -56,14 +59,9 @@ def sieve_first_n_minus_1(counter: SymmetricCounter) -> int:
     The callback receives cycle types of n-1 points (the last coordinate is
     never glued).
     """
-    n = counter.n
-    if n < 2:
-        raise ValueError(f"first-(n-1) sieve needs n >= 2, got {n}")
-    total = 0
-    for t in enumerate_cycle_types(n - 1):
-        sign = -1 if (n - 1 - t.num_cycles()) % 2 else 1
-        total += sign * perm_type_count(t) * counter.count_for_type(t)
-    return total
+    if counter.n < 2:
+        raise ValueError(f"first-(n-1) sieve needs n >= 2, got {counter.n}")
+    return _signed_type_sum(counter.n - 1, counter.count_for_type)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +81,7 @@ def unconstrained_counter(field: FieldSpec, n: int) -> SymmetricCounter:
     """X = F_q^n; gluing leaves one free value per cycle (plus any ungrouped
     trailing coordinate)."""
     q = field.q
-    return SymmetricCounter(
-        n, lambda t: q ** (t.num_cycles() + _free_tail(n, t)), "unconstrained")
+    return SymmetricCounter(n, lambda t: q ** (t.num_cycles() + _free_tail(n, t)))
 
 
 def subset_sum_counter(field: FieldSpec, n: int, b: FieldElement) -> SymmetricCounter:
@@ -100,7 +97,7 @@ def subset_sum_counter(field: FieldSpec, n: int, b: FieldElement) -> SymmetricCo
             return q ** variables if b.is_zero() else 0
         return q ** (variables - 1)
 
-    return SymmetricCounter(n, count, "sum equals b")
+    return SymmetricCounter(n, count)
 
 
 def _collapsed_two_moment_count(field: FieldSpec, lengths: tuple[int, ...]) -> int:
@@ -130,4 +127,4 @@ def two_moment_counter(field: FieldSpec, n: int) -> SymmetricCounter:
         lengths = t.cycle_lengths() + (1,) * _free_tail(n, t)
         return _collapsed_two_moment_count(field, lengths)
 
-    return SymmetricCounter(n, count, "first two power sums vanish")
+    return SymmetricCounter(n, count)

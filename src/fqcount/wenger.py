@@ -23,7 +23,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .counting import count_nk_gap2, count_nk_gap3
+from .counting import _alternating_tail, count_nk_gap2, count_nk_gap3
 from .exactcomb import binomial
 from .ff import FieldSpec
 from .oracle import (
@@ -95,10 +95,6 @@ class BipartiteGraph:
     @property
     def vertex_count(self) -> int:
         return 2 * self.n_points
-
-    @property
-    def edge_count(self) -> int:
-        return self.lines_of_point.size
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """(point index, line index) pairs, points outer and l1 inner."""
@@ -195,9 +191,6 @@ class SpectrumReport:
     def nonzero_levels(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries if i > 0)
 
-    def eigenvalue_total(self) -> int:
-        return 2 * sum(mult for _, mult in self.entries)
-
     def same_spectrum(self, other: "SpectrumReport") -> bool:
         return self.entries == other.entries
 
@@ -285,8 +278,7 @@ def spectrum_formula(
     for i in range(0, m):
         low_degrees = 0
         for d in range(i, m):
-            inner = sum((-1) ** k * binomial(q - i, k) * q ** (d - i - k) for k in range(d - i + 1))
-            low_degrees += binomial(q, i) * inner
+            low_degrees += binomial(q, i) * _alternating_tail(q, q - i, d - i)
         counts[i] = (q - 1) * low_degrees + (q - 1) * _completion_count(family, low_top, i, budget)
     for i in range(m, top + 1):
         counts[i] = (q - 1) * _completion_count(family, top, i, budget)

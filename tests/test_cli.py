@@ -24,6 +24,32 @@ def test_count_gap1_anchor():
     assert payload["method"] == "closed-form"
 
 
+def test_count_payload_pinned():
+    """The whole count payload: query keys, method and the reduced-regime note."""
+    code, text = run(["count", "--gap", "2", "--p", "3", "--e", "1", "--n", "3",
+                      "--k", "1", "--b", "1", "--method", "both"])
+    assert code == 0
+    assert json.loads(text) == {
+        "match": True,
+        "method": "closed-form",
+        "note": "reduced-degree regime (n == q)",
+        "oracle_value": "3",
+        "query": {"b": "1", "e": "1", "ell": "1", "k": "1", "kind": "distinct-root-count",
+                  "n": "3", "p": "3", "q": "3"},
+        "value": "3",
+    }
+    code, text = run(["count", "--gap", "3", "--p", "3", "--e", "2", "--n", "9",
+                      "--k", "3", "--method", "formula"])
+    assert code == 0
+    assert json.loads(text) == {
+        "method": "closed-form",
+        "note": "reduced-degree regime (n == q)",
+        "query": {"b": "0", "e": "2", "ell": "6", "k": "3", "kind": "distinct-root-count",
+                  "n": "9", "p": "3", "q": "9"},
+        "value": "271488",
+    }
+
+
 def test_count_gap3_example_both_methods():
     code, text = run(["count", "--gap", "3", "--p", "3", "--e", "2",
                       "--n", "3", "--k", "1", "--method", "both"])
@@ -200,7 +226,7 @@ def test_verify_detects_corrupted_formula(monkeypatch):
     def corrupted(field, n, k, b):
         result = real(field, n, k, b)
         if n == 3 and k == 1:
-            return ExactCount(result.value + 1, result.method, result.query)
+            return ExactCount(result.value + 1)
         return result
 
     monkeypatch.setattr(counting, "count_nk_gap2", corrupted)

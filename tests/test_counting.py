@@ -5,7 +5,8 @@ literal pure-python enumeration (independent of the vectorized oracle module).
 import pytest
 
 from fqcount.counting import (
-    CountQuery,
+    ExactCount,
+    IntegralityError,
     count_nk_gap1,
     count_nk_gap2,
     subset_sum_count,
@@ -17,14 +18,10 @@ from fqcount.ff import make_field
 from helpers import ref_nk_distribution, ref_subset_sum_counts
 
 
-def test_count_query_validation():
-    CountQuery(9, 3, 2, 5, 3, 2)
-    with pytest.raises(ValueError):
-        CountQuery(9, 3, 2, 5, 1, 2)  # gap 4
-    with pytest.raises(ValueError):
-        CountQuery(9, 3, 2, 5, 4, 2, b_index=1)  # b on a gap-1 query
-    with pytest.raises(ValueError):
-        CountQuery(9, 3, 2, 5, 3, -1)
+def test_negative_count_raises_integrality_error():
+    assert ExactCount(0).value == 0
+    with pytest.raises(IntegralityError):
+        ExactCount(-1)
 
 
 def test_gap1_f2_cubic_tallies():

@@ -113,9 +113,9 @@ def test_two_moment_sieve_route_q25_small():
 
 
 def test_constant_counter_sums_signed_type_counts():
-    from fqcount.exactcomb import enumerate_cycle_types
+    from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
 
-    counter = SymmetricCounter(3, lambda t: 1, "ones")
-    expected = sum((-1) ** (3 - t.num_cycles()) * t.perm_count()
+    counter = SymmetricCounter(3, lambda t: 1)
+    expected = sum((-1) ** (3 - t.num_cycles()) * perm_type_count(t)
                    for t in enumerate_cycle_types(3))
     assert sieve_distinct(counter) == expected

@@ -60,7 +60,7 @@ def test_build_graph_structure(fam31):
     g = build_graph(fam31)
     assert g.n_points == g.n_lines == 9
     assert g.vertex_count == 18
-    assert g.edge_count == 27  # q^(m+2)
+    assert g.lines_of_point.size == 27  # q^(m+2) edges
     point_deg, line_deg = g.degrees()
     assert set(point_deg.tolist()) == {3}
     assert set(line_deg.tolist()) == {3}
@@ -72,7 +72,7 @@ def test_regularity_across_families(variant, p, e, m):
     point_deg, line_deg = g.degrees()
     q = p ** e
     assert set(point_deg.tolist()) == {q} and set(line_deg.tolist()) == {q}
-    assert g.edge_count == q ** (m + 2)
+    assert g.lines_of_point.size == q ** (m + 2)
 
 
 def test_edges_match_predicate(fam31):
@@ -94,7 +94,7 @@ def test_spectrum_oracle_pinned_31(fam31):
     report = spectrum_oracle(fam31)
     assert report.entries == ((3, 1), (2, 2), (1, 2), (0, 4))
     assert report.vertex_count == 18
-    assert report.eigenvalue_total() == 18
+    assert 2 * sum(mult for _, mult in report.entries) == 18
     assert report.multiplicity(2) == 2 and report.multiplicity(7) == 0
 
 
@@ -179,7 +179,7 @@ def test_moment_check_trace_values(fam31):
     """tr(A^2) is twice the edge count; pinned for the smallest family."""
     g = build_graph(fam31)
     traces = _orbit_point_gram_traces(g, 1)
-    assert 2 * traces[0] == 54 == 2 * g.edge_count
+    assert 2 * traces[0] == 54 == 2 * g.lines_of_point.size
 
 
 @pytest.mark.parametrize("variant,p,e,m", [(1, 5, 1, 2), (2, 3, 2, 1), (2, 3, 2, 2)])
