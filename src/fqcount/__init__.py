@@ -8,10 +8,8 @@ jumped Wenger graphs built from those counts.
 """
 
 from .counting import (
-    ClosedFormTerms,
     ExactCount,
     alpha_beta,
-    closed_form_terms,
     count_nk_gap1,
     count_nk_gap2,
     count_nk_gap3,
@@ -59,7 +57,6 @@ from .wenger import (
     WengerFamily,
     build_graph,
     export_edges,
-    is_edge,
     moment_check,
     spectrum_formula,
     spectrum_oracle,

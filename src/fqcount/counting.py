@@ -5,11 +5,13 @@ for coefficient gaps 1, 2 and 3 (including the reduced regimes n >= q);
 subset-sum counts M(n, b); two-moment subset counts M(n,0,0) and the
 first-n-minus-1-distinct variant M1(n,0,0); solution counts for one diagonal
 quadratic equation paired with one linear equation; and the generating-
-function quantities alpha/beta/S+- those formulas are assembled from.
+function quantities alpha/beta/S+- those formulas are assembled from.  Below
+q, a gap-2 or gap-3 count is the inclusion-exclusion tail plus the excesses
+of M(n, b), M(n,0,0) and M1(n,0,0) over uniform (_main_regime).
 
-Every result is an exact integer.  Formulas with rational intermediates are
-evaluated in fractions.Fraction and asserted integral before returning; a
-failure of that assertion is a bug, never a rounding.
+Every result is an exact integer.  Divisions and formulas with Fraction
+intermediates are asserted exact before returning; a failure of that
+assertion is a bug, never a rounding.
 """
 
 from __future__ import annotations
@@ -40,25 +42,23 @@ class ExactCount:
             raise IntegralityError(f"negative count {self.value}")
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Intermediate exact quantities behind the gap-3 and moment formulas.
-
-    d_terms and p_terms hold the two signed alpha/beta combinations at
-    arguments n-1 and n that enter the gap-3 count, in that order.
-    """
-
-    n: int
-    alpha_n: int
-    beta_n: int
-    d_terms: tuple[int, int]
-    p_terms: tuple[int, int]
+def _exact_int(x: int | Fraction, what: str, den: int = 1) -> int:
+    """x / den, which must be an integer: divmod leaves no remainder."""
+    quo, rem = divmod(x, den)
+    if rem:
+        raise IntegralityError(f"{what} evaluated to the non-integer {Fraction(x, den)}")
+    return int(quo)
 
 
-def _exact_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise IntegralityError(f"{what} evaluated to the non-integer {x}")
-    return int(x)
+def v_of(field: FieldSpec, b: FieldElement) -> int:
+    """Two-valued helper: q - 1 at b = 0 and -1 otherwise."""
+    field._check(b)
+    return field.q - 1 if b.is_zero() else -1
+
+
+def _sign_element(field: FieldSpec, m: int) -> FieldElement:
+    """(-1)^m as a field element."""
+    return field.one if m % 2 == 0 else field.neg(field.one)
 
 
 def _alternating_tail(q: int, m: int, length: int) -> int:
@@ -74,20 +74,34 @@ def _alternating_tail(q: int, m: int, length: int) -> int:
     return acc
 
 
-def v_of(field: FieldSpec, b: FieldElement) -> int:
-    """Two-valued helper: q - 1 at b = 0 and -1 otherwise."""
-    field._check(b)
-    return field.q - 1 if b.is_zero() else -1
+def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> ExactCount:
+    """N_k for k <= n < q from one identity for gaps 1-3,
+
+        q^(gap-1) N_k = C(q,k) T + (-1)^(n-k) [C(n,k) e - C(n-1,k) e1],
+
+    with T = _alternating_tail(q, q-k, n-k) and the gap's subset-count
+    excesses e, e1 (none for gap 1).  The sign is that of the excesses'
+    inclusion-exclusion layer; at k = n the identity returns the subset count.
+    """
+    total = binomial(q, k) * _alternating_tail(q, q - k, n - k)
+    if e or e1:  # both vanish for gap 1, and for gap 2 unless p | n: skip two big binomials
+        total += (-1) ** (n - k) * (binomial(n, k) * e - binomial(n - 1, k) * e1)
+    return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** (gap - 1)))
 
 
-def _sign_element(field: FieldSpec, m: int) -> FieldElement:
-    """(-1)^m as a field element."""
-    return field.one if m % 2 == 0 else field.neg(field.one)
+def _function_count(q: int, n: int, k: int, gap: int) -> int:
+    """Past the special degrees a gap's tails cover every function, each q^(n-q-gap+1) times."""
+    return binomial(q, k) * q ** (n - q - gap + 1) * (q - 1) ** (q - k)
 
 
-# ---------------------------------------------------------------------------
-# Gap 1: all coefficients below the leading term are free.
-# ---------------------------------------------------------------------------
+def _k_past_roots(q: int, n: int, k: int, gap: int) -> bool:
+    """Screen a gap-g count of degree n; True when k > min(n, q), so it is 0."""
+    if n < gap:
+        raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return k > min(n, q)
+
 
 def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     """Monic degree-n polynomials x^n + (free tail of degree < n) with exactly
@@ -98,62 +112,47 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     field with k zeros.
     """
     q = field.q
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > min(n, q):
+    if _k_past_roots(q, n, k, 1):
         return ExactCount(0)
     if n >= q:
-        value = binomial(q, k) * q ** (n - q) * (q - 1) ** (q - k)
-        return ExactCount(value, note="reduced-degree regime (n >= q)")
-    return ExactCount(binomial(q, k) * _alternating_tail(q, q - k, n - k))
+        return ExactCount(_function_count(q, n, k, 1), note="reduced-degree regime (n >= q)")
+    return _main_regime(q, n, k, 1)
 
 
 # ---------------------------------------------------------------------------
-# Subset sums.
+# Subset sums, and gap 2: fixed x^n - b*x^(n-1), free tail of degree <= n - 2.
 # ---------------------------------------------------------------------------
+
+def _sum_excess(field: FieldSpec, n: int, b: FieldElement) -> int:
+    """q M(n, b) - C(q, n): (-1)^(n + n/p) v(b) C(q/p, n/p) when p | n, else 0."""
+    p = field.p
+    if n % p:
+        return 0
+    return (-1) ** (n + n // p) * v_of(field, b) * binomial(field.q // p, n // p)
+
 
 def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
     """Number M(n, b) of n-element subsets of the field summing to b."""
-    q, p = field.q, field.p
+    q = field.q
     field._check(b)
     if not 0 <= n <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {n}")
-    m = Fraction(binomial(q, n), q)
-    if n % p == 0:
-        sign = (-1) ** (n + n // p)
-        m += sign * Fraction(v_of(field, b), q) * binomial(q // p, n // p)
-    return ExactCount(_exact_int(m, f"M({n}, b)"))
+    return ExactCount(_exact_int(binomial(q, n) + _sum_excess(field, n, b), f"M({n}, b)", q))
 
-
-# ---------------------------------------------------------------------------
-# Gap 2: fixed x^n - b*x^(n-1), free tail of degree <= n - 2.
-# ---------------------------------------------------------------------------
 
 def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCount:
     """Completions of x^n - b*x^(n-1) with exactly k distinct roots.
 
-    For n < q this is inclusion-exclusion with the subset-sum correction when
-    the characteristic divides n.  The correction carries the alternating
-    sign (-1)^(n-k) of its inclusion-exclusion layer; dropping it breaks the
-    count whenever n - k is odd, which the enumeration oracle confirms.
+    For n < q this is the inclusion-exclusion tail plus the subset-sum excess
+    q M(n, b) - C(q, n), which vanishes unless p divides n (_main_regime).
     """
-    q, p = field.q, field.p
+    q = field.q
     field._check(b)
-    if n < 2:
-        raise ValueError(f"gap-2 counts need degree n >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > min(n, q):
+    if _k_past_roots(q, n, k, 2):
         return ExactCount(0)
 
     if n < q:
-        total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q)
-        if n % p == 0:
-            sign = (-1) ** ((n - k) + n + n // p)
-            total += sign * Fraction(v_of(field, b), q) * binomial(n, k) * binomial(q // p, n // p)
-        return ExactCount(_exact_int(total, f"N_{k} gap2"))
+        return _main_regime(q, n, k, 2, _sum_excess(field, n, b))
 
     if n == q:
         note = "reduced-degree regime (n == q)"
@@ -180,8 +179,7 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
         val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
         return ExactCount(_exact_int(val, "N_k gap2 n=q"), note=note)
 
-    value = q ** (n - q - 1) * binomial(q, k) * (q - 1) ** (q - k)
-    return ExactCount(value, note="reduced-degree regime (n > q)")
+    return ExactCount(_function_count(q, n, k, 2), note="reduced-degree regime (n > q)")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,8 @@ def quadlin_case_count(
 
 
 # ---------------------------------------------------------------------------
-# Generating-function quantities for even-degree extensions.
+# Even-degree extensions of an odd prime: the generating-function quantities,
+# two-moment subset counts, and gap 3 (fixed x^n, free tail of degree <= n - 3).
 # ---------------------------------------------------------------------------
 
 def _sqrt_q(field: FieldSpec) -> int:
@@ -300,8 +299,7 @@ def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
         raise ValueError(f"n must be >= 0, got {n}")
     q, p = field.q, field.p
     s = _sqrt_q(field)
-    alpha = 0
-    beta = 0
+    alpha = beta = 0
     for j in range(n // p + 1):
         i = n - p * j
         alpha += binomial(s, i) * binomial((q - s) // p, j)
@@ -314,8 +312,7 @@ def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
     of cycles whose length is coprime to p."""
     q, p = field.q, field.p
     s = _sqrt_q(field)
-    even_total = 0
-    odd_total = 0
+    totals = [0, 0]  # by the parity of the coprime-length cycle count
     for t in enumerate_cycle_types(n):
         weight = perm_type_count(t)
         coprime_cycles = 0
@@ -327,11 +324,8 @@ def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
             else:
                 weight *= (-s) ** ci
                 coprime_cycles += ci
-        if coprime_cycles % 2 == 0:
-            even_total += weight
-        else:
-            odd_total += weight
-    return even_total, odd_total
+        totals[coprime_cycles % 2] += weight
+    return totals[0], totals[1]
 
 
 def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
@@ -344,11 +338,8 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha, beta = alpha_beta(field, n)
     fact = factorial(n)
-    plus2 = fact * ((-1) ** n * alpha + beta)
-    minus2 = fact * ((-1) ** n * alpha - beta)
-    if plus2 % 2 or minus2 % 2:
-        raise IntegralityError(f"S+-({n}) closed form is not divisible by 2")
-    s_plus, s_minus = plus2 // 2, minus2 // 2
+    s_plus = _exact_int(fact * ((-1) ** n * alpha + beta), f"S+({n})", 2)
+    s_minus = _exact_int(fact * ((-1) ** n * alpha - beta), f"S-({n})", 2)
     direct = s_plus_minus_type_sums(field, n)
     if direct != (s_plus, s_minus):
         raise IntegralityError(
@@ -356,104 +347,63 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
     return s_plus, s_minus
 
 
-@lru_cache(maxsize=1024)
-def closed_form_terms(field: FieldSpec, n: int) -> ClosedFormTerms:
-    """Bundle of alpha/beta-derived terms entering gap-3 and moment counts.
-
-    Cached: every k of a gap-3 table of degree n reads the same terms.
-    """
-    alpha_n, beta_n = alpha_beta(field, n)
-    alpha_prev, beta_prev = alpha_beta(field, n - 1) if n >= 1 else (0, 0)
-    sign_n = (-1) ** n
-    sign_prev = (-1) ** (n - 1)
-    return ClosedFormTerms(
-        n=n,
-        alpha_n=alpha_n,
-        beta_n=beta_n,
-        d_terms=(alpha_prev + sign_prev * beta_prev, alpha_n - sign_n * beta_n),
-        p_terms=(alpha_prev - sign_prev * beta_prev, alpha_n + sign_n * beta_n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Two-moment subset counts (q an even-degree extension of an odd prime).
-# ---------------------------------------------------------------------------
-
 def _require_moment_field(field: FieldSpec) -> int:
     if field.p == 2:
         raise ValueError("two-moment subset counts need odd characteristic")
     return _sqrt_q(field)
 
 
+@lru_cache(maxsize=1024)
+def _moment_excesses(field: FieldSpec, n: int) -> tuple[int, int]:
+    """The excesses q^2 M(n,0,0) - C(q,n) and q^2 M1(n,0,0) - q C(q,n-1), from
+    alpha/beta; cached, since every k of a gap-3 table of degree n reads them."""
+    q, p = field.q, field.p
+    half = _require_moment_field(field) * (q - 1) // 2  # sqrt(q) (q - 1) / 2
+    alpha, beta = alpha_beta(field, n)
+    alpha1, beta1 = alpha_beta(field, n - 1)
+    sign = (-1) ** n
+    if n % p == 0:
+        return ((q - 1) * binomial(q // p, n // p) + q * (q - 1) // 2 * (alpha + sign * beta),
+                q * half * (alpha1 + sign * beta1))
+    return half * (alpha - sign * beta), q * (q - 1) // 2 * (alpha1 - sign * beta1)
+
+
 def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
     """Number M(n,0,0) of n-subsets whose first and second power sums vanish."""
-    q, p = field.q, field.p
-    s = _require_moment_field(field)
+    q = field.q
+    _require_moment_field(field)
     if not 1 <= n <= q:
         raise ValueError(f"subset size must lie in [1, {q}], got {n}")
-    alpha, beta = alpha_beta(field, n)
-    total = Fraction(binomial(q, n), q * q)
-    if n % p == 0:
-        total += Fraction(q - 1, q * q) * binomial(q // p, n // p)
-        total += Fraction(q - 1, 2 * q) * (alpha + (-1) ** n * beta)
-    else:
-        total += Fraction(q - 1, 2 * q * s) * (alpha - (-1) ** n * beta)
-    return ExactCount(_exact_int(total, f"M({n},0,0)"))
+    total = binomial(q, n) + _moment_excesses(field, n)[0]
+    return ExactCount(_exact_int(total, f"M({n},0,0)", q * q))
 
 
 def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
     """Number M1(n,0,0): (n-1)-subsets S such that appending x_n = -sum(S)
     gives a tuple with vanishing second power sum; x_n may repeat a member."""
-    q, p = field.q, field.p
-    s = _require_moment_field(field)
+    q = field.q
+    _require_moment_field(field)
     if not 2 <= n <= q + 1:
         raise ValueError(f"tuple size must lie in [2, {q + 1}], got {n}")
-    alpha, beta = alpha_beta(field, n - 1)
-    total = Fraction(binomial(q, n - 1), q)
-    if n % p == 0:
-        total += Fraction(q - 1, 2 * s) * (alpha - (-1) ** (n - 1) * beta)
-    else:
-        total += Fraction(q - 1, 2 * q) * (alpha + (-1) ** (n - 1) * beta)
-    return ExactCount(_exact_int(total, f"M1({n},0,0)"))
+    total = q * binomial(q, n - 1) + _moment_excesses(field, n)[1]
+    return ExactCount(_exact_int(total, f"M1({n},0,0)", q * q))
 
-
-# ---------------------------------------------------------------------------
-# Gap 3: fixed x^n, free tail of degree <= n - 3.
-# ---------------------------------------------------------------------------
 
 def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
     """Completions of x^n (both coefficients below the top fixed to zero)
     with exactly k distinct roots.  Needs odd p and even extension degree.
 
-    k = n delegates to the two-moment subset count; n >= q reduces through
-    the q-th power map, with the resulting case tables cross-checked against
-    enumeration.
+    For n < q this is the inclusion-exclusion tail plus the two-moment
+    excesses (_main_regime), so N_n = M(n,0,0); n >= q reduces through the
+    q-th power map, with the case tables cross-checked against enumeration.
     """
-    q, p = field.q, field.p
-    s = _require_moment_field(field)
-    if n < 3:
-        raise ValueError(f"gap-3 counts need degree n >= 3, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > min(n, q):
+    q = field.q
+    _require_moment_field(field)
+    if _k_past_roots(q, n, k, 3):
         return ExactCount(0)
 
     if n < q:
-        if k == n:
-            return moment_subset_count(field, n)
-        terms = closed_form_terms(field, n)
-        total = Fraction(binomial(q, k) * _alternating_tail(q, q - k, n - k), q * q)
-        sign = (-1) ** (n - k)
-        if n % p == 0:
-            p_prev, p_n = terms.p_terms
-            total += sign * Fraction(q - 1, q * q) * binomial(n, k) * binomial(q // p, n // p)
-            total += -sign * binomial(n - 1, k) * Fraction(q - 1, 2 * s) * p_prev
-            total += sign * binomial(n, k) * Fraction(q - 1, 2 * q) * p_n
-        else:
-            d_prev, d_n = terms.d_terms
-            total += -sign * binomial(n - 1, k) * Fraction(q - 1, 2 * q) * d_prev
-            total += sign * binomial(n, k) * Fraction(q - 1, 2 * q * s) * d_n
-        return ExactCount(_exact_int(total, f"N_{k} gap3"))
+        return _main_regime(q, n, k, 3, *_moment_excesses(field, n))
 
     if n == q:
         note = "reduced-degree regime (n == q)"
@@ -477,5 +427,4 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
         val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
         return ExactCount(_exact_int(val, "N_k gap3 n=q+1"), note=note)
 
-    value = q ** (n - q - 2) * binomial(q, k) * (q - 1) ** (q - k)
-    return ExactCount(value, note="reduced-degree regime (n > q + 1)")
+    return ExactCount(_function_count(q, n, k, 3), note="reduced-degree regime (n > q + 1)")

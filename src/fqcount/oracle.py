@@ -37,7 +37,7 @@ import numpy as np
 
 from .counting import ExactCount
 from .exactcomb import binomial
-from .ff import FieldElement, FieldSpec
+from .ff import FieldElement, FieldSpec, is_prime
 
 DEFAULT_MAX_ITEMS = 10 ** 8
 TABLE_ORDER_LIMIT = 1 << 10  # dense q*q lookup tables stay desk scale
@@ -89,7 +89,8 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
 
     The multiplication table is assembled from discrete logs with respect to
     the first primitive element in enumeration order, so building it costs
-    O(q) field multiplications rather than O(q^2).
+    O(q) field multiplications rather than O(q^2).  An element g is
+    primitive when g^((q-1)/r) != 1 for every prime r dividing q - 1.
     """
     key = (field.p, field.e)
     cached = _TABLE_CACHE.get(key)
@@ -103,25 +104,17 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
     add = (((digits[:, None, :] + digits[None, :, :]) % p) * powers).sum(axis=2)
     neg = (((-digits) % p) * powers).sum(axis=1)
 
+    cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    gen = next(g for g in map(field.element, range(1, q))
+               if all(field.pow_(g, c) != field.one for c in cofactors))
     log = np.full(q, -1, dtype=np.int64)
     antilog = np.empty(q - 1, dtype=np.int64)
-    one_idx = 1
-    for gen_idx in range(1, q):
-        g = field.element(gen_idx)
-        order = 1
-        while field.index(g) != one_idx:
-            g = field.mul(g, field.element(gen_idx))
-            order += 1
-        if order == q - 1:
-            g = field.one
-            for t in range(q - 1):
-                gi = field.index(g)
-                antilog[t] = gi
-                log[gi] = t
-                g = field.mul(g, field.element(gen_idx))
-            break
-    else:
-        raise RuntimeError("no primitive element found")  # unreachable
+    g = field.one
+    for t in range(q - 1):
+        gi = field.index(g)
+        antilog[t] = gi
+        log[gi] = t
+        g = field.mul(g, gen)
 
     mul = np.zeros((q, q), dtype=np.int64)
     nz = np.arange(1, q, dtype=np.int64)
@@ -260,26 +253,13 @@ def _constant_sweep_tally(
 # Distinct-root counting for polynomial families.
 # ---------------------------------------------------------------------------
 
-def _u_eval_row(field: FieldSpec, u_high: tuple[FieldElement, ...], n: int, ell: int) -> np.ndarray:
+def _u_eval_row(field: FieldSpec, u_high: Sequence[FieldElement], n: int, ell: int) -> np.ndarray:
     """Values of the fixed part x^n + sum(u_d x^d), d = n-1 down to ell+1."""
     t = field_tables(field)
     acc = power_row(field, n)
     for coeff, d in zip(u_high, range(n - 1, ell, -1)):
         acc = t["add"][acc, t["mul"][coeff.index, power_row(field, d)]]
     return acc
-
-
-@lru_cache(maxsize=512)
-def _nk_distribution_cached(
-    field: FieldSpec,
-    u_high: tuple[FieldElement, ...],
-    n: int,
-    ell: int,
-    budget: EnumerationBudget,
-) -> tuple[int, ...]:
-    fixed = _u_eval_row(field, u_high, n, ell)
-    basis = [power_row(field, i) for i in range(ell + 1)]
-    return tuple(span_root_distribution(field, fixed, basis, budget))
 
 
 def brute_nk_distribution(
@@ -296,12 +276,12 @@ def brute_nk_distribution(
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
-    u_high = tuple(u_high)
     if len(u_high) != n - 1 - ell:
         raise ValueError(f"expected {n - 1 - ell} fixed coefficients, got {len(u_high)}")
     for coeff in u_high:
         field._check(coeff)
-    return list(_nk_distribution_cached(field, u_high, n, ell, budget))
+    basis = [power_row(field, i) for i in range(ell + 1)]
+    return span_root_distribution(field, _u_eval_row(field, u_high, n, ell), basis, budget)
 
 
 def brute_nk(

@@ -23,8 +23,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .counting import _alternating_tail, count_nk_gap2, count_nk_gap3
-from .exactcomb import binomial
+from .counting import count_nk_gap1, count_nk_gap2, count_nk_gap3
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
@@ -113,22 +112,6 @@ def _digit_columns(count: int, q: int, width: int) -> np.ndarray:
     idx = np.arange(count, dtype=np.int64)
     base = q ** np.arange(width, dtype=np.int64)
     return ((idx[:, None] // base[None, :]) % q).astype(np.int64)
-
-
-def is_edge(family: WengerFamily, point: tuple[int, ...], line: tuple[int, ...]) -> bool:
-    """Edge predicate on coordinate tuples of element indices; no size limit."""
-    f = family.field
-    m = family.m
-    if len(point) != m + 1 or len(line) != m + 1:
-        raise ValueError(f"coordinate vectors must have length {m + 1}")
-    p1 = f.element(point[0])
-    l1 = f.element(line[0])
-    for slot, expo in enumerate(family.coordinate_exponents(), start=1):
-        lhs = f.add(f.element(line[slot]), f.element(point[slot]))
-        rhs = f.mul(f.pow_(p1, expo), l1)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def build_graph(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET) -> BipartiteGraph:
@@ -276,9 +259,8 @@ def spectrum_formula(
 
     counts: dict[int, int] = {q: 1}
     for i in range(0, m):
-        low_degrees = 0
-        for d in range(i, m):
-            low_degrees += binomial(q, i) * _alternating_tail(q, q - i, d - i)
+        # monic polynomials of degree d < m with i roots; d = 0 is the constant 1
+        low_degrees = sum(count_nk_gap1(f, d, i).value for d in range(max(i, 1), m)) + (i == 0)
         counts[i] = (q - 1) * low_degrees + (q - 1) * _completion_count(family, low_top, i, budget)
     for i in range(m, top + 1):
         counts[i] = (q - 1) * _completion_count(family, top, i, budget)

@@ -1,14 +1,18 @@
 """Small pure-python reference enumerations shared across test modules.
 
 Deliberately naive and independent of the package's vectorized oracle module:
-these define ground truth by the most literal route available.
+these define ground truth by the most literal route available.  The ref_gap*
+functions keep the earlier written-out forms of the gap-2/3 closed forms, which
+the shared main-regime identity must reproduce.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 
+from fqcount.counting import _alternating_tail, alpha_beta, v_of
 from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
 from fqcount.ff import FieldError, quadratic_character
 
@@ -137,6 +141,51 @@ def ref_quadlin(field, a, a0, bvec, b0):
 def ref_alternating_tail(q, m, length):
     """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term."""
     return sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))
+
+
+def ref_gap2_main(field, n, k, b):
+    """Gap-2 N_k for k <= n < q in its earlier form: the tail over q plus a
+    subset-sum correction written out for p | n."""
+    q, p = field.q, field.p
+    total = Fraction(comb(q, k) * _alternating_tail(q, q - k, n - k), q)
+    if n % p == 0:
+        sign = (-1) ** ((n - k) + n + n // p)
+        total += sign * Fraction(v_of(field, b), q) * comb(n, k) * comb(q // p, n // p)
+    assert total.denominator == 1, total
+    return int(total)
+
+
+def ref_gap3_main(field, n, k):
+    """Gap-3 N_k for k <= n < q in its earlier form: the tail over q^2 plus
+    the signed alpha/beta combinations at n - 1 and n, split on p | n."""
+    q, p = field.q, field.p
+    s = p ** (field.e // 2)
+    a_n, b_n = alpha_beta(field, n)
+    a_prev, b_prev = alpha_beta(field, n - 1)
+    sign_n, sign_prev = (-1) ** n, (-1) ** (n - 1)
+    total = Fraction(comb(q, k) * _alternating_tail(q, q - k, n - k), q * q)
+    sign = (-1) ** (n - k)
+    if n % p == 0:
+        total += sign * Fraction(q - 1, q * q) * comb(n, k) * comb(q // p, n // p)
+        total += -sign * comb(n - 1, k) * Fraction(q - 1, 2 * s) * (a_prev - sign_prev * b_prev)
+        total += sign * comb(n, k) * Fraction(q - 1, 2 * q) * (a_n + sign_n * b_n)
+    else:
+        total += -sign * comb(n - 1, k) * Fraction(q - 1, 2 * q) * (a_prev + sign_prev * b_prev)
+        total += sign * comb(n, k) * Fraction(q - 1, 2 * q * s) * (a_n - sign_n * b_n)
+    assert total.denominator == 1, total
+    return int(total)
+
+
+def is_edge(family, point, line):
+    """Wenger edge predicate on coordinate tuples of element indices:
+    l_k + p_k = p1^(e_k) * l1 in every slot k >= 2."""
+    f = family.field
+    p1, l1 = f.element(point[0]), f.element(line[0])
+    for slot, expo in enumerate(family.coordinate_exponents(), start=1):
+        lhs = f.add(f.element(line[slot]), f.element(point[slot]))
+        if lhs != f.mul(f.pow_(p1, expo), l1):
+            return False
+    return True
 
 
 def ref_point_gram_traces(graph, big_t):

@@ -7,15 +7,12 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 
 import io
 
-import pytest
-
 from fqcount import cli
 from fqcount.counting import (
     count_nk_gap1,
     count_nk_gap2,
     count_nk_gap3,
     moment_subset_count,
-    subset_sum_count,
 )
 from fqcount.ff import make_field
 from fqcount.oracle import brute_nk

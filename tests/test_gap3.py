@@ -120,8 +120,8 @@ def test_degrees_past_the_cycle_type_range(p, e, n):
 
 
 def test_table_computes_its_terms_once(monkeypatch):
-    """A degree-n table reads one cached set of alpha/beta terms: two sums
-    for the terms and one for the k = n delegate to M(n, 0, 0)."""
+    """A degree-n table reads one cached pair of moment excesses: the two
+    alpha/beta sums at n - 1 and n, with k = n read from the same pair."""
     calls = []
     alpha_beta = counting.alpha_beta
 
@@ -130,9 +130,9 @@ def test_table_computes_its_terms_once(monkeypatch):
         return alpha_beta(field, n)
 
     monkeypatch.setattr(counting, "alpha_beta", counted)
-    counting.closed_form_terms.cache_clear()
+    counting._moment_excesses.cache_clear()
     f81 = make_field(3, 4)
     table = [count_nk_gap3(f81, 40, k).value for k in range(41)]
-    counting.closed_form_terms.cache_clear()  # no terms built on the counter outlive it
-    assert sorted(calls) == [39, 40, 40]
+    counting._moment_excesses.cache_clear()  # no terms built on the counter outlive it
+    assert sorted(calls) == [39, 40]
     assert sum(table) == 81 ** 38

@@ -1,13 +1,13 @@
 """Generating-function terms (alpha/beta, signed splits) and the two-moment
 subset counts, against pinned values and literal subset enumeration."""
 
-from math import factorial
+from math import comb
 
 import pytest
 
 from fqcount.counting import (
+    _moment_excesses,
     alpha_beta,
-    closed_form_terms,
     moment_subset_count,
     moment_subset_count_m1,
     s_plus_minus,
@@ -49,18 +49,15 @@ def test_s_plus_minus_routes_agree(p, e, max_n):
         assert closed == s_plus_minus_type_sums(f, n)
 
 
-def test_closed_form_terms_invariants():
+def test_moment_excesses_are_counts_over_uniform():
+    """The gap-3 excesses are q^2 M(n,0,0) - C(q,n) and
+    q^2 M1(n,0,0) - q C(q,n-1), with M and M1 enumerated literally."""
     f9 = make_field(3, 2)
-    for n in range(1, 9):
-        terms = closed_form_terms(f9, n)
-        a_n, b_n = terms.alpha_n, terms.beta_n
-        assert s_plus_minus(f9, n) == (factorial(n) * ((-1) ** n * a_n + b_n) // 2,
-                                       factorial(n) * ((-1) ** n * a_n - b_n) // 2)
-        a_prev, b_prev = alpha_beta(f9, n - 1)
-        assert terms.d_terms == (a_prev + (-1) ** (n - 1) * b_prev, a_n - (-1) ** n * b_n)
-        assert terms.p_terms == (a_prev - (-1) ** (n - 1) * b_prev, a_n + (-1) ** n * b_n)
-        # the two signed combinations at the same argument sum to 2*alpha
-        assert terms.d_terms[1] + terms.p_terms[1] == 2 * a_n
+    q = f9.q
+    for n in range(2, q + 1):
+        e, e1 = _moment_excesses(f9, n)
+        assert e == q * q * ref_two_moment_subsets(f9, n) - comb(q, n), n
+        assert e1 == q * q * ref_first_distinct(f9, n) - q * comb(q, n - 1), n
 
 
 def test_moment_subset_pinned_values():

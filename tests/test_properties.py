@@ -1,8 +1,10 @@
 """Counting identities as property tests, at the field sizes where the closed
 forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
 range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
-and the quadratic/linear counts summed over a0."""
+the gap-2/3 main regime against its earlier alpha/beta and p | n form, and
+the quadratic/linear counts summed over a0."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqcount.counting import (
@@ -15,7 +17,7 @@ from fqcount.counting import (
 )
 from fqcount.ff import make_field
 
-from helpers import ref_alternating_tail
+from helpers import ref_alternating_tail, ref_gap2_main, ref_gap3_main
 
 FIELDS = {f.q: f for f in (make_field(7, 2), make_field(3, 4), make_field(11, 2),
                            make_field(5, 4))}
@@ -66,6 +68,23 @@ def test_gap3_all_roots_is_two_moment_count(q, data):
     n = data.draw(st.integers(3, q), label="n")
     f = FIELDS[q]
     assert count_nk_gap3(f, n, n).value == moment_subset_count(f, n).value
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_main_regime_matches_earlier_form(q, data):
+    """Every k <= n of a degree n < q, and of the multiple of p at or below n
+    (where the subset-sum excess is nonzero): gap 2 at a zero and a nonzero b,
+    and gap 3, equal their earlier alpha/beta and p | n form."""
+    f = FIELDS[q]
+    n = data.draw(st.integers(3, q - 1), label="n")
+    b = f.element(data.draw(st.integers(1, q - 1), label="b"))
+    for deg in {n, max(f.p, n - n % f.p)}:
+        for k in range(deg + 1):
+            for bk in (f.zero, b):
+                assert count_nk_gap2(f, deg, k, bk).value == ref_gap2_main(f, deg, k, bk)
+            assert count_nk_gap3(f, deg, k).value == ref_gap3_main(f, deg, k)
 
 
 @PROPERTY

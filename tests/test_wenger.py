@@ -14,14 +14,13 @@ from fqcount.wenger import (
     WengerFamily,
     build_graph,
     export_edges,
-    is_edge,
     moment_check,
     spectrum_formula,
     spectrum_oracle,
     _orbit_point_gram_traces,
 )
 
-from helpers import ref_orbit_point_gram_traces, ref_point_gram_traces
+from helpers import is_edge, ref_orbit_point_gram_traces, ref_point_gram_traces
 
 
 def wenger_acceptance_families():
