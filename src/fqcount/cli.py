@@ -367,7 +367,7 @@ def _two_moment_check(config, fld, n):
 
 
 def _signed_split_check(config, fld, n):
-    closed = counting.s_plus_minus(fld, n)  # raises on internal mismatch
+    closed = counting.s_plus_minus(fld, n)
     direct = counting.s_plus_minus_type_sums(fld, n)
     return [("", "signed-split-plus", 0, closed[0], direct[0]),
             ("", "signed-split-minus", 0, closed[1], direct[1])]

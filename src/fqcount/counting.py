@@ -7,7 +7,9 @@ first-n-minus-1-distinct variant M1(n,0,0); solution counts for one diagonal
 quadratic equation paired with one linear equation; and the generating-
 function quantities alpha/beta/S+- those formulas are assembled from.  Below
 q, a gap-2 or gap-3 count is the inclusion-exclusion tail plus the excesses
-of M(n, b), M(n,0,0) and M1(n,0,0) over uniform (_main_regime).
+of M(n, b), M(n,0,0) and M1(n,0,0) over uniform (_main_regime).  From q on,
+x^q = x turns every gap into a count of functions on the field by their
+zeros, with at most two top interpolation coefficients fixed (_reduced_regime).
 
 Every result is an exact integer.  Divisions and formulas with Fraction
 intermediates are asserted exact before returning; a failure of that
@@ -89,9 +91,27 @@ def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> E
     return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** (gap - 1)))
 
 
-def _function_count(q: int, n: int, k: int, gap: int) -> int:
-    """Past the special degrees a gap's tails cover every function, each q^(n-q-gap+1) times."""
-    return binomial(q, k) * q ** (n - q - gap + 1) * (q - 1) ** (q - k)
+def _reduced_regime(q: int, n: int, k: int, gap: int, note: str, z: bool = True) -> ExactCount:
+    """N_k for n >= q: modulo x^q - x a completion is a function on the field.
+
+    The free tail has degree <= L = n - gap, so the top r = q - 1 - L <= gap - 1
+    coefficients of the function's interpolation polynomial are fixed, to zero
+    exactly when z.  The x^(q-1-j) coefficient is -sum_a a^j f(a), so N_k is
+    C(q,k) zero sets times the vectors of m = q - k nonzero values under r
+    Vandermonde constraints.  By inclusion-exclusion over supports, t >= r
+    coordinates carry q^(t-r) solutions and t < r carry z (the constraints
+    have full rank t there, leaving the zero vector at most):
+
+        q^max(r,0) N_k = C(q,k) q^max(-r,0)
+                         [(q-1)^m + sum_{t<r} (-1)^(m-t) C(m,t) (z q^r - q^t)].
+    """
+    r = q - 1 - n + gap
+    if r <= 0:  # the sum is empty: every function, each q^(-r) times
+        return ExactCount(binomial(q, k) * q ** -r * (q - 1) ** (q - k), note=note)
+    m = q - k
+    fixed = sum((-1) ** (m - t) * binomial(m, t) * (z * q ** r - q ** t) for t in range(r))
+    total = binomial(q, k) * ((q - 1) ** m + fixed)
+    return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** r), note=note)
 
 
 def _k_past_roots(q: int, n: int, k: int, gap: int) -> bool:
@@ -114,9 +134,9 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     q = field.q
     if _k_past_roots(q, n, k, 1):
         return ExactCount(0)
-    if n >= q:
-        return ExactCount(_function_count(q, n, k, 1), note="reduced-degree regime (n >= q)")
-    return _main_regime(q, n, k, 1)
+    if n < q:
+        return _main_regime(q, n, k, 1)
+    return _reduced_regime(q, n, k, 1, "reduced-degree regime (n >= q)")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +165,10 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
 
     For n < q this is the inclusion-exclusion tail plus the subset-sum excess
     q M(n, b) - C(q, n), which vanishes unless p divides n (_main_regime).
+    For n >= q it counts functions on the field by their zeros, each q^(n-q-1)
+    times past n = q; at n = q the top interpolation coefficient is fixed to
+    -b (plus 1 at q = 2), so q N_k = C(q,k) [(q-1)^(q-k) + (-1)^(q-k) (z q - 1)]
+    with z = 1 when that coefficient is zero (_reduced_regime).
     """
     q = field.q
     field._check(b)
@@ -153,33 +177,10 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
 
     if n < q:
         return _main_regime(q, n, k, 2, _sum_excess(field, n, b))
-
-    if n == q:
-        note = "reduced-degree regime (n == q)"
-        if q == 2:
-            # The general n == q case split needs q >= 3: it reads the reduced
-            # polynomial as -b*x^(q-1) plus a free polynomial of lower degree,
-            # but at q = 2 those collide.  Here the reduction is (1-b)x + a0
-            # directly: for b = 0 every tail has exactly one root; for b = 1
-            # the function is the constant a0 (enumeration-confirmed).
-            if b.is_zero():
-                value = 2 if k == 1 else 0
-            else:
-                value = 1 if k in (0, 2) else 0
-            return ExactCount(value, note=note)
-        if not b.is_zero():
-            if k == q:
-                return ExactCount(0, note=note)
-            val = Fraction(binomial(q, k), q) * ((q - 1) ** (q - k) - (-1) ** (q - k))
-            return ExactCount(_exact_int(val, "N_k gap2 n=q"), note=note)
-        if k == q:
-            return ExactCount(1, note=note)
-        if k == q - 1:
-            return ExactCount(0, note=note)
-        val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
-        return ExactCount(_exact_int(val, "N_k gap2 n=q"), note=note)
-
-    return ExactCount(_function_count(q, n, k, 2), note="reduced-degree regime (n > q)")
+    if n > q:
+        return _reduced_regime(q, n, k, 2, "reduced-degree regime (n > q)")
+    # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
+    return _reduced_regime(q, n, k, 2, "reduced-degree regime (n == q)", b.is_zero() != (q == 2))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +290,13 @@ def _sqrt_q(field: FieldSpec) -> int:
     return field.p ** (field.e // 2)
 
 
+@lru_cache(maxsize=1024)
 def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     """The two finite binomial sums driving the sieve closed forms.
 
     alpha(n) runs over i + p*j = n with 0 <= i <= sqrt(q); beta(n) over the
-    same lattice with an alternating sign in j.
+    same lattice with an alternating sign in j.  Cached, since every k of a
+    gap-3 table of degree n reads the sums at n and n - 1.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -329,21 +332,14 @@ def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
 
 
 def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
-    """Closed-form S+(n), S-(n); asserts agreement with the cycle-type sums.
-
-    The two routes are computed independently every call, so a regression in
-    either one is caught immediately.
-    """
+    """Closed-form S+(n), S-(n) from alpha/beta; s_plus_minus_type_sums is the
+    independent cycle-type route that verify and the tests compare it with."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha, beta = alpha_beta(field, n)
     fact = factorial(n)
     s_plus = _exact_int(fact * ((-1) ** n * alpha + beta), f"S+({n})", 2)
     s_minus = _exact_int(fact * ((-1) ** n * alpha - beta), f"S-({n})", 2)
-    direct = s_plus_minus_type_sums(field, n)
-    if direct != (s_plus, s_minus):
-        raise IntegralityError(
-            f"S+-({n}) mismatch: closed form {(s_plus, s_minus)}, type sum {direct}")
     return s_plus, s_minus
 
 
@@ -353,19 +349,22 @@ def _require_moment_field(field: FieldSpec) -> int:
     return _sqrt_q(field)
 
 
-@lru_cache(maxsize=1024)
-def _moment_excesses(field: FieldSpec, n: int) -> tuple[int, int]:
-    """The excesses q^2 M(n,0,0) - C(q,n) and q^2 M1(n,0,0) - q C(q,n-1), from
-    alpha/beta; cached, since every k of a gap-3 table of degree n reads them."""
+def _moment_excess(field: FieldSpec, n: int) -> int:
+    """The excess q^2 M(n,0,0) - C(q,n), from alpha/beta at n."""
     q, p = field.q, field.p
-    half = _require_moment_field(field) * (q - 1) // 2  # sqrt(q) (q - 1) / 2
     alpha, beta = alpha_beta(field, n)
-    alpha1, beta1 = alpha_beta(field, n - 1)
-    sign = (-1) ** n
-    if n % p == 0:
-        return ((q - 1) * binomial(q // p, n // p) + q * (q - 1) // 2 * (alpha + sign * beta),
-                q * half * (alpha1 + sign * beta1))
-    return half * (alpha - sign * beta), q * (q - 1) // 2 * (alpha1 - sign * beta1)
+    if n % p:
+        return _sqrt_q(field) * (q - 1) // 2 * (alpha - (-1) ** n * beta)
+    return (q - 1) * binomial(q // p, n // p) + q * (q - 1) // 2 * (alpha + (-1) ** n * beta)
+
+
+def _moment_excess_m1(field: FieldSpec, n: int) -> int:
+    """The excess q^2 M1(n,0,0) - q C(q,n-1), from alpha/beta at n - 1."""
+    q = field.q
+    alpha, beta = alpha_beta(field, n - 1)
+    if n % field.p:
+        return q * (q - 1) // 2 * (alpha - (-1) ** n * beta)
+    return q * _sqrt_q(field) * (q - 1) // 2 * (alpha + (-1) ** n * beta)
 
 
 def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
@@ -374,7 +373,7 @@ def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
     _require_moment_field(field)
     if not 1 <= n <= q:
         raise ValueError(f"subset size must lie in [1, {q}], got {n}")
-    total = binomial(q, n) + _moment_excesses(field, n)[0]
+    total = binomial(q, n) + _moment_excess(field, n)
     return ExactCount(_exact_int(total, f"M({n},0,0)", q * q))
 
 
@@ -385,7 +384,7 @@ def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
     _require_moment_field(field)
     if not 2 <= n <= q + 1:
         raise ValueError(f"tuple size must lie in [2, {q + 1}], got {n}")
-    total = q * binomial(q, n - 1) + _moment_excesses(field, n)[1]
+    total = q * binomial(q, n - 1) + _moment_excess_m1(field, n)
     return ExactCount(_exact_int(total, f"M1({n},0,0)", q * q))
 
 
@@ -394,8 +393,12 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
     with exactly k distinct roots.  Needs odd p and even extension degree.
 
     For n < q this is the inclusion-exclusion tail plus the two-moment
-    excesses (_main_regime), so N_n = M(n,0,0); n >= q reduces through the
-    q-th power map, with the case tables cross-checked against enumeration.
+    excesses (_main_regime), so N_n = M(n,0,0).  For n >= q it counts
+    functions on the field by their zeros with the top r = q + 1 - n
+    interpolation coefficients fixed to zero (_reduced_regime): with m = q - k,
+    q^2 N_k = C(q,k) [(q-1)^m + (-1)^m (q^2 - 1) - (-1)^m m (q^2 - q)] at n = q,
+    q N_k = C(q,k) [(q-1)^m + (-1)^m (q - 1)] at n = q + 1, and past that
+    N_k = q^(n-q-2) C(q,k) (q-1)^m.
     """
     q = field.q
     _require_moment_field(field)
@@ -403,28 +406,8 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
         return ExactCount(0)
 
     if n < q:
-        return _main_regime(q, n, k, 3, *_moment_excesses(field, n))
-
-    if n == q:
-        note = "reduced-degree regime (n == q)"
-        if k == q:
-            return ExactCount(1, note=note)
-        if k in (q - 1, q - 2):
-            return ExactCount(0, note=note)
-        val = Fraction(q - 1, q) * binomial(q, k) * (
-            Fraction((q - 1) ** (q - k - 1), q)
-            + (-1) ** (q - k - 1) * (q - k)
-            + (-1) ** (q - k) * Fraction(q + 1, q)
-        )
-        return ExactCount(_exact_int(val, "N_k gap3 n=q"), note=note)
-
-    if n == q + 1:
-        note = "reduced-degree regime (n == q + 1)"
-        if k == q:
-            return ExactCount(1, note=note)
-        if k == q - 1:
-            return ExactCount(0, note=note)
-        val = Fraction(q - 1, q) * binomial(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
-        return ExactCount(_exact_int(val, "N_k gap3 n=q+1"), note=note)
-
-    return ExactCount(_function_count(q, n, k, 3), note="reduced-degree regime (n > q + 1)")
+        return _main_regime(q, n, k, 3, _moment_excess(field, n), _moment_excess_m1(field, n))
+    note = ("reduced-degree regime (n == q)" if n == q else
+            "reduced-degree regime (n == q + 1)" if n == q + 1 else
+            "reduced-degree regime (n > q + 1)")
+    return _reduced_regime(q, n, k, 3, note)

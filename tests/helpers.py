@@ -3,7 +3,7 @@
 Deliberately naive and independent of the package's vectorized oracle module:
 these define ground truth by the most literal route available.  The ref_gap*
 functions keep the earlier written-out forms of the gap-2/3 closed forms, which
-the shared main-regime identity must reproduce.
+the shared main-regime and reduced-regime identities must reproduce.
 """
 
 import itertools
@@ -174,6 +174,55 @@ def ref_gap3_main(field, n, k):
         total += sign * comb(n, k) * Fraction(q - 1, 2 * q * s) * (a_n - sign_n * b_n)
     assert total.denominator == 1, total
     return int(total)
+
+
+def ref_gap2_reduced(field, n, k, b):
+    """Gap-2 N_k for n >= q in its earlier form: the hand-derived n = q case
+    table (q = 2 apart, split on b and on k = q, q - 1), then function counts."""
+    q = field.q
+    if n > q:
+        return comb(q, k) * q ** (n - q - 1) * (q - 1) ** (q - k)
+    if q == 2:
+        # The reduction is (1 - b)x + a0: one root for every tail at b = 0,
+        # the constant a0 at b = 1.
+        if b.is_zero():
+            return 2 if k == 1 else 0
+        return 1 if k in (0, 2) else 0
+    if not b.is_zero():
+        if k == q:
+            return 0
+        val = Fraction(comb(q, k), q) * ((q - 1) ** (q - k) - (-1) ** (q - k))
+    elif k == q:
+        return 1
+    elif k == q - 1:
+        return 0
+    else:
+        val = Fraction(q - 1, q) * comb(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
+    assert val.denominator == 1, val
+    return int(val)
+
+
+def ref_gap3_reduced(field, n, k):
+    """Gap-3 N_k for n >= q in its earlier form: the hand-derived case tables
+    at n = q (k = q, q - 1, q - 2 apart) and n = q + 1 (k = q, q - 1 apart),
+    then function counts."""
+    q = field.q
+    if n > q + 1:
+        return comb(q, k) * q ** (n - q - 2) * (q - 1) ** (q - k)
+    if k == q:
+        return 1
+    if k == q - 1 or (n == q and k == q - 2):
+        return 0
+    if n == q:
+        val = Fraction(q - 1, q) * comb(q, k) * (
+            Fraction((q - 1) ** (q - k - 1), q)
+            + (-1) ** (q - k - 1) * (q - k)
+            + (-1) ** (q - k) * Fraction(q + 1, q)
+        )
+    else:
+        val = Fraction(q - 1, q) * comb(q, k) * ((q - 1) ** (q - k - 1) + (-1) ** (q - k))
+    assert val.denominator == 1, val
+    return int(val)
 
 
 def is_edge(family, point, line):

@@ -99,8 +99,8 @@ def test_gap2_sign_of_divisible_correction():
 
 
 def test_gap2_binary_field_edge():
-    """q = 2 sits outside the general n = q case split (the top reduced
-    monomial collides with the linear term); the directly derived values."""
+    """q = 2, where the reduced x^q is itself the top monomial x^(q-1): at
+    n = q the fixed coefficient is 1 - b, so b = 1 is the zero target."""
     f2 = make_field(2, 1)
     for n in range(2, 7):
         for b_index in (0, 1):

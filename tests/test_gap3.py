@@ -13,9 +13,12 @@ from fqcount.oracle import brute_nk_distribution
 from helpers import ref_nk_distribution
 
 
+FIELDS = {f.q: f for f in (make_field(3, 2), make_field(5, 2), make_field(7, 2), make_field(3, 4))}
+
+
 @pytest.fixture(scope="module")
 def f9():
-    return make_field(3, 2)
+    return FIELDS[9]
 
 
 def test_pinned_values_q9_n3(f9):
@@ -69,7 +72,7 @@ def test_normalization(f9):
 
 
 def test_reduced_regime_n_equals_q_against_oracle(f9):
-    """n = q = 9: the case table versus direct enumeration of all 9^7 tails."""
+    """n = q = 9: the reduced regime versus direct enumeration of all 9^7 tails."""
     dist = brute_nk_distribution(f9, [f9.zero, f9.zero], 9, 6)
     for k in range(f9.q + 1):
         got = count_nk_gap3(f9, 9, k)
@@ -77,19 +80,25 @@ def test_reduced_regime_n_equals_q_against_oracle(f9):
         assert got.note == "reduced-degree regime (n == q)"
 
 
-def test_reduced_regime_n_equals_q_plus_1_via_degree_classes(f9):
+def test_degree_class_against_oracle(f9):
+    """The degree-7 monic class that the n = q + 1 identity sums at q = 9."""
+    dist7 = brute_nk_distribution(f9, [], 7, 6)
+    for k in range(f9.q + 1):
+        assert count_nk_gap1(f9, 7, k).value == dist7[k], k
+
+
+@pytest.mark.parametrize("q", [9, 25, 49, 81])
+def test_reduced_regime_n_equals_q_plus_1_via_degree_classes(q):
     """n = q + 1 reduces to counting polynomials of degree <= q - 2 by their
     root tally: (q-1) monic counts per degree class plus the zero polynomial.
-    The degree-7 monic class is itself oracle-checked here."""
-    q = f9.q
-    dist7 = brute_nk_distribution(f9, [], 7, 6)
-    for k in range(q + 1):
-        assert count_nk_gap1(f9, 7, k).value == dist7[k], k
+    The classes come from the gap-1 main regime, independent of the reduced
+    regime."""
+    f = FIELDS[q]
     for k in range(q + 1):
         expected = (1 if k == q else 0) + sum(
-            (q - 1) * count_nk_gap1(f9, d, k).value if d >= 1 else (q - 1) * (k == 0)
+            (q - 1) * count_nk_gap1(f, d, k).value if d >= 1 else (q - 1) * (k == 0)
             for d in range(0, q - 1))
-        got = count_nk_gap3(f9, q + 1, k)
+        got = count_nk_gap3(f, q + 1, k)
         assert got.value == expected, k
         assert got.note == "reduced-degree regime (n == q + 1)"
 
@@ -119,20 +128,12 @@ def test_degrees_past_the_cycle_type_range(p, e, n):
     assert table[n] == moment_subset_count(f, n).value
 
 
-def test_table_computes_its_terms_once(monkeypatch):
-    """A degree-n table reads one cached pair of moment excesses: the two
-    alpha/beta sums at n - 1 and n, with k = n read from the same pair."""
-    calls = []
-    alpha_beta = counting.alpha_beta
-
-    def counted(field, n):
-        calls.append(n)
-        return alpha_beta(field, n)
-
-    monkeypatch.setattr(counting, "alpha_beta", counted)
-    counting._moment_excesses.cache_clear()
-    f81 = make_field(3, 4)
-    table = [count_nk_gap3(f81, 40, k).value for k in range(41)]
-    counting._moment_excesses.cache_clear()  # no terms built on the counter outlive it
-    assert sorted(calls) == [39, 40]
+def test_table_computes_its_terms_once():
+    """A degree-n table computes the two alpha/beta sums it reads, at n - 1
+    and n, once: every other read of them is a cache hit."""
+    counting.alpha_beta.cache_clear()
+    table = [count_nk_gap3(FIELDS[81], 40, k).value for k in range(41)]
+    info = counting.alpha_beta.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits == 2 * 41 - 2  # each of the 41 entries reads both sums
     assert sum(table) == 81 ** 38

@@ -1,12 +1,13 @@
 """Generating-function terms (alpha/beta, signed splits) and the two-moment
 subset counts, against pinned values and literal subset enumeration."""
 
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from fqcount.counting import (
-    _moment_excesses,
+    _moment_excess,
+    _moment_excess_m1,
     alpha_beta,
     moment_subset_count,
     moment_subset_count_m1,
@@ -41,12 +42,19 @@ def test_s_plus_minus_pinned_values():
 
 @pytest.mark.parametrize("p,e,max_n", [(3, 2, 10), (5, 2, 8)])
 def test_s_plus_minus_routes_agree(p, e, max_n):
-    """The call itself asserts closed form == type sum; also compare the
-    exposed direct route explicitly."""
+    """The closed form equals the independent sum over cycle types."""
     f = make_field(p, e)
     for n in range(1, max_n + 1):
-        closed = s_plus_minus(f, n)
-        assert closed == s_plus_minus_type_sums(f, n)
+        assert s_plus_minus(f, n) == s_plus_minus_type_sums(f, n)
+
+
+def test_s_plus_minus_past_the_cycle_type_range():
+    """The closed form does no cycle-type work, so a degree whose p(n) no
+    enumeration reaches still answers."""
+    s_plus, s_minus = s_plus_minus(make_field(3, 2), 70)
+    alpha, beta = alpha_beta(make_field(3, 2), 70)
+    assert s_plus - s_minus == factorial(70) * beta
+    assert s_plus + s_minus == factorial(70) * alpha
 
 
 def test_moment_excesses_are_counts_over_uniform():
@@ -55,9 +63,19 @@ def test_moment_excesses_are_counts_over_uniform():
     f9 = make_field(3, 2)
     q = f9.q
     for n in range(2, q + 1):
-        e, e1 = _moment_excesses(f9, n)
-        assert e == q * q * ref_two_moment_subsets(f9, n) - comb(q, n), n
-        assert e1 == q * q * ref_first_distinct(f9, n) - q * comb(q, n - 1), n
+        assert _moment_excess(f9, n) == q * q * ref_two_moment_subsets(f9, n) - comb(q, n), n
+        assert _moment_excess_m1(f9, n) == q * q * ref_first_distinct(f9, n) - q * comb(q, n - 1), n
+
+
+def test_moment_counts_read_one_alpha_beta_pair():
+    """M(n,0,0) computes only the alpha/beta sums at n, and M1(n+1,0,0) reads
+    the same pair from the cache."""
+    f81 = make_field(3, 4)
+    alpha_beta.cache_clear()
+    moment_subset_count(f81, 40)
+    moment_subset_count_m1(f81, 41)
+    info = alpha_beta.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_moment_subset_pinned_values():

@@ -1,8 +1,11 @@
 """Counting identities as property tests, at the field sizes where the closed
 forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
 range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
-the gap-2/3 main regime against its earlier alpha/beta and p | n form, and
-the quadratic/linear counts summed over a0."""
+the gap-2/3 main regime against its earlier alpha/beta and p | n form, the
+reduced regime n >= q against the earlier case tables, and the
+quadratic/linear counts summed over a0."""
+
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,13 @@ from fqcount.counting import (
 )
 from fqcount.ff import make_field
 
-from helpers import ref_alternating_tail, ref_gap2_main, ref_gap3_main
+from helpers import (
+    ref_alternating_tail,
+    ref_gap2_main,
+    ref_gap2_reduced,
+    ref_gap3_main,
+    ref_gap3_reduced,
+)
 
 FIELDS = {f.q: f for f in (make_field(7, 2), make_field(3, 4), make_field(11, 2),
                            make_field(5, 4))}
@@ -85,6 +94,23 @@ def test_main_regime_matches_earlier_form(q, data):
             for bk in (f.zero, b):
                 assert count_nk_gap2(f, deg, k, bk).value == ref_gap2_main(f, deg, k, bk)
             assert count_nk_gap3(f, deg, k).value == ref_gap3_main(f, deg, k)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reduced_regime_matches_case_tables(q, data):
+    """Every k of every degree n in [q, q + 3]: gap 1 is the function count,
+    and gap 2 (at a zero and a drawn nonzero b) and gap 3 equal the earlier
+    hand-derived case tables."""
+    f = FIELDS[q]
+    b = f.element(data.draw(st.integers(1, q - 1), label="b"))
+    for n in range(q, q + 4):
+        for k in range(q + 1):
+            assert count_nk_gap1(f, n, k).value == comb(q, k) * q ** (n - q) * (q - 1) ** (q - k)
+            for bk in (f.zero, b):
+                assert count_nk_gap2(f, n, k, bk).value == ref_gap2_reduced(f, n, k, bk), (n, k)
+            assert count_nk_gap3(f, n, k).value == ref_gap3_reduced(f, n, k), (n, k)
 
 
 @PROPERTY
