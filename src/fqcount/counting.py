@@ -11,9 +11,9 @@ of M(n, b), M(n,0,0) and M1(n,0,0) over uniform (_main_regime).  From q on,
 x^q = x turns every gap into a count of functions on the field by their
 zeros, with at most two top interpolation coefficients fixed (_reduced_regime).
 
-Every result is an exact integer.  Divisions and formulas with Fraction
-intermediates are asserted exact before returning; a failure of that
-assertion is a bug, never a rounding.
+Every result is an exact integer.  Each formula is a multiple of its count
+in integer arithmetic, divided exactly before returning (_exact_int); a
+remainder is a bug, never a rounding.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ExactCount:
             raise IntegralityError(f"negative count {self.value}")
 
 
-def _exact_int(x: int | Fraction, what: str, den: int = 1) -> int:
+def _exact_int(x: int, what: str, den: int = 1) -> int:
     """x / den, which must be an integer: divmod leaves no remainder."""
     quo, rem = divmod(x, den)
     if rem:
@@ -244,7 +244,6 @@ def quadlin_case_count(
         raise ValueError("at least one linear coefficient b_i must be nonzero")
 
     chi = lambda x: quadratic_character(field, x)
-    qf = Fraction(q)
     prod_a = field.product(a)
     b_inv, c_inv = quadlin_invariants(field, a, a0, bvec, b0)
 
@@ -252,31 +251,32 @@ def quadlin_case_count(
         case = 1 if c_inv.is_zero() else 2
     else:
         case = 3 if c_inv.is_zero() else 4
+    # total is q^2 times the count: q^(n-2) plus a character term.
     if case == 1:
         if n % 2 == 0:
-            total = qf ** (n - 2)
+            total = q ** n
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = qf ** (n - 2) + qf ** ((n - 3) // 2) * (q - 1) * chi(arg)
+            total = q ** n + q ** ((n + 1) // 2) * (q - 1) * chi(arg)
     elif case == 2:
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), field.mul(prod_a, c_inv))
-            total = qf ** (n - 2) + qf ** ((n - 2) // 2) * chi(arg)
+            total = q ** n + q ** ((n + 2) // 2) * chi(arg)
         else:
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = qf ** (n - 2) - qf ** ((n - 3) // 2) * chi(arg)
+            total = q ** n - q ** ((n + 1) // 2) * chi(arg)
     elif case == 3:
         if n % 2 == 0:
             arg = field.mul(_sign_element(field, n // 2), prod_a)
-            total = qf ** (n - 2) + v_of(field, a0) * qf ** ((n - 2) // 2) * chi(arg)
+            total = q ** n + v_of(field, a0) * q ** ((n + 2) // 2) * chi(arg)
         else:
             # chi vanishes at a0 = 0, collapsing this case to q^(n-2).
             arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(a0, prod_a))
-            total = qf ** (n - 2) + qf ** ((n - 1) // 2) * chi(arg)
+            total = q ** n + q ** ((n + 3) // 2) * chi(arg)
     else:
-        total = qf ** (n - 2)
+        total = q ** n
 
-    return case, ExactCount(_exact_int(total, "quadratic/linear solution count"))
+    return case, ExactCount(_exact_int(total, "quadratic/linear solution count", q * q))
 
 
 # ---------------------------------------------------------------------------

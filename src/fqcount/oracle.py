@@ -1,36 +1,41 @@
-"""Independent exact ground truth: enumeration and a subset DP.
+"""Independent exact ground truth: enumeration and dynamic programs.
 
 Every closed form in this package is validated against a function here.  The
 routes are exact and deterministic: field elements are handled as
 enumeration indices through integer lookup tables, tallies are integers, and
 no floating point is involved anywhere.
 
-The root-count and quadratic/linear oracles share one enumeration core,
-`_level_sums`.  It visits every digit tuple once and builds its sums level
-by level, W_k = W_(k-1) + step_k[d], so each new level costs one table gather
-per entry instead of re-adding every earlier level.  The sums arrive in
-blocks of a bounded number of entries; tallies are sums over the blocks, so
-they do not depend on the block size or the order of enumeration.  Root
-counting sweeps the constant coefficient analytically: for each
-higher-coefficient prefix the value histogram of its evaluation vector yields
-the root counts of all q constant-term extensions at once.  A span through
-zero is homogeneous, since mu * f has the zeros of f: the root oracle then
-sweeps one coefficient vector per scalar class and weights its tally by
-q - 1, which is still the exact tally over every coefficient vector.
+The root-count oracle enumerates through `_level_sums`.  It visits every
+digit tuple once and builds its sums level by level, W_k = W_(k-1) +
+step_k[d], so each new level costs one table gather per entry instead of
+re-adding every earlier level.  The sums arrive in blocks of a bounded
+number of entries; tallies are sums over the blocks, so they do not depend
+on the block size or the order of enumeration.  Root counting sweeps the
+constant coefficient analytically: for each higher-coefficient prefix the
+value histogram of its evaluation vector yields the root counts of all q
+constant-term extensions at once.  The other coefficients are swept one
+vector per orbit of a symmetry that keeps zero counts, with the tally
+weighted by the orbit size, which is still the exact tally over every
+vector.  A span through zero is homogeneous, since mu * f has the zeros of
+f: one vector per scalar class, weighted by q - 1.  A polynomial family
+x^n + ... keeps its distinct-root count under f(x) -> lambda^(-n) f(lambda x),
+and the lambda that fix its fixed coefficients act on its free tails.
 
-Subset counts come from a dynamic program over accumulator states instead of
-a walk over subsets.  A state is the sum, or the sum and a second accumulator.
-Adjoining the elements one at a time maps each state through a permutation, so
-one table of counts by (size, state) covers every subset of every size in
-q steps.  The counts can pass 2^63, so the table is kept modulo a few 61-bit
-primes whose product exceeds every count.  The Chinese remainder theorem
-rebuilds only the counts a caller reads.
+Subset and quadratic/linear counts come from dynamic programs over
+accumulator states instead of a walk over subsets or tuples.  A state is the
+sum, or the sum and a second accumulator; for the quadratic/linear system it
+is the pair (sum a_i x_i^2, sum b_i x_i).  Adjoining an element or a
+coordinate maps each state through a permutation, or a sum of q of them, so
+one table of counts replaces the walk.  The counts can pass 2^63, so a table
+is kept modulo the fewest 61-bit primes whose product exceeds every count.
+The Chinese remainder theorem rebuilds only the counts a caller reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -154,11 +159,12 @@ def _level_sums(add_t: np.ndarray, start: np.ndarray, steps: Sequence[np.ndarray
     """Yield every row start + sum_i steps[i][d_i] over all digit tuples, as
     (rows, width) blocks of at most max(_BLOCK_ENTRIES, q * width) entries.
 
-    start holds `width` element indices and each step is a (q, width) table.
-    The first levels are built one level at a time, W_k = add[W_(k-1),
-    step_k[d]], into an inner table that fits one block; the remaining levels
-    come from this function again, started at zero, and each block of theirs
-    is joined to the inner table by one flat gather on the add table.
+    start holds `width` element indices and each step is a (digits, width)
+    table, with q digits past the first level.  The first levels are built
+    one level at a time, W_k = add[W_(k-1), step_k[d]], into an inner table
+    that fits one block; the remaining levels come from this function again,
+    started at zero, and each block of theirs is joined to the inner table by
+    one flat gather on the add table.
     """
     q, width = add_t.shape[0], start.shape[0]
     inner = start[None, :]
@@ -199,10 +205,9 @@ def span_root_distribution(
     A span through zero (fixed_row all zeros) is homogeneous: mu * f has the
     zeros of f for mu != 0, and scaling the constant with the rest leaves the
     constant sweep's tally unchanged.  So one representative per scalar class
-    of the non-constant coefficients is enumerated, the one whose first
-    nonzero coefficient is 1, and its tally is weighted by q - 1; the zero
-    vector adds one function with q zeros and q - 1 constants with none.
-    The budget counts the coefficient vectors actually swept.
+    of the non-constant coefficients is enumerated, the one whose last
+    nonzero coefficient is 1, and its tally is weighted by q - 1.  The budget
+    counts the coefficient vectors actually swept.
     """
     q = field.q
     m = len(basis_rows)
@@ -213,23 +218,53 @@ def span_root_distribution(
     if len(fixed_row) != q or any(len(r) != q for r in basis_rows):
         raise ValueError("rows must have one value per field element")
     homogeneous = not any(fixed_row)  # index 0 is the zero element
-    if homogeneous:  # q constants for each of the (q^(m-1) - 1) / (q - 1) representatives
-        budget.check(q * (q ** (m - 1) - 1) // (q - 1), "coefficient-space enumeration")
-    else:
-        budget.check(q ** m, "coefficient-space enumeration")
+    orbits = [(1, q - 1) if homogeneous else (q - 1, 1)] * (m - 1)
+    return _orbit_distribution(field, fixed_row, basis_rows, orbits, budget)
+
+
+def _orbit_distribution(
+    field: FieldSpec,
+    fixed_row: Sequence[int],
+    basis_rows: Sequence[Sequence[int]],
+    orbits: Sequence[tuple[int, int]],
+    budget: EnumerationBudget,
+) -> list[int]:
+    """span_root_distribution's tally, one part per last nonzero coefficient.
+
+    Part i holds the coefficient vectors whose last nonzero non-constant
+    coefficient is c_(i+1).  With orbits[i] = (reps, weight), c_(i+1) runs
+    over the first `reps` powers of the primitive element, the coefficients
+    below it and the constant run free, and the part's tally is multiplied by
+    `weight`.  This is exact when a symmetry that keeps zero counts maps the
+    vectors with c_(i+1) = r one to one onto those with c_(i+1) = r' for each
+    of `weight` values r', and these cosets of the representatives cover the
+    nonzero values once.  The vectors with no nonzero non-constant
+    coefficient are the fixed row plus a constant; a zero fixed row gives one
+    function with q zeros and q - 1 with none.  Otherwise they and the parts
+    below the first weight above one, which are (q - 1, 1), are one literal
+    sweep of the lowest coefficients.
+    """
+    q = field.q
+    homogeneous = not any(fixed_row)
+    swept = q * sum(reps * q ** i for i, (reps, _) in enumerate(orbits))
+    budget.check(swept if homogeneous else swept + q, "coefficient-space enumeration")
 
     t = field_tables(field)
-    add_t, mul_t = t["add"], t["mul"]
+    add_t, mul_t, antilog = t["add"], t["mul"], t["antilog"]
     steps = [mul_t[:, np.asarray(row, dtype=np.intp)] for row in basis_rows[1:]]
-    if not homogeneous:
-        tally = _constant_sweep_tally(add_t, np.asarray(fixed_row, dtype=np.int32), steps)
-    else:
+    start = np.asarray(fixed_row, dtype=np.int32)
+    if homogeneous:
+        literal = 0
         tally = np.zeros(q + 1, dtype=np.int64)
-        for j, step in enumerate(steps):  # first nonzero coefficient at j, equal to one
-            tally += _constant_sweep_tally(add_t, step[1], steps[j + 1:])
-        tally *= q - 1
-        tally[q] += 1  # the zero function
-        tally[0] += q - 1  # the nonzero constants
+        tally[q], tally[0] = 1, q - 1
+    else:
+        literal = next((i for i, (_, weight) in enumerate(orbits) if weight > 1), len(orbits))
+        tally = _constant_sweep_tally(add_t, start, steps[:literal])
+    for i in range(literal, len(orbits)):
+        reps, weight = orbits[i]
+        # the representatives are the first level, the free coefficients below
+        part = _constant_sweep_tally(add_t, start, [steps[i][antilog[:reps]], *steps[:i]])
+        tally += weight * part
     return [int(x) for x in tally]
 
 
@@ -273,6 +308,15 @@ def brute_nk_distribution(
 
     u_high lists the fixed coefficients for degrees n-1 down to ell+1 (so it
     is empty for gap 1).  Works for any gap, unlike the closed forms.
+
+    lambda^(-n) * f(lambda x) has the distinct-root count of f and turns each
+    coefficient c_d into c_d * lambda^(d-n).  It keeps the fixed part when
+    lambda lies in the subgroup of order s = gcd(q - 1, n - d over every
+    nonzero u_d).  On the tails whose top nonzero coefficient is c_j that
+    subgroup moves c_j through a coset of order o_j = s / gcd(s, n - j), one
+    to one on the lower coefficients, so c_j runs over (q - 1) / o_j coset
+    representatives and the tally is weighted by o_j.  With s = 1 every tail
+    is swept.  The budget counts the tails actually swept.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
@@ -280,8 +324,17 @@ def brute_nk_distribution(
         raise ValueError(f"expected {n - 1 - ell} fixed coefficients, got {len(u_high)}")
     for coeff in u_high:
         field._check(coeff)
+    q = field.q
+    s = q - 1
+    for coeff, d in zip(u_high, range(n - 1, ell, -1)):
+        if not coeff.is_zero():
+            s = gcd(s, n - d)
+    orbits = []
+    for j in range(1, ell + 1):
+        o = s // gcd(s, n - j)
+        orbits.append(((q - 1) // o, o))
     basis = [power_row(field, i) for i in range(ell + 1)]
-    return span_root_distribution(field, _u_eval_row(field, u_high, n, ell), basis, budget)
+    return _orbit_distribution(field, _u_eval_row(field, u_high, n, ell), basis, orbits, budget)
 
 
 def brute_nk(
@@ -292,7 +345,7 @@ def brute_nk(
     k: int,
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> ExactCount:
-    """Literal count of tails making the polynomial have exactly k distinct roots."""
+    """Count of tails making the polynomial have exactly k distinct roots."""
     dist = brute_nk_distribution(field, u_high, n, ell, budget)
     return ExactCount(dist[k] if 0 <= k <= field.q else 0)
 
@@ -307,15 +360,20 @@ _MODULI = tuple((1 << 61) - d for d in (
     1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829))
 
 
-def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
-    """The moduli a table of subset sizes 0..t_max needs, and its DP state
-    updates: adjoining element a touches sizes 1..min(t_max, a + 1)."""
-    largest = binomial(q, min(t_max, q // 2))  # no count in the table exceeds it
+def _moduli_past(largest: int) -> tuple[int, ...]:
+    """The fewest of _MODULI whose product exceeds `largest`."""
     moduli, product = [], 1
     while product <= largest:
         moduli.append(_MODULI[len(moduli)])
         product *= moduli[-1]
-    return tuple(moduli), len(moduli) * sum(min(t_max, a + 1) for a in range(q)) * n_states
+    return tuple(moduli)
+
+
+def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
+    """The moduli a table of subset sizes 0..t_max needs, and its DP state
+    updates: adjoining element a touches sizes 1..min(t_max, a + 1)."""
+    moduli = _moduli_past(binomial(q, min(t_max, q // 2)))  # no count in the table exceeds it
+    return moduli, len(moduli) * sum(min(t_max, a + 1) for a in range(q)) * n_states
 
 
 def _dest_maps(field: FieldSpec, predicate: str) -> list[np.ndarray]:
@@ -470,7 +528,7 @@ def brute_subsets_mss2(
 
 
 # ---------------------------------------------------------------------------
-# Quadratic/linear system enumeration.
+# Quadratic/linear systems: a dynamic program over (quadratic, linear) sums.
 # ---------------------------------------------------------------------------
 
 def brute_quadlin(
@@ -481,21 +539,45 @@ def brute_quadlin(
     b0: FieldElement,
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> ExactCount:
-    """Count tuples in F_q^n satisfying sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0."""
+    """Count tuples in F_q^n satisfying sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0.
+
+    A dynamic program over the states (Q, L) = (sum a_i x_i^2, sum b_i x_i)
+    of the coordinates so far: coordinate i sends (Q, L) to (Q + a_i x^2,
+    L + b_i x) for each x, so the new table is a sum of q shifted gathers of
+    the old one.  The counts sum to q^n, so below 2^61 they stay under one
+    modulus and are exact.  Past it the table is kept modulo the fewest
+    primes of _MODULI whose product exceeds q^n, one x is added at a time so
+    that no sum of residues overflows, and the one count read is rebuilt
+    from its residues.
+    The budget counts DP state updates: moduli x n x q^3.
+    """
     q = field.q
     n = len(a)
     if n < 1 or len(bvec) != n:
         raise ValueError("coefficient vectors must be nonempty and equal-length")
     for x in (*a, *bvec, a0, b0):
         field._check(x)
-    budget.check(q ** n, "tuple enumeration")
+    moduli = _moduli_past(q ** n)
+    budget.check(len(moduli) * n * q ** 3, "quadratic/linear DP", "DP state updates")
     t = field_tables(field)
-    mul_t = t["mul"]
+    add_t, mul_t, neg_t = t["add"], t["mul"], t["neg"]
     squares = mul_t[np.arange(q), np.arange(q)]
-    # steps[i][x] = (a_i * x^2, b_i * x): coordinate i's share of the two sums.
-    steps = np.stack([mul_t[[x.index for x in a]][:, squares],
-                      mul_t[[x.index for x in bvec]]], axis=2)
-    count = 0
-    for w in _level_sums(t["add"], np.zeros(2, dtype=np.int32), steps):
-        count += int(np.count_nonzero((w[:, 0] == a0.index) & (w[:, 1] == b0.index)))
-    return ExactCount(count)
+    # Row x of quad[i] maps Q to Q - a_i x^2, and row x of lin[i] maps L to
+    # L - b_i x: the state each (Q, L) is read from.
+    quad = add_t[neg_t[mul_t[[x.index for x in a]][:, squares]]]
+    lin = add_t[neg_t[mul_t[[x.index for x in bvec]]]]
+    # values of x gathered at once: a block while the counts stay exact, one
+    # at a time when residues are summed
+    per = max(1, _BLOCK_ENTRIES // (q * q)) if len(moduli) == 1 else 1
+    residues = []
+    for modulus in moduli:
+        dp = np.zeros((q, q), dtype=np.int64)
+        dp[0, 0] = 1  # the empty tuple, in the zero state
+        for quad_i, lin_i in zip(quad, lin):
+            grown = np.zeros_like(dp)
+            for s in range(0, q, per):
+                grown += dp[quad_i[s:s + per, :, None], lin_i[s:s + per, None, :]].sum(axis=0)
+                np.subtract(grown, modulus, out=grown, where=grown >= modulus)
+            dp = grown
+        residues.append(int(dp[a0.index, b0.index]))
+    return ExactCount(_crt(residues, moduli))

@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 `fqcount verify --suite all` drives the same sweeps through the CLI.
 """
 
+import hashlib
 import io
 
 from fqcount import cli
@@ -18,6 +19,8 @@ from fqcount.ff import make_field
 from fqcount.oracle import brute_nk
 
 CONFIG = cli.RunConfig()
+# `fqcount --format csv verify --suite all`: a header and 8861 rows
+VERIFY_ALL_CSV_SHA256 = "38455278d3cbd4bb8a1e509f109593c11706f91aacbfbbf6c6840d8771b2adf4"
 
 
 def _report(number: int, label: str, result: cli.SuiteResult | None = None,
@@ -150,8 +153,14 @@ def test_criterion_09_wenger_spectra():
 
 
 def test_criterion_10_property_suites_and_cli_verify_all():
+    """The whole sweep as CSV: exit 0, every row a match, and the bytes
+    pinned, so an oracle or closed form that changes any value fails here."""
     out = io.StringIO()
-    code = cli.run_command(["verify", "--suite", "all"], out=out)
-    ok = code == 0 and '"ok": true' in out.getvalue()
-    _report(10, "`verify --suite all` exits 0", ok=ok,
-            detail=f"exit code {code}")
+    code = cli.run_command(["--format", "csv", "verify", "--suite", "all"], out=out)
+    text = out.getvalue()
+    rows = text.splitlines()[1:]
+    assert len(rows) == 8861 and all(row.endswith(",yes") for row in rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    ok = code == 0 and digest == VERIFY_ALL_CSV_SHA256
+    _report(10, "`verify --suite all` exits 0, byte-identical", ok=ok,
+            detail=f"exit code {code}, {len(rows)} rows, sha256 {digest[:12]}")

@@ -270,7 +270,7 @@ def test_config_file_and_env_layering(tmp_path, monkeypatch):
     # config file value applies
     code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",
                       "--e", "1", "--n", "7", "--k", "1", "--method", "oracle"])
-    assert code == 2  # 5^7 tails over the configured 20000
+    assert code == 2  # 23040 swept tails over the configured 20000
     # env overrides the file
     monkeypatch.setenv(cli.ENV_BUDGET, str(10 ** 8))
     code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",

@@ -1,13 +1,20 @@
 """The vectorized enumeration oracles against literal pure-python loops, plus
 budget and determinism behavior."""
 
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqcount import oracle
-from fqcount.counting import moment_subset_count, moment_subset_count_m1, subset_sum_count
+from fqcount.counting import (
+    moment_subset_count,
+    moment_subset_count_m1,
+    quad_lin_solution_count,
+    quadlin_case_count,
+    subset_sum_count,
+)
 from fqcount.exactcomb import binomial
 from fqcount.ff import make_field
 from fqcount.oracle import (
@@ -87,14 +94,46 @@ def test_brute_nk_argument_validation():
 
 
 def test_budget_refusal_names_size():
+    """Gap 1 at q = 5, n = 7 sweeps sum_j D_j * 5^j + 5 = 23040 of the 5^7
+    tails: D_j = 1, 2, 1, 4, 1, 2 coset representatives for the top
+    nonzero coefficient c_j, j = 6 down to 1, plus the constants alone."""
     f5 = make_field(5, 1)
     tight = EnumerationBudget(10 ** 4)
     with pytest.raises(BudgetExceededError) as info:
         brute_nk_distribution(f5, [], 7, 6, tight)
-    assert info.value.required == 5 ** 7
-    assert "78125" in str(info.value)
+    assert info.value.required == 23040
+    assert "23040" in str(info.value)
     # same query under the default budget is fine
     assert sum(brute_nk_distribution(f5, [], 7, 6)) == 5 ** 7
+
+
+def test_orbit_budget_counts_swept_tails(monkeypatch):
+    """At q = 9 with u_(n-2) != 0 the stabiliser has order s = gcd(8, 2) = 2:
+    the top coefficient c_j runs over 4 or 8 coset representatives as n - j
+    is odd or even.  The refusal names the tails the sweep visits, 292293 of
+    9^6, and the tally equals the literal sweep over every tail."""
+    f9 = make_field(3, 2)
+    u_high = [f9.zero, f9.one]
+    with pytest.raises(BudgetExceededError) as info:
+        brute_nk_distribution(f9, u_high, 8, 5, EnumerationBudget(292292))
+    assert info.value.required == \
+        4 * 9 + 8 * 9 ** 2 + 4 * 9 ** 3 + 8 * 9 ** 4 + 4 * 9 ** 5 + 9 == 292293
+
+    swept = []
+    sweep = oracle._constant_sweep_tally
+
+    def counting_sweep(add_t, start, steps):
+        swept.append(9 * math.prod(len(step) for step in steps))
+        return sweep(add_t, start, steps)
+
+    monkeypatch.setattr(oracle, "_constant_sweep_tally", counting_sweep)
+    tally = brute_nk_distribution(f9, u_high, 8, 5, EnumerationBudget(292293))
+    assert sum(swept) == 292293
+    monkeypatch.setattr(oracle, "_constant_sweep_tally", sweep)
+    fixed = oracle._u_eval_row(f9, u_high, 8, 5)
+    basis = [oracle.power_row(f9, d) for d in range(6)]
+    assert tally == span_root_distribution(f9, fixed, basis)  # every tail, literally
+    assert sum(tally) == 9 ** 6
 
 
 @pytest.mark.parametrize("block", ["1", "q", "7q"])
@@ -312,10 +351,51 @@ def test_brute_quadlin_block_independence(monkeypatch, block):
 
 
 def test_quadlin_budget():
+    """The DP's budget counts state updates: one modulus (9^14 < 2^61) x 14
+    coordinates x 9^3 (q values of x for each of the q^2 states)."""
     f9 = make_field(3, 2)
-    with pytest.raises(BudgetExceededError):
-        brute_quadlin(f9, [f9.one] * 9, f9.zero, [f9.one] * 9, f9.zero,
-                      EnumerationBudget(10 ** 4))
+    args = (f9, [f9.one] * 14, f9.zero, [f9.one] * 14, f9.zero)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_quadlin(*args, EnumerationBudget(10 ** 4))
+    assert info.value.required == 14 * 9 ** 3 == 10206
+    assert "10206 DP state updates" in str(info.value)
+    assert brute_quadlin(*args, EnumerationBudget(10206)).value == \
+        quad_lin_solution_count(*args).value
+
+
+def test_quadlin_dp_past_two_to_the_63():
+    """At q = 49, n = 14 each count passes 2^63 (it is about 49^12), so the
+    table is kept modulo two primes (49^14 > 2^78); one instance of each
+    invariant case equals the closed form."""
+    f = make_field(7, 2)
+    assert len(oracle._moduli_past(49 ** 14)) == 2
+    a = [f.element(i) for i in range(1, 15)]
+    lin = [f.one] + [f.zero] * 13  # b = 1 / a_1 = 1, so c = b0^2 - a0
+    flat = [f.neg(a[1])] + a[1:]  # with the linear form (1, 1, 0, ...), b = 0 and c = b0^2
+    flat_lin = [f.one, f.one] + [f.zero] * 12
+    instances = [(a, f.one, lin, f.one), (a, f.element(2), lin, f.one),
+                 (flat, f.element(3), flat_lin, f.zero), (flat, f.element(3), flat_lin, f.one)]
+    for expected_case, instance in enumerate(instances, start=1):
+        case, closed_form = quadlin_case_count(f, *instance)
+        assert case == expected_case and closed_form.value > 2 ** 63
+        assert brute_quadlin(f, *instance).value == closed_form.value, case
+    with pytest.raises(BudgetExceededError) as info:
+        brute_quadlin(f, *instance, EnumerationBudget(2 * 14 * 49 ** 3 - 1))
+    assert info.value.required == 2 * 14 * 49 ** 3
+
+
+@pytest.mark.parametrize("moduli", [(8191, 131071, 524287), (31, 37, 41, 43, 47, 53)])
+def test_quadlin_dp_chinese_remainders(monkeypatch, moduli):
+    """Small moduli wrap the counts and need two or more residues each; the
+    exact counts must not change."""
+    f9 = make_field(3, 2)
+    a = [f9.element(i) for i in (1, 6, 4, 7, 2)]
+    bvec = [f9.element(i) for i in (3, 5, 0, 1, 8)]
+    targets = [(f9.element(i), f9.element(j)) for i, j in ((0, 0), (2, 5), (8, 1))]
+    expected = [quad_lin_solution_count(f9, a, a0, bvec, b0).value for a0, b0 in targets]
+    monkeypatch.setattr(oracle, "_MODULI", moduli)
+    assert len(oracle._moduli_past(9 ** 5)) >= 2
+    assert [brute_quadlin(f9, a, a0, bvec, b0).value for a0, b0 in targets] == expected
 
 
 # Random spans and systems against the literal references, with block sizes
@@ -375,12 +455,32 @@ def test_homogeneous_span_budget_counts_swept_vectors():
 
 @ORACLE_PROPERTY
 @given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
-def test_brute_quadlin_matches_literal(q, data):
+def test_brute_nk_orbits_match_literal(q, data):
+    """Gaps 1-4 with fixed coefficients that mix zero and nonzero values, so
+    that the stabiliser order s = gcd(q - 1, n - d over nonzero u_d) takes
+    values between 1 and q - 1."""
     f = SMALL_FIELDS[q]
-    n = data.draw(st.integers(1, 4 if q <= 5 else 3), label="n")
-    coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    gap = data.draw(st.integers(1, 4), label="gap")
+    ell = data.draw(st.integers(0, 2), label="ell")
+    coeff = st.one_of(st.just(0), st.integers(1, q - 1))
+    u_high = [f.element(i) for i in data.draw(
+        st.lists(coeff, min_size=gap - 1, max_size=gap - 1), label="u_high")]
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, q)):
+        got = brute_nk_distribution(f, u_high, ell + gap, ell)
+    assert got == ref_nk_distribution(f, u_high, ell + gap, ell)
+
+
+@ORACLE_PROPERTY
+@given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
+def test_brute_quadlin_matches_literal(q, data):
+    """Zero quadratic coefficients and an all-zero linear form included."""
+    f = SMALL_FIELDS[q]
+    n = data.draw(st.integers(1, 4), label="n")
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(0, q - 1)), min_size=n, max_size=n)
     a = [f.element(i) for i in data.draw(coeffs, label="a")]
     bvec = [f.element(i) for i in data.draw(coeffs, label="bvec")]
+    if data.draw(st.booleans(), label="zero linear form"):
+        bvec = [f.zero] * n
     a0, b0 = (f.element(data.draw(st.integers(0, q - 1), label=name)) for name in ("a0", "b0"))
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, 2)):
         got = brute_quadlin(f, a, a0, bvec, b0).value
