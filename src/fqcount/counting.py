@@ -4,12 +4,13 @@ Covers: tallies of monic degree-n completions with exactly k distinct roots
 for coefficient gaps 1, 2 and 3 (including the reduced regimes n >= q);
 subset-sum counts M(n, b); two-moment subset counts M(n,0,0) and the
 first-n-minus-1-distinct variant M1(n,0,0); solution counts for one diagonal
-quadratic equation paired with one linear equation; and the generating-
-function quantities alpha/beta/S+- those formulas are assembled from.  Below
-q, a gap-2 or gap-3 count is the inclusion-exclusion tail plus the excesses
-of M(n, b), M(n,0,0) and M1(n,0,0) over uniform (_main_regime).  From q on,
-x^q = x turns every gap into a count of functions on the field by their
-zeros, with at most two top interpolation coefficients fixed (_reduced_regime).
+quadratic equation paired with one linear equation, from one Gauss-sum
+identity (quadlin_case_count); and the generating-function quantities
+alpha/beta/S+- those formulas are assembled from.  Below q, a gap-2 or gap-3
+count is the inclusion-exclusion tail plus the excesses of M(n, b), M(n,0,0)
+and M1(n,0,0) over uniform (_main_regime).  From q on, x^q = x turns every
+gap into a count of functions on the field by their zeros, with at most two
+top interpolation coefficients fixed (_reduced_regime).
 
 Every result is an exact integer.  Each formula is a multiple of its count
 in integer arithmetic, divided exactly before returning (_exact_int); a
@@ -56,11 +57,6 @@ def v_of(field: FieldSpec, b: FieldElement) -> int:
     """Two-valued helper: q - 1 at b = 0 and -1 otherwise."""
     field._check(b)
     return field.q - 1 if b.is_zero() else -1
-
-
-def _sign_element(field: FieldSpec, m: int) -> FieldElement:
-    """(-1)^m as a field element."""
-    return field.one if m % 2 == 0 else field.neg(field.one)
 
 
 def _alternating_tail(q: int, m: int, length: int) -> int:
@@ -193,13 +189,16 @@ def quadlin_invariants(
     a0: FieldElement,
     bvec: Sequence[FieldElement],
     b0: FieldElement,
-) -> tuple[FieldElement, FieldElement]:
-    """The invariants b = sum(b_i^2 / a_i) and c = b0^2 - a0*b that split the
-    quadratic/linear system into its four cases; every a_i must be nonzero."""
-    b = field.zero
-    for ai, bi in zip(a, bvec):
-        b = field.add(b, field.mul(field.mul(bi, bi), field.inv(ai)))
-    return b, field.sub(field.mul(b0, b0), field.mul(a0, b))
+) -> tuple[FieldElement, FieldElement, FieldElement]:
+    """P = prod(a_i), B' = P*b and C' = P*c for the invariants
+    b = sum(b_i^2 / a_i) and c = b0^2 - a0*b, without inverting: one pass of
+    P <- P*a_i, B' <- a_i*B' + b_i^2*P from P = a_1, B' = b_1^2.  Needs at
+    least one a_i, all nonzero: then P != 0, and B', C' vanish when b, c do."""
+    prod, b = a[0], field.mul(bvec[0], bvec[0])
+    for ai, bi in zip(a[1:], bvec[1:]):
+        b = field.add(field.mul(ai, b), field.mul(field.mul(bi, bi), prod))
+        prod = field.mul(prod, ai)
+    return prod, b, field.sub(field.mul(field.mul(b0, b0), prod), field.mul(a0, b))
 
 
 def quad_lin_solution_count(
@@ -211,8 +210,8 @@ def quad_lin_solution_count(
 ) -> ExactCount:
     """Common solutions of sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0.
 
-    Requires odd q, all a_i nonzero and at least one b_i nonzero.  The four
-    cases split on whether the invariants b and c (quadlin_invariants) vanish.
+    Requires odd q, all a_i nonzero and at least one b_i nonzero.  The
+    count is one Gauss-sum identity, derived at quadlin_case_count.
     """
     return quadlin_case_count(field, a, a0, bvec, b0)[1]
 
@@ -226,9 +225,26 @@ def quadlin_case_count(
 ) -> tuple[int, ExactCount]:
     """The system's case and quad_lin_solution_count, from one evaluation of
     the invariants: case 1 or 2 when b != 0 and c is zero or not, case 3 or 4
-    when b = 0 and c is zero or not."""
-    q, p = field.q, field.p
-    if p == 2:
+    when b = 0 and b0 (so c) is zero or not.
+
+    With psi a nontrivial additive character, q^2 N is the sum over s, t in
+    F_q and x in F_q^n of psi(s (Q(x) - a0) + t (L(x) - b0)).  The s = 0 terms
+    give q^n.  For s != 0, completing the square in each x_i leaves the Gauss
+    sums eta(s a_i) G, with G^2 = eta(-1) q = g, times the phase
+    psi(-t^2 b / (4 s) - t b0 - s a0).  Summed over t, that phase is one more
+    Gauss sum, eta(-b s) G psi(s c / b), when b != 0, and q [b0 = 0]
+    psi(-s a0) when b = 0.  The sum over s leaves q^2 N = q^n plus
+
+        b != 0, n odd:       g^((n+1)/2) v(c) eta(-b P)
+        b != 0, n even:      g^(n/2+1) eta(-c P)
+        b = b0 = 0, n even:  q g^(n/2) v(a0) eta(P)
+        b = b0 = 0, n odd:   q g^((n+1)/2) eta(-a0 P)
+
+    and nothing when b = 0 != b0, with eta the quadratic character, v as in
+    v_of and P = prod(a_i), so that b P = B' and c P = C'.
+    """
+    q = field.q
+    if field.p == 2:
         raise ValueError("quadratic/linear system counts need odd q")
     n = len(a)
     if n < 1 or len(bvec) != n:
@@ -237,46 +253,25 @@ def quadlin_case_count(
         field._check(ai)
         if ai.is_zero():
             raise ValueError("every quadratic coefficient a_i must be nonzero")
-    for bi in bvec:
-        field._check(bi)
-    field._check(a0), field._check(b0)
+    for x in (*bvec, a0, b0):
+        field._check(x)
     if all(bi.is_zero() for bi in bvec):
         raise ValueError("at least one linear coefficient b_i must be nonzero")
 
-    chi = lambda x: quadratic_character(field, x)
-    prod_a = field.product(a)
-    b_inv, c_inv = quadlin_invariants(field, a, a0, bvec, b0)
-
-    if not b_inv.is_zero():
-        case = 1 if c_inv.is_zero() else 2
+    eta = lambda x: quadratic_character(field, x)
+    prod, pb, pc = quadlin_invariants(field, a, a0, bvec, b0)
+    g = q if q % 4 == 1 else -q
+    if not pb.is_zero():
+        case = 1 if pc.is_zero() else 2
+        term = (g ** ((n + 1) // 2) * v_of(field, pc) * eta(field.neg(pb)) if n % 2 else
+                g ** (n // 2 + 1) * eta(field.neg(pc)))
+    elif b0.is_zero():
+        case = 3
+        term = (q * g ** ((n + 1) // 2) * eta(field.neg(field.mul(a0, prod))) if n % 2 else
+                q * g ** (n // 2) * v_of(field, a0) * eta(prod))
     else:
-        case = 3 if c_inv.is_zero() else 4
-    # total is q^2 times the count: q^(n-2) plus a character term.
-    if case == 1:
-        if n % 2 == 0:
-            total = q ** n
-        else:
-            arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = q ** n + q ** ((n + 1) // 2) * (q - 1) * chi(arg)
-    elif case == 2:
-        if n % 2 == 0:
-            arg = field.mul(_sign_element(field, n // 2), field.mul(prod_a, c_inv))
-            total = q ** n + q ** ((n + 2) // 2) * chi(arg)
-        else:
-            arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(prod_a, b_inv))
-            total = q ** n - q ** ((n + 1) // 2) * chi(arg)
-    elif case == 3:
-        if n % 2 == 0:
-            arg = field.mul(_sign_element(field, n // 2), prod_a)
-            total = q ** n + v_of(field, a0) * q ** ((n + 2) // 2) * chi(arg)
-        else:
-            # chi vanishes at a0 = 0, collapsing this case to q^(n-2).
-            arg = field.mul(_sign_element(field, (n - 1) // 2), field.mul(a0, prod_a))
-            total = q ** n + q ** ((n + 3) // 2) * chi(arg)
-    else:
-        total = q ** n
-
-    return case, ExactCount(_exact_int(total, "quadratic/linear solution count", q * q))
+        case, term = 4, 0
+    return case, ExactCount(_exact_int(q ** n + term, "quadratic/linear solution count", q * q))
 
 
 # ---------------------------------------------------------------------------

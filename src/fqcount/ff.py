@@ -303,12 +303,6 @@ class FieldSpec:
             k >>= 1
         return result
 
-    def product(self, xs) -> FieldElement:
-        out = self.one
-        for x in xs:
-            out = self.mul(out, x)
-        return out
-
     def summary(self) -> dict:
         """JSON-ready description including the full enumeration table."""
         return {

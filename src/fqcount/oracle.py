@@ -219,7 +219,13 @@ def span_root_distribution(
         raise ValueError("rows must have one value per field element")
     homogeneous = not any(fixed_row)  # index 0 is the zero element
     orbits = [(1, q - 1) if homogeneous else (q - 1, 1)] * (m - 1)
-    return _orbit_distribution(field, fixed_row, basis_rows, orbits, budget)
+    budget.check(_swept_vectors(q, orbits, homogeneous), "coefficient-space enumeration")
+    return _orbit_distribution(field, fixed_row, basis_rows, orbits, homogeneous)
+
+
+def _swept_vectors(q: int, orbits: Sequence[tuple[int, int]], homogeneous: bool) -> int:
+    """The vectors _orbit_distribution sweeps, counted before any table."""
+    return q * (sum(reps * q ** i for i, (reps, _) in enumerate(orbits)) + (not homogeneous))
 
 
 def _orbit_distribution(
@@ -227,7 +233,7 @@ def _orbit_distribution(
     fixed_row: Sequence[int],
     basis_rows: Sequence[Sequence[int]],
     orbits: Sequence[tuple[int, int]],
-    budget: EnumerationBudget,
+    homogeneous: bool,
 ) -> list[int]:
     """span_root_distribution's tally, one part per last nonzero coefficient.
 
@@ -239,16 +245,12 @@ def _orbit_distribution(
     vectors with c_(i+1) = r one to one onto those with c_(i+1) = r' for each
     of `weight` values r', and these cosets of the representatives cover the
     nonzero values once.  The vectors with no nonzero non-constant
-    coefficient are the fixed row plus a constant; a zero fixed row gives one
-    function with q zeros and q - 1 with none.  Otherwise they and the parts
-    below the first weight above one, which are (q - 1, 1), are one literal
-    sweep of the lowest coefficients.
+    coefficient are the fixed row plus a constant; a zero fixed row
+    (homogeneous) gives one function with q zeros and q - 1 with none.
+    Otherwise they and the parts below the first weight above one, which are
+    (q - 1, 1), are one literal sweep of the lowest coefficients.
     """
     q = field.q
-    homogeneous = not any(fixed_row)
-    swept = q * sum(reps * q ** i for i, (reps, _) in enumerate(orbits))
-    budget.check(swept if homogeneous else swept + q, "coefficient-space enumeration")
-
     t = field_tables(field)
     add_t, mul_t, antilog = t["add"], t["mul"], t["antilog"]
     steps = [mul_t[:, np.asarray(row, dtype=np.intp)] for row in basis_rows[1:]]
@@ -316,7 +318,10 @@ def brute_nk_distribution(
     subgroup moves c_j through a coset of order o_j = s / gcd(s, n - j), one
     to one on the lower coefficients, so c_j runs over (q - 1) / o_j coset
     representatives and the tally is weighted by o_j.  With s = 1 every tail
-    is swept.  The budget counts the tails actually swept.
+    is swept.  The budget counts the tails swept and is checked before any
+    table is built: whether the fixed part vanishes as a function
+    (homogeneous) is read from its coefficients, x^d folded onto
+    x^((d-1) mod (q-1) + 1), the same function on F_q for d >= 1.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
@@ -325,16 +330,21 @@ def brute_nk_distribution(
     for coeff in u_high:
         field._check(coeff)
     q = field.q
-    s = q - 1
-    for coeff, d in zip(u_high, range(n - 1, ell, -1)):
+    s, folded = q - 1, {}
+    for coeff, d in zip((field.one, *u_high), range(n, ell, -1)):
         if not coeff.is_zero():
             s = gcd(s, n - d)
+            slot = (d - 1) % (q - 1)
+            folded[slot] = field.add(folded.get(slot, field.zero), coeff)
+    homogeneous = all(c.is_zero() for c in folded.values())
     orbits = []
     for j in range(1, ell + 1):
         o = s // gcd(s, n - j)
         orbits.append(((q - 1) // o, o))
+    budget.check(_swept_vectors(q, orbits, homogeneous), "coefficient-space enumeration")
     basis = [power_row(field, i) for i in range(ell + 1)]
-    return _orbit_distribution(field, _u_eval_row(field, u_high, n, ell), basis, orbits, budget)
+    fixed_row = _u_eval_row(field, u_high, n, ell)
+    return _orbit_distribution(field, fixed_row, basis, orbits, homogeneous)
 
 
 def brute_nk(

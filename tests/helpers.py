@@ -3,7 +3,9 @@
 Deliberately naive and independent of the package's vectorized oracle module:
 these define ground truth by the most literal route available.  The ref_gap*
 functions keep the earlier written-out forms of the gap-2/3 closed forms, which
-the shared main-regime and reduced-regime identities must reproduce.
+the shared main-regime and reduced-regime identities must reproduce, and
+ref_quadlin_cases keeps the earlier case table of the quadratic/linear count,
+which the Gauss-sum identity must reproduce.
 """
 
 import itertools
@@ -136,6 +138,80 @@ def ref_quadlin(field, a, a0, bvec, b0):
         if quad == a0 and lin == b0:
             count += 1
     return count
+
+
+def ref_quadlin_cases(field, a, a0, bvec, b0):
+    """(case, count) of the quadratic/linear system in its earlier form: the
+    invariants b = sum(b_i^2 / a_i) and c = b0^2 - a0*b by inversion, then a
+    table of four cases by the parity of n."""
+    q, n = field.q, len(a)
+    b = field.zero
+    for ai, bi in zip(a, bvec):
+        b = field.add(b, field.mul(field.mul(bi, bi), field.inv(ai)))
+    c = field.sub(field.mul(b0, b0), field.mul(a0, b))
+    prod_a = field.one
+    for ai in a:
+        prod_a = field.mul(prod_a, ai)
+
+    def chi_signed(m, x):  # chi((-1)^m x)
+        sign = field.one if m % 2 == 0 else field.neg(field.one)
+        return quadratic_character(field, field.mul(sign, x))
+
+    if not b.is_zero():
+        case = 1 if c.is_zero() else 2
+    else:
+        case = 3 if c.is_zero() else 4
+    # total is q^2 times the count: q^(n-2) plus a character term.
+    if case == 1:
+        if n % 2 == 0:
+            total = q ** n
+        else:
+            arg = field.mul(prod_a, b)
+            total = q ** n + q ** ((n + 1) // 2) * (q - 1) * chi_signed((n - 1) // 2, arg)
+    elif case == 2:
+        if n % 2 == 0:
+            total = q ** n + q ** ((n + 2) // 2) * chi_signed(n // 2, field.mul(prod_a, c))
+        else:
+            total = q ** n - q ** ((n + 1) // 2) * chi_signed((n - 1) // 2, field.mul(prod_a, b))
+    elif case == 3:
+        if n % 2 == 0:
+            total = q ** n + v_of(field, a0) * q ** ((n + 2) // 2) * chi_signed(n // 2, prod_a)
+        else:
+            # chi vanishes at a0 = 0, collapsing this case to q^(n-2).
+            total = q ** n + q ** ((n + 3) // 2) * chi_signed((n - 1) // 2, field.mul(a0, prod_a))
+    else:
+        total = q ** n
+    assert total % (q * q) == 0, total
+    return case, total // (q * q)
+
+
+def force_quadlin_case(field, a, a0, bvec, b0, case):
+    """The instance moved into the given case, or None where it cannot be.
+
+    The last b_i must be nonzero.  Cases 3 and 4 solve the last a_i for b = 0
+    (impossible when the other terms of b already cancel) and set b0 to zero
+    or not; case 1 solves a0 for c = 0 and case 2 keeps a drawn a0 with
+    c != 0, both needing b != 0.
+    """
+    a = list(a)
+    partial = field.zero
+    for ai, bi in zip(a[:-1], bvec[:-1]):
+        partial = field.add(partial, field.mul(field.mul(bi, bi), field.inv(ai)))
+    last_square = field.mul(bvec[-1], bvec[-1])
+    if case >= 3:
+        if partial.is_zero():
+            return None
+        a[-1] = field.neg(field.mul(last_square, field.inv(partial)))
+        b0 = field.zero if case == 3 else b0 if not b0.is_zero() else field.one
+        return a, a0, bvec, b0
+    b = field.add(partial, field.mul(last_square, field.inv(a[-1])))
+    if b.is_zero():
+        return None
+    if case == 1:
+        return a, field.mul(field.mul(b0, b0), field.inv(b)), bvec, b0
+    if field.sub(field.mul(b0, b0), field.mul(a0, b)).is_zero():
+        return None
+    return a, a0, bvec, b0
 
 
 def ref_alternating_tail(q, m, length):

@@ -1,7 +1,8 @@
 """Source hygiene without a linter, from the syntax trees of the package: no
 module but __init__ (which re-exports) imports a name it never reads, and
-every module-level private function or class is read somewhere in the
-package outside its own body."""
+every module-level function or class, private or public, is read somewhere
+in the package outside its own body.  __init__'s re-exports are not reads:
+an exported helper that nothing in the package calls fails too."""
 
 import ast
 from pathlib import Path
@@ -36,11 +37,19 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def _private_definitions(tree):
-    for node in tree.body:
+def _unread_definitions(module, private):
+    """The module's private (or public) top-level functions and classes that
+    no module but __init__ reads, nor the module outside their own body."""
+    others = _read_names(tree for name, tree in TREES.items()
+                         if name not in (module, "__init__.py"))
+    unread = []
+    for node in TREES[module].body:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and not node.name.endswith("__")):
-            yield node
+                and node.name.startswith("_") == private and not node.name.endswith("__")):
+            own = _read_names(other for other in TREES[module].body if other is not node)
+            if node.name not in own | others:
+                unread.append(node.name)
+    return unread
 
 
 @pytest.mark.parametrize("module", CHECKED)
@@ -52,10 +61,9 @@ def test_no_unused_imports(module):
 
 @pytest.mark.parametrize("module", CHECKED)
 def test_private_definitions_are_referenced(module):
-    others = _read_names(tree for name, tree in TREES.items() if name != module)
-    unreferenced = []
-    for definition in _private_definitions(TREES[module]):
-        own = _read_names(node for node in TREES[module].body if node is not definition)
-        if definition.name not in own | others:
-            unreferenced.append(definition.name)
-    assert unreferenced == []
+    assert _unread_definitions(module, private=True) == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_public_definitions_are_read(module):
+    assert _unread_definitions(module, private=False) == []

@@ -136,6 +136,24 @@ def test_orbit_budget_counts_swept_tails(monkeypatch):
     assert sum(tally) == 9 ** 6
 
 
+def test_gap_budget_refused_before_tables():
+    """A refused gap-family sweep builds no lookup table, even at q = 1024.
+    Whether the fixed part vanishes as a function, as x^5 - x^3 does on F_3,
+    is read from its coefficients.  Such a span is homogeneous: its q tails
+    with no nonzero non-constant coefficient are not swept, so it sweeps 15
+    (s = 2: weight 1 for c_1, 2 for c_2) where a nonvanishing part takes 18."""
+    f3 = make_field(3, 1)
+    u_high = [f3.zero, f3.element(2)]
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExceededError):
+            brute_nk_distribution(make_field(2, 10), [], 40, 39, EnumerationBudget(10 ** 4))
+        with pytest.raises(BudgetExceededError) as info:
+            brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(14))
+    assert info.value.required == 15
+    tally = brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(15))
+    assert tally == ref_nk_distribution(f3, u_high, 5, 2)
+
+
 @pytest.mark.parametrize("block", ["1", "q", "7q"])
 def test_span_distribution_block_independence(monkeypatch, block):
     """Any block size partitions the enumeration into identical tallies."""

@@ -3,12 +3,12 @@ forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
 range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
 the gap-2/3 main regime against its earlier alpha/beta and p | n form, the
 reduced regime n >= q against the earlier case tables, and the
-quadratic/linear counts summed over a0."""
+quadratic/linear counts summed over a0 and against their earlier case table."""
 
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fqcount.counting import (
     _alternating_tail,
@@ -17,15 +17,18 @@ from fqcount.counting import (
     count_nk_gap3,
     moment_subset_count,
     quad_lin_solution_count,
+    quadlin_case_count,
 )
 from fqcount.ff import make_field
 
 from helpers import (
+    force_quadlin_case,
     ref_alternating_tail,
     ref_gap2_main,
     ref_gap2_reduced,
     ref_gap3_main,
     ref_gap3_reduced,
+    ref_quadlin_cases,
 )
 
 FIELDS = {f.q: f for f in (make_field(7, 2), make_field(3, 4), make_field(11, 2),
@@ -125,6 +128,32 @@ def test_quadlin_summed_over_a0_is_hyperplane(q, data):
     a, bvec = [f.element(i) for i in a], [f.element(i) for i in bvec]
     total = sum(quad_lin_solution_count(f, a, a0, bvec, b0).value for a0 in f.elements())
     assert total == q ** (n - 1)
+
+
+QUADLIN_FIELDS = {f.q: f for f in (make_field(7, 1), make_field(11, 1), make_field(3, 3),
+                                   make_field(7, 2), make_field(3, 4), make_field(11, 2),
+                                   make_field(5, 4))}
+
+
+@pytest.mark.parametrize("q", sorted(QUADLIN_FIELDS))
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quadlin_identity_matches_case_table(q, data):
+    """Case and count of the Gauss-sum identity equal the earlier case table
+    for n <= 40, q = 1 and 3 mod 4, with each of the four cases forced."""
+    f = QUADLIN_FIELDS[q]
+    case = data.draw(st.integers(1, 4), label="case")
+    n = data.draw(st.integers(1 if case <= 2 else 2, 40), label="n")
+    a = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n), label="a")
+    bvec = data.draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1), label="b")
+    bvec.append(data.draw(st.integers(1, q - 1), label="b_n"))
+    a0, b0 = (data.draw(st.integers(0, q - 1), label=name) for name in ("a0", "b0"))
+    instance = force_quadlin_case(f, [f.element(i) for i in a], f.element(a0),
+                                  [f.element(i) for i in bvec], f.element(b0), case)
+    assume(instance is not None)
+    got_case, got = quadlin_case_count(f, *instance)
+    assert got_case == case
+    assert (got_case, got.value) == ref_quadlin_cases(f, *instance)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

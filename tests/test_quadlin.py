@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from fqcount.counting import quad_lin_solution_count
-from fqcount.ff import make_field
+from fqcount.counting import quad_lin_solution_count, quadlin_case_count
+from fqcount.ff import FieldSpec, make_field
 
-from helpers import ref_quadlin
+from helpers import force_quadlin_case, ref_quadlin, ref_quadlin_cases
 
 
 def test_pinned_small_cases():
@@ -86,3 +86,28 @@ def test_sum_over_a0_covers_hyperplane():
             quad_lin_solution_count(f, a, f.element(a0), bvec, f.zero).value
             for a0 in range(f.q))
         assert total == f.q ** (n - 1)
+
+
+def test_identity_never_inverts(monkeypatch):
+    """At q = 625, n = 40 one instance of each case is counted with
+    FieldSpec.inv disabled, and matches the earlier case table."""
+    f = make_field(5, 4)
+    rng = random.Random("quadlin-inverse-free")
+    instances = []
+    for case in (1, 2, 3, 4):
+        instance = None
+        while instance is None:
+            a = [f.element(rng.randrange(1, f.q)) for _ in range(40)]
+            bvec = [f.element(rng.randrange(1, f.q)) for _ in range(40)]
+            a0, b0 = f.element(rng.randrange(f.q)), f.element(rng.randrange(f.q))
+            instance = force_quadlin_case(f, a, a0, bvec, b0, case)
+        instances.append((instance, ref_quadlin_cases(f, *instance)))
+
+    def no_inverse(self, x):
+        raise AssertionError("inverted a field element")
+
+    monkeypatch.setattr(FieldSpec, "inv", no_inverse)
+    for case, (instance, (want_case, want)) in enumerate(instances, start=1):
+        got_case, got = quadlin_case_count(f, *instance)
+        assert got_case == want_case == case
+        assert got.value == want
