@@ -104,6 +104,23 @@ def _pdivmod(a: tuple[int, ...], b: tuple[int, ...],
     return _trim(tuple(quot)), _trim(tuple(r[:db]))
 
 
+def _resultant(f: tuple[int, ...], g: tuple[int, ...], p: int) -> int:
+    """Res(f, g) in F_p for nonzero trimmed f and g, by Euclid's algorithm.
+
+    With r = f mod g, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r), and Res(f, c) = c^(deg f) for a constant c.
+    """
+    res = 1
+    while len(g) > 1:
+        r = _pdivmod(f, g, p)[1]
+        if not r:
+            return 0  # a common factor
+        df, dg = len(f) - 1, len(g) - 1
+        res = res * (-1) ** (df * dg) * pow(g[-1], df - len(r) + 1, p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p
+
+
 def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     a, b = _trim(a), _trim(b)
     while b:
@@ -193,7 +210,7 @@ class FieldElement:
         return self.field.index(self)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         return f"FieldElement(q={self.field.q}, index={self.index})"
@@ -218,7 +235,7 @@ class FieldSpec:
         for _ in range(self.e):
             digits.append(index % self.p)
             index //= self.p
-        return FieldElement(self, tuple(digits))
+        return self._trusted(tuple(digits))
 
     def index(self, x: FieldElement) -> int:
         self._check(x)
@@ -232,15 +249,15 @@ class FieldSpec:
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.e)
+        return self._trusted((0,) * self.e)
 
     @property
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
+        return self._trusted((1,) + (0,) * (self.e - 1))
 
     def from_int(self, c: int) -> FieldElement:
         """Image of the integer c in the prime subfield."""
-        return FieldElement(self, (c % self.p,) + (0,) * (self.e - 1))
+        return self._trusted((c % self.p,) + (0,) * (self.e - 1))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -248,27 +265,47 @@ class FieldSpec:
         if x.field is not self and x.field != self:
             raise FieldError(f"element of GF({x.field.q}) used in GF({self.q})")
 
+    def _trusted(self, coeffs: tuple[int, ...]) -> FieldElement:
+        """An element of e coefficients already reduced mod p, built without
+        FieldElement's validation: only for coefficients this field computed."""
+        x = object.__new__(FieldElement)
+        object.__setattr__(x, "field", self)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
     def _wrap(self, coeffs: tuple[int, ...]) -> FieldElement:
-        return FieldElement(self, tuple(coeffs) + (0,) * (self.e - len(coeffs)))
+        return self._trusted(tuple(coeffs) + (0,) * (self.e - len(coeffs)))
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a), self._check(b)
-        return FieldElement(self, tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+        return self._trusted(tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a), self._check(b)
-        return FieldElement(self, tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+        return self._trusted(tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
 
     def neg(self, a: FieldElement) -> FieldElement:
         self._check(a)
-        return FieldElement(self, tuple((-x) % self.p for x in a.coeffs))
+        return self._trusted(tuple((-x) % self.p for x in a.coeffs))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        """The product, reduced by the monic modulus in the same pass."""
         self._check(a), self._check(b)
-        if self.e == 1:
-            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
-        prod = _pmod(_pmul(a.coeffs, b.coeffs, self.p), self.modulus, self.p)
-        return self._wrap(prod)
+        p, e = self.p, self.e
+        if e == 1:
+            return self._trusted(((a.coeffs[0] * b.coeffs[0]) % p,))
+        prod = [0] * (2 * e - 1)
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                for j, bj in enumerate(b.coeffs):
+                    prod[i + j] += ai * bj
+        modulus = self.modulus
+        for i in range(2 * e - 2, e - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(e):
+                    prod[i - e + j] -= c * modulus[j]
+        return self._trusted(tuple(c % p for c in prod[:e]))
 
     def inv(self, a: FieldElement) -> FieldElement:
         self._check(a)
@@ -276,7 +313,7 @@ class FieldSpec:
             raise FieldError("inversion of zero")
         p = self.p
         if self.e == 1:
-            return FieldElement(self, (pow(a.coeffs[0], p - 2, p),))
+            return self._trusted((pow(a.coeffs[0], p - 2, p),))
         # Extended Euclid against the modulus, keeping s_i * a = r_i (mod it).
         r0, r1 = self.modulus, _trim(a.coeffs)
         s0, s1 = (), (1,)
@@ -293,7 +330,7 @@ class FieldSpec:
         if k < 0:
             return self.pow_(self.inv(a), -k)
         if self.e == 1:
-            return FieldElement(self, (pow(a.coeffs[0], k, self.p),))
+            return self._trusted((pow(a.coeffs[0], k, self.p),))
         result = self.one
         acc = a
         while k:
@@ -339,16 +376,17 @@ def make_field(p: int, e: int, max_order: int = DEFAULT_ORDER_BOUND) -> FieldSpe
 def quadratic_character(field: FieldSpec, x: FieldElement) -> int:
     """chi(x) in {-1, 0, 1}: 0 at zero, 1 on nonzero squares, -1 otherwise.
 
-    Defined only in odd characteristic.
+    Defined only in odd characteristic.  Read as the Legendre symbol of the
+    norm N(x) = x^((q-1)/(p-1)) in F_p, since x^((q-1)/2) = N(x)^((p-1)/2).
+    The norm is the resultant Res(modulus, x), which Euclid's algorithm over
+    F_p gives in O(e^2) steps, with no exponentiation in F_q; for e = 1 it
+    is x itself.
     """
     if field.p == 2:
         raise FieldError("quadratic character undefined in characteristic 2")
     field._check(x)
     if x.is_zero():
         return 0
-    t = field.pow_(x, (field.q - 1) // 2)
-    if t == field.one:
-        return 1
-    if t != field.neg(field.one):
-        raise FieldError("quadratic character did not evaluate to +-1")  # unreachable
-    return -1
+    p = field.p
+    norm = _resultant(field.modulus, _trim(x.coeffs), p)  # nonzero: the modulus is irreducible
+    return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1

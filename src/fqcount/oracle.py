@@ -26,9 +26,12 @@ accumulator states instead of a walk over subsets or tuples.  A state is the
 sum, or the sum and a second accumulator; for the quadratic/linear system it
 is the pair (sum a_i x_i^2, sum b_i x_i).  Adjoining an element or a
 coordinate maps each state through a permutation, or a sum of q of them, so
-one table of counts replaces the walk.  The counts can pass 2^63, so a table
-is kept modulo the fewest 61-bit primes whose product exceeds every count.
-The Chinese remainder theorem rebuilds only the counts a caller reads.
+one table of counts replaces the walk.  Quadratic/linear systems of one
+length run as one batch, a table with one row of states per system, so a
+batch costs the numpy calls of a single system.  The counts can pass 2^63,
+so a table is kept modulo the fewest 61-bit primes whose product exceeds
+every count.  The Chinese remainder theorem rebuilds only the counts a
+caller reads.
 """
 
 from __future__ import annotations
@@ -541,6 +544,69 @@ def brute_subsets_mss2(
 # Quadratic/linear systems: a dynamic program over (quadratic, linear) sums.
 # ---------------------------------------------------------------------------
 
+def quadlin_counts(
+    field: FieldSpec,
+    instances: Sequence[tuple[Sequence[FieldElement], FieldElement,
+                              Sequence[FieldElement], FieldElement]],
+    budget: EnumerationBudget = DEFAULT_BUDGET,
+) -> list[int]:
+    """Solution counts in F_q^n of sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0,
+    one per instance (a, a0, bvec, b0); every vector has the same length n.
+
+    A dynamic program over the states (Q, L) = (sum a_i x_i^2, sum b_i x_i)
+    of the coordinates so far, on one (moduli, instances, q, q) table with a
+    q x q slice of states per instance: coordinate i sends (Q, L) to
+    (Q + a_i x^2, L + b_i x) for each x, so the new table is a sum of q
+    shifted gathers of the old one, each instance read through its own shift
+    tables.  The counts sum to q^n, so below 2^61 they stay under one modulus
+    and are exact, and the values of x are gathered in blocks of at most
+    max(_BLOCK_ENTRIES, instances x q^2) entries.  Past it the table is kept
+    modulo the fewest primes of _MODULI whose product exceeds q^n, one x is
+    added at a time so that no sum of residues overflows, and the one count
+    read per instance is rebuilt from its residues.  The budget counts one
+    instance's DP state updates, moduli x n x q^3, and is checked before any
+    table is built.
+    """
+    q = field.q
+    lengths = {len(v) for a, _, bvec, _ in instances for v in (a, bvec)}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError("coefficient vectors must be nonempty and equal-length")
+    [n] = lengths
+    for a, a0, bvec, b0 in instances:
+        for x in (*a, *bvec, a0, b0):
+            field._check(x)
+    moduli = _moduli_past(q ** n)
+    budget.check(len(moduli) * n * q ** 3, "quadratic/linear DP", "DP state updates")
+    t = field_tables(field)
+    add_t, mul_t, neg_t = t["add"], t["mul"], t["neg"]
+    squares = mul_t[np.arange(q), np.arange(q)]
+    a_idx = np.array([[x.index for x in a] for a, _, _, _ in instances])
+    b_idx = np.array([[x.index for x in bvec] for _, _, bvec, _ in instances])
+    batch = len(instances)
+    slots = np.arange(batch)
+    mods = np.array(moduli, dtype=np.int64)[:, None, None, None]
+    # values of x gathered at once: a block while the counts stay exact, one
+    # at a time when residues are summed
+    per = max(1, _BLOCK_ENTRIES // (batch * q * q)) if len(moduli) == 1 else 1
+    dp = np.zeros((len(moduli), batch, q, q), dtype=np.int64)
+    dp[:, :, 0, 0] = 1  # the empty tuple, in the zero state
+    for i in range(n):
+        # Row x of quad maps Q to Q - a_i x^2, and row x of lin maps L to
+        # L - b_i x: the state each (Q, L) is read from, per instance.
+        quad = add_t[neg_t[mul_t[a_idx[:, i]][:, squares]]]
+        lin = add_t[neg_t[mul_t[b_idx[:, i]]]]
+        grown = np.zeros_like(dp)
+        for s in range(0, q, per):
+            block = dp[:, slots[:, None, None, None], quad[:, s:s + per, :, None],
+                       lin[:, s:s + per, None, :]]
+            grown += block.sum(axis=2)
+            np.subtract(grown, mods, out=grown, where=grown >= mods)
+        dp = grown
+    residues = dp[:, slots, [a0.index for _, a0, _, _ in instances],
+                  [b0.index for _, _, _, b0 in instances]]
+    return [_crt(r, moduli) for r in residues.T.tolist()]
+
+
 def brute_quadlin(
     field: FieldSpec,
     a: Sequence[FieldElement],
@@ -551,43 +617,7 @@ def brute_quadlin(
 ) -> ExactCount:
     """Count tuples in F_q^n satisfying sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0.
 
-    A dynamic program over the states (Q, L) = (sum a_i x_i^2, sum b_i x_i)
-    of the coordinates so far: coordinate i sends (Q, L) to (Q + a_i x^2,
-    L + b_i x) for each x, so the new table is a sum of q shifted gathers of
-    the old one.  The counts sum to q^n, so below 2^61 they stay under one
-    modulus and are exact.  Past it the table is kept modulo the fewest
-    primes of _MODULI whose product exceeds q^n, one x is added at a time so
-    that no sum of residues overflows, and the one count read is rebuilt
-    from its residues.
-    The budget counts DP state updates: moduli x n x q^3.
+    `quadlin_counts` on a batch of one; its budget counts DP state updates,
+    moduli x n x q^3.
     """
-    q = field.q
-    n = len(a)
-    if n < 1 or len(bvec) != n:
-        raise ValueError("coefficient vectors must be nonempty and equal-length")
-    for x in (*a, *bvec, a0, b0):
-        field._check(x)
-    moduli = _moduli_past(q ** n)
-    budget.check(len(moduli) * n * q ** 3, "quadratic/linear DP", "DP state updates")
-    t = field_tables(field)
-    add_t, mul_t, neg_t = t["add"], t["mul"], t["neg"]
-    squares = mul_t[np.arange(q), np.arange(q)]
-    # Row x of quad[i] maps Q to Q - a_i x^2, and row x of lin[i] maps L to
-    # L - b_i x: the state each (Q, L) is read from.
-    quad = add_t[neg_t[mul_t[[x.index for x in a]][:, squares]]]
-    lin = add_t[neg_t[mul_t[[x.index for x in bvec]]]]
-    # values of x gathered at once: a block while the counts stay exact, one
-    # at a time when residues are summed
-    per = max(1, _BLOCK_ENTRIES // (q * q)) if len(moduli) == 1 else 1
-    residues = []
-    for modulus in moduli:
-        dp = np.zeros((q, q), dtype=np.int64)
-        dp[0, 0] = 1  # the empty tuple, in the zero state
-        for quad_i, lin_i in zip(quad, lin):
-            grown = np.zeros_like(dp)
-            for s in range(0, q, per):
-                grown += dp[quad_i[s:s + per, :, None], lin_i[s:s + per, None, :]].sum(axis=0)
-                np.subtract(grown, modulus, out=grown, where=grown >= modulus)
-            dp = grown
-        residues.append(int(dp[a0.index, b0.index]))
-    return ExactCount(_crt(residues, moduli))
+    return ExactCount(quadlin_counts(field, [(a, a0, bvec, b0)], budget)[0])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fqcount import cli, counting, ff, sieve, wenger
+from fqcount import cli, counting, ff, oracle, sieve, wenger
 from fqcount.counting import ExactCount
 
 
@@ -334,3 +334,18 @@ def test_quadlin_cell_evaluates_invariants_once_per_instance(monkeypatch):
     assert len(rows) == cli.QUADLIN_INSTANCES
     assert all(row[3] == row[4] for row in rows)
     assert 0 < len(calls) <= len(rows)
+
+
+def test_quadlin_cell_makes_one_oracle_call(monkeypatch):
+    """A cell's instances go to the oracle as one batch, and its oracle
+    column equals the instance-by-instance counts."""
+    calls = []
+    original = oracle.quadlin_counts
+    monkeypatch.setattr(oracle, "quadlin_counts",
+                        lambda *args: calls.append(args) or original(*args))
+    fld = ff.make_field(3, 2)
+    rows = cli._quadlin_check(cli.RunConfig(), fld, 3)
+    assert len(calls) == 1 and len(calls[0][1]) == len(rows)
+    instances = cli.quadlin_instances(fld, 3, cli.QUADLIN_INSTANCES, cli.DEFAULT_SEED)
+    assert [row[4] for row in rows] == \
+        [oracle.brute_quadlin(fld, *instance[:4]).value for instance in instances]

@@ -1,9 +1,13 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqcount.ff import (
+    FieldElement,
     FieldError,
+    FieldSpec,
     canonical_modulus,
     is_prime,
     make_field,
@@ -98,6 +102,36 @@ def test_arith_identities():
             assert f.add(x, f.neg(x)) == f.zero
 
 
+def test_element_construction_validates():
+    """Elements built by the public constructor are checked; only the field's
+    own arithmetic skips the check."""
+    f9 = make_field(3, 2)
+    for coeffs in ((1,), (1, 0, 0), (3, 0), (0, -1)):
+        with pytest.raises(FieldError):
+            FieldElement(f9, coeffs)
+    with pytest.raises(FieldError):
+        f9.element(9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(3, 2), (5, 2), (3, 4)]), st.data())
+def test_operation_results_equal_validated_elements(pe, data):
+    """Results of the field operations compare and hash equal to the same
+    coefficients passed through the validating constructor."""
+    f = make_field(*pe)
+    index = st.integers(0, f.q - 1)
+    x, y = (f.element(data.draw(index, label=name)) for name in ("x", "y"))
+    k = data.draw(st.integers(-5, 2 * f.q), label="k")
+    results = [f.add(x, y), f.sub(x, y), f.neg(x), f.mul(x, y), f.zero, f.one,
+               f.from_int(data.draw(st.integers(-20, 20), label="c"))]
+    if not x.is_zero():
+        results += [f.inv(x), f.pow_(x, k)]
+    for r in results:
+        v = FieldElement(f, r.coeffs)
+        assert r == v and hash(r) == hash(v) and r.index == v.index
+        assert r.is_zero() == (v.index == 0)
+
+
 def test_cross_field_elements_rejected():
     f9, f3 = make_field(3, 2), make_field(3, 1)
     with pytest.raises(FieldError):
@@ -145,6 +179,34 @@ def test_quadratic_character_properties(p, e):
     for a in list(f.elements())[1:]:
         for b in list(f.elements())[1:]:
             assert quadratic_character(f, f.mul(a, b)) == chi[f.index(a)] * chi[f.index(b)]
+
+
+ODD_FIELDS_BY_DEGREE = {
+    e: [p for p in range(3, 730) if is_prime(p) and p ** e <= 729] for e in range(1, 7)}
+
+
+def _euler_character(f, x):
+    return 0 if x.is_zero() else 1 if f.pow_(x, (f.q - 1) // 2) == f.one else -1
+
+
+@pytest.mark.parametrize("e", sorted(ODD_FIELDS_BY_DEGREE))
+def test_quadratic_character_matches_euler(e):
+    """The norm's Legendre symbol equals Euler's criterion x^((q-1)/2) at
+    every element of every odd field with q <= 729."""
+    for p in ODD_FIELDS_BY_DEGREE[e]:
+        f = make_field(p, e)
+        for x in f.elements():
+            assert quadratic_character(f, x) == _euler_character(f, x), (p, e, x.coeffs)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 4), (3, 6)])
+def test_quadratic_character_takes_no_powers(p, e):
+    """The character is read from the norm, with no exponentiation in F_q."""
+    f = make_field(p, e)
+    xs = [f.element(i) for i in range(0, f.q, max(1, f.q // 50))]
+    expected = [_euler_character(f, x) for x in xs]
+    with mock.patch.object(FieldSpec, "pow_", side_effect=AssertionError("pow_ called")):
+        assert [quadratic_character(f, x) for x in xs] == expected
 
 
 def test_quadratic_character_small_fields():

@@ -402,6 +402,51 @@ def test_quadlin_dp_past_two_to_the_63():
     assert info.value.required == 2 * 14 * 49 ** 3
 
 
+def test_quadlin_counts_batch_past_two_to_the_63():
+    """The four q = 49, n = 14 instances above in one batch: two moduli, one x
+    at a time, every count rebuilt from its own residues.  The batch is
+    refused at one instance's number, before any table is built."""
+    f = make_field(7, 2)
+    a = [f.element(i) for i in range(1, 15)]
+    lin = [f.one] + [f.zero] * 13
+    flat = [f.neg(a[1])] + a[1:]
+    flat_lin = [f.one, f.one] + [f.zero] * 12
+    instances = [(a, f.one, lin, f.one), (a, f.element(2), lin, f.one),
+                 (flat, f.element(3), flat_lin, f.zero), (flat, f.element(3), flat_lin, f.one)]
+    expected = [quad_lin_solution_count(f, *instance).value for instance in instances]
+    assert oracle.quadlin_counts(f, instances) == expected
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.quadlin_counts(f, instances, EnumerationBudget(2 * 14 * 49 ** 3 - 1))
+    assert info.value.required == 2 * 14 * 49 ** 3
+
+
+def test_quadlin_counts_batch_budget_is_per_instance():
+    """A batch is refused at the single-instance number and unit."""
+    f9 = make_field(3, 2)
+    instances = [([f9.element(i)] * 14, f9.element(j), [f9.one] * 14, f9.zero)
+                 for i, j in ((1, 0), (2, 5), (7, 1))]
+    for batch in (instances[:1], instances):
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.quadlin_counts(f9, batch, EnumerationBudget(10205))
+        assert info.value.required == 10206
+        assert "10206 DP state updates" in str(info.value)
+    assert oracle.quadlin_counts(f9, instances, EnumerationBudget(10206)) == \
+        [quad_lin_solution_count(f9, *instance).value for instance in instances]
+
+
+def test_quadlin_counts_batch_validation():
+    """Every instance of a batch shares one n; an empty batch has none."""
+    f5 = make_field(5, 1)
+    one, zero = f5.one, f5.zero
+    for batch in ([([one], zero, [one], zero), ([one, one], zero, [one, one], zero)],
+                  [([one, one], zero, [one, one], zero), ([one, one], zero, [one], zero)],
+                  [([], zero, [], zero)],
+                  []):
+        with pytest.raises(ValueError):
+            oracle.quadlin_counts(f5, batch)
+
+
 @pytest.mark.parametrize("moduli", [(8191, 131071, 524287), (31, 37, 41, 43, 47, 53)])
 def test_quadlin_dp_chinese_remainders(monkeypatch, moduli):
     """Small moduli wrap the counts and need two or more residues each; the
@@ -503,3 +548,28 @@ def test_brute_quadlin_matches_literal(q, data):
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, 2)):
         got = brute_quadlin(f, a, a0, bvec, b0).value
     assert got == ref_quadlin(f, a, a0, bvec, b0)
+
+
+@ORACLE_PROPERTY
+@given(st.sampled_from(sorted(SMALL_FIELDS)), st.data())
+def test_quadlin_counts_batch_matches_literal(q, data):
+    """Each count of a batch equals the literal count of its instance, with
+    targets (a0, b0), zero coefficients and zero linear forms mixed across the
+    batch, and block sizes that gather from one x at a time for the whole
+    batch up to every x at once."""
+    f = SMALL_FIELDS[q]
+    n = data.draw(st.integers(1, 4 if q <= 4 else 3 if q <= 7 else 2), label="n")
+    size = data.draw(st.integers(1, 5), label="batch")
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(0, q - 1)), min_size=n, max_size=n)
+    index = st.integers(0, q - 1)
+    instances = []
+    for j in range(size):
+        a = [f.element(i) for i in data.draw(coeffs, label=f"a{j}")]
+        bvec = [f.element(i) for i in data.draw(coeffs, label=f"bvec{j}")]
+        a0, b0 = (f.element(data.draw(index, label=f"{name}{j}")) for name in ("a0", "b0"))
+        instances.append((a, a0, bvec, b0))
+    block = data.draw(st.sampled_from([1, q * q, size * q * q, 3 * size * q * q, 1 << 16]),
+                      label="block")
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+        got = oracle.quadlin_counts(f, instances)
+    assert got == [ref_quadlin(f, *instance) for instance in instances]
