@@ -282,6 +282,7 @@ def quadlin_instances(fld, n: int, count: int, seed: int):
     count; n >= 2 sweeps visit all four cases."""
     rng = random.Random(f"{seed}:{fld.q}:{n}")
     q = fld.q
+    elements = list(fld.elements())
     out = []
     have_cases = set()
     attempts = 0
@@ -290,12 +291,12 @@ def quadlin_instances(fld, n: int, count: int, seed: int):
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("quadlin instance generation failed to cover all cases")
-        a = [fld.element(rng.randrange(1, q)) for _ in range(n)]
-        bvec = [fld.element(rng.randrange(q)) for _ in range(n)]
+        a = [elements[rng.randrange(1, q)] for _ in range(n)]
+        bvec = [elements[rng.randrange(q)] for _ in range(n)]
         if all(x.is_zero() for x in bvec):
             continue
-        a0 = fld.element(rng.randrange(q))
-        b0 = fld.element(rng.randrange(q))
+        a0 = elements[rng.randrange(q)]
+        b0 = elements[rng.randrange(q)]
         case, closed_form = counting.quadlin_case_count(fld, a, a0, bvec, b0)
         if len(out) < count or case not in have_cases:
             out.append((a, a0, bvec, b0, case, closed_form.value))

@@ -193,12 +193,18 @@ def quadlin_invariants(
     """P = prod(a_i), B' = P*b and C' = P*c for the invariants
     b = sum(b_i^2 / a_i) and c = b0^2 - a0*b, without inverting: one pass of
     P <- P*a_i, B' <- a_i*B' + b_i^2*P from P = a_1, B' = b_1^2.  Needs at
-    least one a_i, all nonzero: then P != 0, and B', C' vanish when b, c do."""
-    prod, b = a[0], field.mul(bvec[0], bvec[0])
+    least one a_i, all nonzero: then P != 0, and B', C' vanish when b, c do.
+    The pass runs on the coefficient tuples of elements the caller has
+    checked; only the three results are wrapped."""
+    mul, p = field._mul_coeffs, field.p
+    prod, b = a[0].coeffs, mul(bvec[0].coeffs, bvec[0].coeffs)
     for ai, bi in zip(a[1:], bvec[1:]):
-        b = field.add(field.mul(ai, b), field.mul(field.mul(bi, bi), prod))
-        prod = field.mul(prod, ai)
-    return prod, b, field.sub(field.mul(field.mul(b0, b0), prod), field.mul(a0, b))
+        x, y = ai.coeffs, bi.coeffs
+        b = tuple((u + v) % p for u, v in zip(mul(x, b), mul(mul(y, y), prod)))
+        prod = mul(prod, x)
+    c = tuple((u - v) % p for u, v in zip(mul(mul(b0.coeffs, b0.coeffs), prod),
+                                          mul(a0.coeffs, b)))
+    return field._trusted(prod), field._trusted(b), field._trusted(c)
 
 
 def quad_lin_solution_count(

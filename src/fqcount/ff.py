@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 DEFAULT_ORDER_BOUND = 1 << 20
@@ -205,9 +206,15 @@ class FieldElement:
         if any(c < 0 or c >= self.field.p for c in self.coeffs):
             raise FieldError(f"coefficients not reduced mod {self.field.p}: {self.coeffs}")
 
-    @property
+    @cached_property
     def index(self) -> int:
-        return self.field.index(self)
+        """The position in the enumeration order: the coefficients read as
+        base-p digits.  Computed once per element and kept apart from the
+        dataclass fields, so `==` and `hash` do not see it."""
+        idx, p = 0, self.field.p
+        for c in reversed(self.coeffs):
+            idx = idx * p + c
+        return idx
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -239,10 +246,7 @@ class FieldSpec:
 
     def index(self, x: FieldElement) -> int:
         self._check(x)
-        idx = 0
-        for c in reversed(x.coeffs):
-            idx = idx * self.p + c
-        return idx
+        return x.index
 
     def elements(self) -> Iterator[FieldElement]:
         return (self.element(i) for i in range(self.q))
@@ -289,15 +293,19 @@ class FieldSpec:
         return self._trusted(tuple((-x) % self.p for x in a.coeffs))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        """The product, reduced by the monic modulus in the same pass."""
         self._check(a), self._check(b)
+        return self._trusted(self._mul_coeffs(a.coeffs, b.coeffs))
+
+    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The coefficients of the product of two elements' coefficient tuples,
+        reduced by the monic modulus in the same pass."""
         p, e = self.p, self.e
         if e == 1:
-            return self._trusted(((a.coeffs[0] * b.coeffs[0]) % p,))
+            return ((a[0] * b[0]) % p,)
         prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a.coeffs):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b.coeffs):
+                for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
         modulus = self.modulus
         for i in range(2 * e - 2, e - 1, -1):
@@ -305,7 +313,7 @@ class FieldSpec:
             if c:
                 for j in range(e):
                     prod[i - e + j] -= c * modulus[j]
-        return self._trusted(tuple(c % p for c in prod[:e]))
+        return tuple(c % p for c in prod[:e])
 
     def inv(self, a: FieldElement) -> FieldElement:
         self._check(a)

@@ -19,7 +19,10 @@ weighted by the orbit size, which is still the exact tally over every
 vector.  A span through zero is homogeneous, since mu * f has the zeros of
 f: one vector per scalar class, weighted by q - 1.  A polynomial family
 x^n + ... keeps its distinct-root count under f(x) -> lambda^(-n) f(lambda x),
-and the lambda that fix its fixed coefficients act on its free tails.
+and the lambda that fix its fixed coefficients act on its free tails.  Before
+that, a family is translated so that its x^(n-1) coefficient is zero, and a
+fixed part whose function the tails already span is dropped, which leaves a
+homogeneous span.
 
 Subset and quadratic/linear counts come from dynamic programs over
 accumulator states instead of a walk over subsets or tuples.  A state is the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 import numpy as np
@@ -302,6 +305,28 @@ def _u_eval_row(field: FieldSpec, u_high: Sequence[FieldElement], n: int, ell: i
     return acc
 
 
+def _translated(
+    field: FieldSpec, u_high: Sequence[FieldElement], n: int, ell: int
+) -> list[FieldElement]:
+    """The fixed coefficients of f(x + c), c = -u_(n-1)/n, for n prime to p:
+    u'_j = sum over d >= j of C(d, j) c^(d-j) u_d (u_n = 1), so that
+    u'_(n-1) = u_(n-1) + n c = 0.  The terms of degree <= ell join the tail."""
+    p = field.p
+    c = field.mul(field.neg(u_high[0]), field.from_int(pow(n, -1, p)))
+    coeffs = (field.one, *u_high)  # u_d at coeffs[n - d]
+    powers = [field.one]
+    for _ in range(n - ell - 1):
+        powers.append(field.mul(powers[-1], c))
+    out = [field.zero]  # u'_(n-1), zero by the choice of c
+    for j in range(n - 2, ell, -1):
+        acc = field.zero
+        for d in range(j, n + 1):
+            term = field.mul(powers[d - j], coeffs[n - d])
+            acc = field.add(acc, field.mul(field.from_int(comb(d, j)), term))
+        out.append(acc)
+    return out
+
+
 def brute_nk_distribution(
     field: FieldSpec,
     u_high: Sequence[FieldElement],
@@ -314,17 +339,27 @@ def brute_nk_distribution(
     u_high lists the fixed coefficients for degrees n-1 down to ell+1 (so it
     is empty for gap 1).  Works for any gap, unlike the closed forms.
 
-    lambda^(-n) * f(lambda x) has the distinct-root count of f and turns each
-    coefficient c_d into c_d * lambda^(d-n).  It keeps the fixed part when
-    lambda lies in the subgroup of order s = gcd(q - 1, n - d over every
-    nonzero u_d).  On the tails whose top nonzero coefficient is c_j that
-    subgroup moves c_j through a coset of order o_j = s / gcd(s, n - j), one
-    to one on the lower coefficients, so c_j runs over (q - 1) / o_j coset
-    representatives and the tally is weighted by o_j.  With s = 1 every tail
-    is swept.  The budget counts the tails swept and is checked before any
-    table is built: whether the fixed part vanishes as a function
-    (homogeneous) is read from its coefficients, x^d folded onto
-    x^((d-1) mod (q-1) + 1), the same function on F_q for d >= 1.
+    The family is first made canonical, by two maps that keep the tally:
+    - Translation.  When p does not divide n and u_(n-1) != 0, the fixed part
+      becomes that of f(x + c) with u'_(n-1) = 0 (`_translated`): the roots
+      move by -c, and the tails map one to one onto tails.
+    - Absorption.  x^d is the function x^((d-1) mod (q-1) + 1) on F_q for
+      d >= 1.  When every nonzero folded coefficient sits at an exponent
+      <= ell, the fixed part is a function the tails already span, so the
+      tally is that of the tails alone: a homogeneous span, swept one vector
+      per scalar class with weight q - 1, as in `span_root_distribution`.
+      A fixed part that vanishes as a function is the case with no nonzero
+      folded coefficient.
+
+    Otherwise lambda^(-n) * f(lambda x) has the distinct-root count of f and
+    turns each coefficient c_d into c_d * lambda^(d-n).  It keeps the fixed
+    part when lambda lies in the subgroup of order s = gcd(q - 1, n - d over
+    every nonzero u_d).  On the tails whose top nonzero coefficient is c_j
+    that subgroup moves c_j through a coset of order o_j = s / gcd(s, n - j),
+    one to one on the lower coefficients, so c_j runs over (q - 1) / o_j
+    coset representatives and the tally is weighted by o_j.  After
+    translation u_(n-1) = 0, so gap 2 has s = q - 1 at every b.  The budget
+    counts the tails swept and is checked before any table is built.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
@@ -333,21 +368,26 @@ def brute_nk_distribution(
     for coeff in u_high:
         field._check(coeff)
     q = field.q
+    if u_high and n % field.p and not u_high[0].is_zero():
+        u_high = _translated(field, u_high, n, ell)
     s, folded = q - 1, {}
     for coeff, d in zip((field.one, *u_high), range(n, ell, -1)):
         if not coeff.is_zero():
             s = gcd(s, n - d)
-            slot = (d - 1) % (q - 1)
-            folded[slot] = field.add(folded.get(slot, field.zero), coeff)
-    homogeneous = all(c.is_zero() for c in folded.values())
-    orbits = []
-    for j in range(1, ell + 1):
-        o = s // gcd(s, n - j)
-        orbits.append(((q - 1) // o, o))
-    budget.check(_swept_vectors(q, orbits, homogeneous), "coefficient-space enumeration")
+            exponent = (d - 1) % (q - 1) + 1
+            folded[exponent] = field.add(folded.get(exponent, field.zero), coeff)
+    absorbed = all(c.is_zero() for exponent, c in folded.items() if exponent > ell)
+    if absorbed:
+        orbits = [(1, q - 1)] * ell
+    else:
+        orbits = []
+        for j in range(1, ell + 1):
+            o = s // gcd(s, n - j)
+            orbits.append(((q - 1) // o, o))
+    budget.check(_swept_vectors(q, orbits, absorbed), "coefficient-space enumeration")
     basis = [power_row(field, i) for i in range(ell + 1)]
-    fixed_row = _u_eval_row(field, u_high, n, ell)
-    return _orbit_distribution(field, fixed_row, basis, orbits, homogeneous)
+    fixed_row = np.zeros(q, dtype=np.int32) if absorbed else _u_eval_row(field, u_high, n, ell)
+    return _orbit_distribution(field, fixed_row, basis, orbits, absorbed)
 
 
 def brute_nk(
@@ -446,6 +486,18 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return x
 
 
+def _subset_tables(
+    field: FieldSpec, t_size: int, predicate: str, budget: EnumerationBudget
+) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """The `_subset_dp` tables that size t_size is read from: one table of
+    every size 0..q when the budget allows it, of sizes 0..t otherwise."""
+    q = field.q
+    _check_table_order(q)  # _MODULI covers every table up to this order
+    n_states = q if predicate == "sum-only" else q * q
+    full = _dp_plan(q, q, n_states)[1] <= budget.max_items
+    return _subset_dp(field, predicate, q if full else t_size, budget)
+
+
 def subset_pair_tally(
     field: FieldSpec,
     t_size: int,
@@ -471,10 +523,8 @@ def subset_pair_tally(
         raise ValueError(f"predicate must be one of {SUBSET_PREDICATES}, got {predicate!r}")
     if not 0 <= t_size <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
-    _check_table_order(q)  # _MODULI covers every table up to this order
-    n_states = q if predicate == "sum-only" else q * q
-    full = _dp_plan(q, q, n_states)[1] <= budget.max_items
-    moduli, tables = _subset_dp(field, predicate, q if full else t_size, budget)
+    moduli, tables = _subset_tables(field, t_size, predicate, budget)
+    n_states = tables[0].shape[1]
     cells = np.arange(n_states) if states is None else np.asarray(states, dtype=np.intp)
     residues = np.stack([table[t_size, cells] for table in tables], axis=1).tolist()
     counts = [_crt(r, moduli) for r in residues]
@@ -509,7 +559,10 @@ def brute_subsets_mss2(
 
     The `predicate` switch selects the power-sum or elementary-symmetric
     reading of the second accumulator; the two must tally identically away
-    from characteristic 2.  Every mode reads `subset_pair_tally`.
+    from characteristic 2.  Every mode reads `subset_pair_tally`.  The
+    first-distinct target states, (s1, m2 - (m1 - s1)^2) or
+    (s1, m2 - (m1 - s1) s1) for every sum s1 of S, are gathered from the
+    lookup tables once the subset DP has passed the budget.
     """
     q = field.q
     m1 = m1 if m1 is not None else field.zero
@@ -527,15 +580,12 @@ def brute_subsets_mss2(
     else:  # first-distinct
         if not 1 <= t_size <= q + 1:
             raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
-        states = []
-        for s1_idx in range(q):
-            s1 = field.element(s1_idx)
-            last = field.sub(m1, s1)
-            if predicate == "power-sums":
-                need = field.sub(m2, field.mul(last, last))
-            else:
-                need = field.sub(m2, field.mul(last, s1))
-            states.append(s1_idx * q + need.index)
+        _subset_tables(field, t_size - 1, predicate, budget)  # the budget, then the tables
+        t = field_tables(field)
+        s1 = np.arange(q)
+        last = t["add"][m1.index, t["neg"]]  # m1 - s1
+        second = t["mul"][last, last if predicate == "power-sums" else s1]
+        states = s1 * q + t["add"][m2.index, t["neg"][second]]  # (s1, m2 - second)
         value = sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
     return ExactCount(value)
 

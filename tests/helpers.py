@@ -108,18 +108,25 @@ def ref_subset_pair_tally(field, n, predicate):
 
 def ref_first_distinct(field, n):
     """(n-1)-subsets whose forced completion zeroes the second power sum."""
-    q = field.q
+    return ref_first_distinct_at(field, n, field.zero, field.zero, "power-sums")
+
+
+def ref_first_distinct_at(field, t, m1, m2, predicate):
+    """(t-1)-subsets S whose completion x_t = m1 - sum(S) gives the tuple
+    (S, x_t) the second accumulator m2: the sum of squares ("power-sums") or
+    of pairwise products ("elementary"), one subset at a time."""
     count = 0
-    for subset in itertools.combinations(range(q), n - 1):
+    for subset in itertools.combinations(field.elements(), t - 1):
         s1 = field.zero
-        s2 = field.zero
-        for i in subset:
-            x = field.element(i)
+        for x in subset:
             s1 = field.add(s1, x)
-            s2 = field.add(s2, field.mul(x, x))
-        last = field.neg(s1)
-        if field.add(s2, field.mul(last, last)).is_zero():
-            count += 1
+        xs = [*subset, field.sub(m1, s1)]
+        s2 = field.zero
+        pairs = ((x, x) for x in xs) if predicate == "power-sums" else \
+            itertools.combinations(xs, 2)
+        for x, y in pairs:
+            s2 = field.add(s2, field.mul(x, y))
+        count += s2 == m2
     return count
 
 

@@ -269,17 +269,17 @@ def test_config_file_and_env_layering(tmp_path, monkeypatch):
     config.write_text("# comment\nbudget = 20000\noutput_format = plain\n")
     # config file value applies
     code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",
-                      "--e", "1", "--n", "7", "--k", "1", "--method", "oracle"])
-    assert code == 2  # 23040 swept tails over the configured 20000
+                      "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
+    assert code == 2  # 97655 swept tails over the configured 20000
     # env overrides the file
     monkeypatch.setenv(cli.ENV_BUDGET, str(10 ** 8))
     code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",
-                      "--e", "1", "--n", "7", "--k", "1", "--method", "oracle"])
+                      "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
     assert code == 0
     assert "value = " in text  # plain format from the config file
     # flag overrides the env
     code, _ = run(["--config", str(config), "--budget", "20000", "count", "--gap", "1",
-                   "--p", "5", "--e", "1", "--n", "7", "--k", "1", "--method", "oracle"])
+                   "--p", "5", "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
     assert code == 2
 
 

@@ -132,6 +132,53 @@ def test_operation_results_equal_validated_elements(pe, data):
         assert r.is_zero() == (v.index == 0)
 
 
+def digit_index(x):
+    """x's coefficients read as base-p digits, constant term lowest."""
+    return sum(c * x.field.p ** i for i, c in enumerate(x.coeffs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 3), (3, 1), (3, 2), (5, 2)]), st.data())
+def test_cached_index_is_the_digit_index(pe, data):
+    """The index computed once per element equals the digit index, for
+    elements from `element`, from the public constructor and from every
+    operation, read once and again."""
+    f = make_field(*pe)
+    i, j = (data.draw(st.integers(0, f.q - 1), label=name) for name in ("i", "j"))
+    x, y = f.element(i), f.element(j)
+    built = FieldElement(f, x.coeffs)
+    results = [x, built, f.add(x, y), f.sub(x, y), f.neg(x), f.mul(x, y), f.zero, f.one,
+               f.from_int(data.draw(st.integers(-20, 20), label="c"))]
+    if not x.is_zero():
+        results += [f.inv(x), f.pow_(x, data.draw(st.integers(-5, 2 * f.q), label="k"))]
+    assert x.index == i and built.index == i
+    for r in results:
+        assert r.index == digit_index(r) == f.index(r)
+        assert r.index == digit_index(r)  # the cached value
+
+
+def test_index_cache_is_invisible_to_eq_and_hash():
+    """Reading the index caches it on the element; equality and hashing
+    read the field and the coefficients only."""
+    f9 = make_field(3, 2)
+    x, y = f9.element(7), FieldElement(f9, f9.element(7).coeffs)
+    assert "index" not in vars(y)
+    assert x.index == 7 and "index" in vars(x)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert y.index == 7 and x == y and hash(x) == hash(y)
+    assert x != f9.element(8) and repr(x) == "FieldElement(q=9, index=7)"
+
+
+def test_index_rejects_an_element_of_another_field():
+    f9, f3 = make_field(3, 2), make_field(3, 1)
+    x = f3.element(2)
+    assert x.index == 2  # a cached index does not pass the field check
+    with pytest.raises(FieldError):
+        f9.index(x)
+    with pytest.raises(FieldError):
+        f3.index(f9.element(2))
+
+
 def test_cross_field_elements_rejected():
     f9, f3 = make_field(3, 2), make_field(3, 1)
     with pytest.raises(FieldError):

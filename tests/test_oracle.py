@@ -16,7 +16,7 @@ from fqcount.counting import (
     subset_sum_count,
 )
 from fqcount.exactcomb import binomial
-from fqcount.ff import make_field
+from fqcount.ff import FieldSpec, make_field
 from fqcount.oracle import (
     BudgetExceededError,
     EnumerationBudget,
@@ -33,6 +33,7 @@ from fqcount.wenger import WengerFamily, spectrum_oracle
 
 from helpers import (
     ref_first_distinct,
+    ref_first_distinct_at,
     ref_nk_distribution,
     ref_quadlin,
     ref_span_root_distribution,
@@ -94,17 +95,20 @@ def test_brute_nk_argument_validation():
 
 
 def test_budget_refusal_names_size():
-    """Gap 1 at q = 5, n = 7 sweeps sum_j D_j * 5^j + 5 = 23040 of the 5^7
-    tails: D_j = 1, 2, 1, 4, 1, 2 coset representatives for the top
-    nonzero coefficient c_j, j = 6 down to 1, plus the constants alone."""
+    """Gap 1 at q = 5, n = 7: x^7 is the function x^3 on F_5, which the
+    degree-6 tails span, so the family is swept as the homogeneous span of
+    its tails, one vector per scalar class: 5 * (5^6 - 1) / 4 = 19530 of the
+    5^7 tails.  The refusal comes one below that number.  The tally at that
+    budget is checked against the functions on F_5 with k zeros, C(5, k)
+    4^(5-k) of them, each the function of 5^2 tails: the one-evaluation-at-
+    a-time reference takes about 20 s on 5^7 tails."""
     f5 = make_field(5, 1)
-    tight = EnumerationBudget(10 ** 4)
     with pytest.raises(BudgetExceededError) as info:
-        brute_nk_distribution(f5, [], 7, 6, tight)
-    assert info.value.required == 23040
-    assert "23040" in str(info.value)
-    # same query under the default budget is fine
-    assert sum(brute_nk_distribution(f5, [], 7, 6)) == 5 ** 7
+        brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(19529))
+    assert info.value.required == 5 * (5 ** 6 - 1) // 4 == 19530
+    assert "19530" in str(info.value)
+    tally = brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(19530))
+    assert tally == [math.comb(5, k) * 5 ** 2 * 4 ** (5 - k) for k in range(6)]
 
 
 def test_orbit_budget_counts_swept_tails(monkeypatch):
@@ -139,19 +143,36 @@ def test_orbit_budget_counts_swept_tails(monkeypatch):
 def test_gap_budget_refused_before_tables():
     """A refused gap-family sweep builds no lookup table, even at q = 1024.
     Whether the fixed part vanishes as a function, as x^5 - x^3 does on F_3,
-    is read from its coefficients.  Such a span is homogeneous: its q tails
-    with no nonzero non-constant coefficient are not swept, so it sweeps 15
-    (s = 2: weight 1 for c_1, 2 for c_2) where a nonvanishing part takes 18."""
+    is read from its coefficients.  Such a part is absorbed: the family is
+    the homogeneous span of its tails, one vector per scalar class, so it
+    sweeps 3 * (1 + 3) = 12 where a nonvanishing part takes 18."""
     f3 = make_field(3, 1)
     u_high = [f3.zero, f3.element(2)]
     with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
         with pytest.raises(BudgetExceededError):
             brute_nk_distribution(make_field(2, 10), [], 40, 39, EnumerationBudget(10 ** 4))
         with pytest.raises(BudgetExceededError) as info:
-            brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(14))
-    assert info.value.required == 15
-    tally = brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(15))
+            brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(11))
+    assert info.value.required == 12
+    tally = brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(12))
     assert tally == ref_nk_distribution(f3, u_high, 5, 2)
+
+
+def test_translated_gap2_budget_refusal():
+    """Gap 2 at q = 7, n = 5 and b = 2 is translated to x^5 + tails: u_4 = -b
+    becomes 0, so s = q - 1 = 6 as at b = 0, and c_1, c_2, c_3 run over 2,
+    3 and 2 representatives.  It sweeps 7 * (2 + 3 * 7 + 2 * 49 + 1) = 854
+    of the 7^4 = 2401 tails it swept untranslated, and is refused one below
+    that, before any table is built."""
+    f7 = make_field(7, 1)
+    u_high = [f7.neg(f7.element(2))]
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        for b_high in (u_high, [f7.zero]):
+            with pytest.raises(BudgetExceededError) as info:
+                brute_nk_distribution(f7, b_high, 5, 3, EnumerationBudget(853))
+            assert info.value.required == 854
+    tally = brute_nk_distribution(f7, u_high, 5, 3, EnumerationBudget(854))
+    assert tally == ref_nk_distribution(f7, u_high, 5, 3)
 
 
 @pytest.mark.parametrize("block", ["1", "q", "7q"])
@@ -314,6 +335,47 @@ def test_mss2_nonzero_targets():
                     direct += 1
             got = brute_subsets_mss2(f5, t, m1=f5.element(m1i), m2=f5.element(m2i)).value
             assert got == direct
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (5, 2)])
+def test_first_distinct_nonzero_targets(p, e):
+    """First-distinct counts at nonzero (m1, m2), under both predicates,
+    against a literal count over the (t-1)-subsets."""
+    f = make_field(p, e)
+    for t in (2, 3, 4 if f.q < 25 else 3):
+        for m1, m2 in ((f.one, f.element(2)), (f.element(f.q - 1), f.element(f.q // 2))):
+            for predicate in oracle.MSS2_PREDICATES:
+                got = brute_subsets_mss2(f, t, m1, m2, mode="first-distinct",
+                                         predicate=predicate).value
+                assert got == ref_first_distinct_at(f, t, m1, m2, predicate), (t, predicate)
+
+
+def test_first_distinct_states_use_no_field_arithmetic():
+    """The first-distinct target states are gathered from the lookup tables:
+    with FieldSpec.mul and FieldSpec.sub disabled the count is unchanged."""
+    f9 = make_field(3, 2)
+    m1, m2 = f9.element(4), f9.element(7)
+    field_tables(f9)  # the tables themselves are built with field arithmetic
+    want = {predicate: ref_first_distinct_at(f9, 4, m1, m2, predicate)
+            for predicate in oracle.MSS2_PREDICATES}
+
+    def disabled(self, a, b):
+        raise AssertionError("FieldSpec arithmetic")
+
+    with mock.patch.object(FieldSpec, "mul", disabled), \
+            mock.patch.object(FieldSpec, "sub", disabled):
+        for predicate, count in want.items():
+            got = brute_subsets_mss2(f9, 4, m1, m2, mode="first-distinct", predicate=predicate)
+            assert got.value == count, predicate
+
+
+def test_first_distinct_budget_refused_before_tables():
+    """A refused first-distinct count builds no lookup table."""
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_subsets_mss2(make_field(5, 2), 13, mode="first-distinct",
+                               budget=EnumerationBudget(10 ** 4))
+    assert info.value.required == 234 * 625  # the size-12 table of the subset DP
 
 
 def test_elementary_predicate_equivalence():

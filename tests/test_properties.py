@@ -3,7 +3,9 @@ forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
 range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
 the gap-2/3 main regime against its earlier alpha/beta and p | n form, the
 reduced regime n >= q against the earlier case tables, and the
-quadratic/linear counts summed over a0 and against their earlier case table."""
+quadratic/linear counts summed over a0 and against their earlier case table.
+The root oracle's canonical families (translated, left alone at p | n, and
+absorbed) are checked against the literal tally at q <= 9."""
 
 from math import comb
 
@@ -20,9 +22,11 @@ from fqcount.counting import (
     quadlin_case_count,
 )
 from fqcount.ff import make_field
+from fqcount.oracle import brute_nk_distribution
 
 from helpers import (
     force_quadlin_case,
+    ref_nk_distribution,
     ref_alternating_tail,
     ref_gap2_main,
     ref_gap2_reduced,
@@ -162,3 +166,94 @@ def test_horner_tail_matches_literal_sum(q, data):
     m = data.draw(st.integers(0, q), label="m")
     length = data.draw(st.integers(0, q), label="length")
     assert _alternating_tail(q, m, length) == ref_alternating_tail(q, m, length)
+
+
+ROOT_FIELDS = {f.q: f for f in (make_field(2, 1), make_field(3, 1), make_field(2, 2),
+                                make_field(5, 1), make_field(7, 1), make_field(2, 3),
+                                make_field(3, 2))}
+ROOT_WORK = 1100  # tails times field elements the literal tally evaluates
+ROOT_PROPERTY = settings(max_examples=6, deadline=None, derandomize=True)
+
+
+def root_ells(q: int) -> range:
+    """Tail degrees ell whose literal tally, q^(ell+1) tails at q points,
+    stays within ROOT_WORK."""
+    top = 0
+    while q ** (top + 3) <= ROOT_WORK:
+        top += 1
+    return range(top + 1)
+
+
+def draw_elements(f, data, size, label, nonzero=False):
+    values = st.integers(1 if nonzero else 0, f.q - 1)
+    return [f.element(i) for i in data.draw(st.lists(values, min_size=size, max_size=size),
+                                            label=label)]
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_translated_families(q, data):
+    """u_(n-1) != 0 and p not dividing n: the oracle sweeps f(x + c), and its
+    tally equals the literal one.  Gaps 2-4 with drawn lower fixed
+    coefficients, so that binomials C(d, j) = 0 mod p occur."""
+    f = ROOT_FIELDS[q]
+    gap = data.draw(st.integers(2, 4), label="gap")
+    ell = data.draw(st.sampled_from([e for e in root_ells(q) if (e + gap) % f.p]), label="ell")
+    u_high = draw_elements(f, data, 1, "u_(n-1)", nonzero=True) + \
+        draw_elements(f, data, gap - 2, "lower")
+    assert brute_nk_distribution(f, u_high, ell + gap, ell) == \
+        ref_nk_distribution(f, u_high, ell + gap, ell)
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_p_divides_n_families(q, data):
+    """p | n: no translation applies, whatever u_(n-1) is."""
+    f = ROOT_FIELDS[q]
+    ell = data.draw(st.sampled_from(root_ells(q)), label="ell")
+    lowest = -(-(ell + 2) // f.p)  # the least multiple of p leaving a gap >= 2
+    n = f.p * data.draw(st.integers(lowest, lowest + 1), label="n / p")
+    u_high = draw_elements(f, data, 1, "u_(n-1)", nonzero=True) + \
+        draw_elements(f, data, n - ell - 2, "lower")
+    assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
+
+
+def absorbed_u_high(f, u_high, n, ell, vanish):
+    """u_high changed so that the fixed part is a function of degree <= ell
+    on F_q: for each exponent above ell (and, with `vanish`, each other one
+    where it can), the lowest fixed degree folding to it is set to cancel the
+    rest.  None when only x^n folds to an exponent above ell."""
+    q = f.q
+    coeffs = {n: f.one, **dict(zip(range(n - 1, ell, -1), u_high))}
+    for exponent in range(1, q):
+        degrees = sorted(d for d in coeffs if (d - 1) % (q - 1) + 1 == exponent)
+        if not degrees or (exponent <= ell and not vanish):
+            continue
+        if degrees[0] == n:
+            if exponent > ell:
+                return None
+            continue
+        rest = f.zero
+        for d in degrees[1:]:
+            rest = f.add(rest, coeffs[d])
+        coeffs[degrees[0]] = f.neg(rest)
+    return [coeffs[d] for d in range(n - 1, ell, -1)]
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_absorbed_families(q, data):
+    """n >= q with a fixed part the tails span as functions, among them
+    every ell >= q - 1 and fixed parts that vanish on F_q: the oracle sweeps
+    the tails alone, and its tally equals the literal one."""
+    f = ROOT_FIELDS[q]
+    ell = data.draw(st.sampled_from(root_ells(q)), label="ell")
+    lowest = max(q, ell + 1)
+    n = data.draw(st.integers(lowest, lowest + 3), label="n")
+    vanish = data.draw(st.booleans(), label="vanish")
+    u_high = absorbed_u_high(f, draw_elements(f, data, n - ell - 1, "u_high"), n, ell, vanish)
+    assume(u_high is not None)
+    assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
