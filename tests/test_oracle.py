@@ -101,7 +101,7 @@ def test_budget_refusal_names_size():
     5^7 tails.  The refusal comes one below that number.  The tally at that
     budget is checked against the functions on F_5 with k zeros, C(5, k)
     4^(5-k) of them, each the function of 5^2 tails: the one-evaluation-at-
-    a-time reference takes about 20 s on 5^7 tails."""
+    a-time reference takes about 20 s on 5^7 tails (2-core host, Python 3.11)."""
     f5 = make_field(5, 1)
     with pytest.raises(BudgetExceededError) as info:
         brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(19529))
@@ -145,7 +145,7 @@ def test_gap_budget_refused_before_tables():
     Whether the fixed part vanishes as a function, as x^5 - x^3 does on F_3,
     is read from its coefficients.  Such a part is absorbed: the family is
     the homogeneous span of its tails, one vector per scalar class, so it
-    sweeps 3 * (1 + 3) = 12 where a nonvanishing part takes 18."""
+    sweeps 3 * (1 + 3) = 12 of the 27 tails."""
     f3 = make_field(3, 1)
     u_high = [f3.zero, f3.element(2)]
     with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
