@@ -60,16 +60,24 @@ def v_of(field: FieldSpec, b: FieldElement) -> int:
 
 
 def _alternating_tail(q: int, m: int, length: int) -> int:
-    """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), by Horner's rule.
+    """T = sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), from its shorter side.
 
-    The inclusion-exclusion tail shared by the gap-1/2/3 counts, in one
-    linear pass: C(m, i) is updated step by step and no power of q is formed.
+    The inclusion-exclusion tail shared by the gap-1/2/3 counts.  The full sum
+    to i = m is (q - 1)^m, so with g = m - length
+
+        q^g T = (q - 1)^m - sum_{i=length+1}^{m} (-1)^i C(m, i) q^(m - i),
+
+    divided exactly.  That complement is summed when 0 < g <= length + 1, the
+    terms up to length otherwise: one Horner pass either way, C(m, i) updated
+    step by step, so min(length + 1, g) steps for g > 0 plus one power.
     """
-    acc, c = 0, 1
-    for i in range(length + 1):
+    g = m - length
+    lo, hi = (length + 1, m) if 0 < g <= length + 1 else (0, length)
+    acc, c = 0, binomial(m, lo)
+    for i in range(lo, hi + 1):
         acc = acc * q + (-c if i % 2 else c)
         c = c * (m - i) // (i + 1)
-    return acc
+    return _exact_int((q - 1) ** m - acc, "alternating tail", q ** g) if lo else acc
 
 
 def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> ExactCount:
@@ -80,6 +88,8 @@ def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> E
     with T = _alternating_tail(q, q-k, n-k) and the gap's subset-count
     excesses e, e1 (none for gap 1).  The sign is that of the excesses'
     inclusion-exclusion layer; at k = n the identity returns the subset count.
+    T is summed directly (n - k + 1 terms) or, near q, as (q-1)^(q-k) less
+    its last q - n terms, over q^(q-n): min(n - k + 1, q - n) steps a call.
     """
     total = binomial(q, k) * _alternating_tail(q, q - k, n - k)
     if e or e1:  # both vanish for gap 1, and for gap 2 unless p | n: skip two big binomials

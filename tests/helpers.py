@@ -10,11 +10,12 @@ which the Gauss-sum identity must reproduce.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from fqcount.counting import _alternating_tail, alpha_beta, v_of
+from fqcount.counting import alpha_beta, v_of
 from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
 from fqcount.ff import FieldError, quadratic_character
 
@@ -221,6 +222,7 @@ def force_quadlin_case(field, a, a0, bvec, b0, case):
     return a, a0, bvec, b0
 
 
+@lru_cache(maxsize=None)  # the gap-2 (both b) and gap-3 references of one (n, k) share a tail
 def ref_alternating_tail(q, m, length):
     """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term."""
     return sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))
@@ -230,7 +232,7 @@ def ref_gap2_main(field, n, k, b):
     """Gap-2 N_k for k <= n < q in its earlier form: the tail over q plus a
     subset-sum correction written out for p | n."""
     q, p = field.q, field.p
-    total = Fraction(comb(q, k) * _alternating_tail(q, q - k, n - k), q)
+    total = Fraction(comb(q, k) * ref_alternating_tail(q, q - k, n - k), q)
     if n % p == 0:
         sign = (-1) ** ((n - k) + n + n // p)
         total += sign * Fraction(v_of(field, b), q) * comb(n, k) * comb(q // p, n // p)
@@ -246,7 +248,7 @@ def ref_gap3_main(field, n, k):
     a_n, b_n = alpha_beta(field, n)
     a_prev, b_prev = alpha_beta(field, n - 1)
     sign_n, sign_prev = (-1) ** n, (-1) ** (n - 1)
-    total = Fraction(comb(q, k) * _alternating_tail(q, q - k, n - k), q * q)
+    total = Fraction(comb(q, k) * ref_alternating_tail(q, q - k, n - k), q * q)
     sign = (-1) ** (n - k)
     if n % p == 0:
         total += sign * Fraction(q - 1, q * q) * comb(n, k) * comb(q // p, n // p)

@@ -4,9 +4,12 @@ range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
 the gap-2/3 main regime against its earlier alpha/beta and p | n form, the
 reduced regime n >= q against the earlier case tables, and the
 quadratic/linear counts summed over a0 and against their earlier case table.
-The root oracle's canonical families (translated, left alone at p | n, and
-absorbed) are checked against the literal tally at q <= 9."""
+The inclusion-exclusion tail is checked on both sides of its branch bound,
+with its Horner step count.  The root oracle's canonical families
+(translated, left alone at p | n, and absorbed) are checked against the
+literal tally at q <= 9."""
 
+import random
 from math import comb
 
 import pytest
@@ -166,6 +169,44 @@ def test_horner_tail_matches_literal_sum(q, data):
     m = data.draw(st.integers(0, q), label="m")
     length = data.draw(st.integers(0, q), label="length")
     assert _alternating_tail(q, m, length) == ref_alternating_tail(q, m, length)
+
+
+class CountingQ(int):
+    """The field size q as an int that counts the Horner steps acc * q."""
+
+    steps = 0
+
+    def __rmul__(self, other):
+        self.steps += 1
+        return int(other) * int(self)
+
+
+@pytest.mark.parametrize("q", [2, 3, 625])
+def test_tail_sides_meet_at_the_branch_bound(q):
+    """On both sides of 0 < g <= length + 1, with g = m - length (also m < length,
+    length = 0 and m = 0): the tail is the literal sum, in min(length + 1, g)
+    Horner steps when g > 0 and length + 1 otherwise."""
+    for length in sorted({0, 1, 2, q // 2, q - 1}):
+        for m in {0, max(length - 1, 0), length, length + 1, 2 * length + 1, 2 * length + 2}:
+            g, counted = m - length, CountingQ(q)
+            assert _alternating_tail(counted, m, length) == ref_alternating_tail(q, m, length)
+            assert counted.steps == (min(length + 1, g) if g > 0 else length + 1), (m, length)
+
+
+def test_main_regime_near_q_against_literal_tail():
+    """Gap 1 and gap 2 (b = 0 and b != 0) at q = 625 and n = q - 1, q - 2, q - 3,
+    where the tail is summed from its short side: a seeded spread of k against
+    the literal tail, and every k summed to the number of completions."""
+    f = FIELDS[625]
+    q, rng = f.q, random.Random(625)
+    for n in (q - 1, q - 2, q - 3):
+        for k in sorted(rng.sample(range(n + 1), 6) + [0, n]):
+            assert count_nk_gap1(f, n, k).value == comb(q, k) * ref_alternating_tail(q, q - k, n - k)
+            for b in (f.zero, f.element(n)):
+                assert count_nk_gap2(f, n, k, b).value == ref_gap2_main(f, n, k, b), (n, k)
+        assert sum(count_nk_gap1(f, n, k).value for k in range(n + 1)) == q ** n
+        for b in (f.zero, f.element(n)):
+            assert sum(count_nk_gap2(f, n, k, b).value for k in range(n + 1)) == q ** (n - 1)
 
 
 ROOT_FIELDS = {f.q: f for f in (make_field(2, 1), make_field(3, 1), make_field(2, 2),
