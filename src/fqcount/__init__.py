@@ -37,11 +37,10 @@ from .ff import (
 from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
-    brute_nk,
     brute_nk_distribution,
-    brute_quadlin,
     brute_subsets_mss2,
-    subset_sum_distribution,
+    quadlin_counts,
+    subset_pair_tally,
 )
 from .sieve import (
     SymmetricCounter,

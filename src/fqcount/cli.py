@@ -252,7 +252,7 @@ def _gap2_sum_over_b(config, fld, n):
 
 
 def _subset_check(config, fld, n):
-    dist = oracle.subset_sum_distribution(fld, n, config.budget)
+    dist = oracle.subset_pair_tally(fld, n, "sum-only", config.budget)
     rows = [("", "", bi, counting.subset_sum_count(fld, n, fld.element(bi)).value, dist[bi],
              f"subset-sum --p {fld.p} --e {fld.e} --n {n} --b {bi} --method both")
             for bi in range(fld.q)]
@@ -262,15 +262,15 @@ def _subset_check(config, fld, n):
 
 def _mss2_m1(config, fld, n):
     return [("", "M1", 0, counting.moment_subset_count_m1(fld, n).value,
-             oracle.brute_subsets_mss2(fld, n, mode="first-distinct", budget=config.budget).value,
+             oracle.brute_subsets_mss2(fld, n, mode="first-distinct", budget=config.budget),
              f"mss2 --p {fld.p} --e {fld.e} --t {n} --mode first-distinct --method both")]
 
 
 def _mss2_check(config, fld, n):
     formula = counting.moment_subset_count(fld, n).value
-    power = oracle.brute_subsets_mss2(fld, n, mode="power-sums", budget=config.budget).value
+    power = oracle.brute_subsets_mss2(fld, n, mode="power-sums", budget=config.budget)
     elem = oracle.brute_subsets_mss2(
-        fld, n, mode="power-sums", predicate="elementary", budget=config.budget).value
+        fld, n, mode="power-sums", predicate="elementary", budget=config.budget)
     rows = [("", "M", 0, formula, power,
              f"mss2 --p {fld.p} --e {fld.e} --t {n} --mode power-sums --method both"),
             ("", "M-elementary", 0, formula, elem)]
@@ -556,13 +556,13 @@ def _run_both(args, config, out, formula_fn, oracle_fn, payload_base: dict) -> i
         if result.note:
             payload["note"] = result.note
     if method in ("oracle", "both"):
-        result = oracle_fn()
+        value = oracle_fn()
         if method == "oracle":
-            payload["value"] = result.value
+            payload["value"] = value
             payload["method"] = "oracle"
         else:
-            payload["oracle_value"] = result.value
-            payload["match"] = payload["value"] == result.value
+            payload["oracle_value"] = value
+            payload["match"] = payload["value"] == value
     _emit(payload, config, out)
     if method == "both" and not payload["match"]:
         return EXIT_MISMATCH
@@ -578,11 +578,16 @@ def _cmd_count(args, config: RunConfig, out) -> int:
     if gap == 3 and args.method != "oracle":
         _require_moment_field(fld, "gap-3 closed forms")
     b = _from_user(fld.element, args.b) if args.b is not None else fld.zero
+
+    def oracle_count():
+        dist = oracle.brute_nk_distribution(fld, _fixed_high(fld, gap, b), args.n, args.n - gap,
+                                            config.budget)
+        return dist[args.k] if args.k <= fld.q else 0  # no polynomial has more than q roots
+
     return _run_both(
         args, config, out,
         lambda: _nk_formula(fld, gap, args.n, args.k, b),
-        lambda: oracle.brute_nk(fld, _fixed_high(fld, gap, b), args.n, args.n - gap, args.k,
-                                config.budget),
+        oracle_count,
         {"query": {"kind": "distinct-root-count", "q": fld.q, "p": fld.p, "e": fld.e,
                    "n": args.n, "ell": args.n - gap, "k": args.k, "b": b.index}},
     )
@@ -595,8 +600,7 @@ def _cmd_subset_sum(args, config: RunConfig, out) -> int:
     return _run_both(
         args, config, out,
         lambda: counting.subset_sum_count(fld, args.n, b),
-        lambda: oracle.brute_subsets_mss2(fld, args.n, m1=b, mode="sum-only",
-                                          budget=config.budget),
+        lambda: oracle.subset_pair_tally(fld, args.n, "sum-only", config.budget, [b.index])[0],
         {"query": {"kind": "subset-sum", "q": fld.q, "n": args.n, "b": args.b}},
     )
 
@@ -607,7 +611,7 @@ def _cmd_mss2(args, config: RunConfig, out) -> int:
     m2 = _from_user(fld.element, args.m2)
     mode = args.mode
     low, high = (1, fld.q + 1) if mode == "first-distinct" else (0, fld.q)
-    if args.method != "oracle" and mode != "sum-only":
+    if args.method != "oracle":
         _require(m1.is_zero() and m2.is_zero(),
                  "closed forms for two-moment counts need m1 = m2 = 0")
         _require_moment_field(fld, "two-moment closed forms")
@@ -615,16 +619,10 @@ def _cmd_mss2(args, config: RunConfig, out) -> int:
     _require(low <= args.t <= high,
              f"--t must lie in [{low}, {high}] for this mode and method, got {args.t}")
 
-    def formula():
-        if mode == "sum-only":
-            return counting.subset_sum_count(fld, args.t, m1)
-        if mode == "power-sums":
-            return counting.moment_subset_count(fld, args.t)
-        return counting.moment_subset_count_m1(fld, args.t)
-
     return _run_both(
         args, config, out,
-        formula,
+        lambda: (counting.moment_subset_count if mode == "power-sums"
+                 else counting.moment_subset_count_m1)(fld, args.t),
         lambda: oracle.brute_subsets_mss2(fld, args.t, m1=m1, m2=m2, mode=mode,
                                           predicate=args.predicate, budget=config.budget),
         {"query": {"kind": "mss2", "q": fld.q, "t": args.t, "m1": args.m1,
@@ -649,7 +647,7 @@ def _cmd_quadlin(args, config: RunConfig, out) -> int:
     return _run_both(
         args, config, out,
         lambda: counting.quad_lin_solution_count(fld, a, a0, bvec, b0),
-        lambda: oracle.brute_quadlin(fld, a, a0, bvec, b0, config.budget),
+        lambda: oracle.quadlin_counts(fld, [(a, a0, bvec, b0)], config.budget)[0],
         {"query": {"kind": "quadlin", "q": fld.q, "a": args.a, "a0": args.a0,
                    "bvec": args.b, "b0": args.b0}},
     )
@@ -658,7 +656,7 @@ def _cmd_quadlin(args, config: RunConfig, out) -> int:
 def _cmd_sieve(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
     first = args.system == "two-moment-first"
-    low, high = 1 + first, exactcomb.DEFAULT_CYCLE_TYPE_BOUND + first
+    low, high = 1 + first, exactcomb.CYCLE_TYPE_BOUND + first
     if args.system == "sum":
         _from_user(fld.element, args.b)
         high = min(high, fld.q)

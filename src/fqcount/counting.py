@@ -88,12 +88,14 @@ def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> E
     with T = _alternating_tail(q, q-k, n-k) and the gap's subset-count
     excesses e, e1 (none for gap 1).  The sign is that of the excesses'
     inclusion-exclusion layer; at k = n the identity returns the subset count.
-    T is summed directly (n - k + 1 terms) or, near q, as (q-1)^(q-k) less
-    its last q - n terms, over q^(q-n): min(n - k + 1, q - n) steps a call.
+    A zero excess (e for gap 1 and for gap 2 unless p | n, e1 for gaps 1 and
+    2) skips its binomial, C(n, k) or C(n-1, k), of up to 187 digits at q = 625.
     """
     total = binomial(q, k) * _alternating_tail(q, q - k, n - k)
-    if e or e1:  # both vanish for gap 1, and for gap 2 unless p | n: skip two big binomials
-        total += (-1) ** (n - k) * (binomial(n, k) * e - binomial(n - 1, k) * e1)
+    if e:
+        total += (-1) ** (n - k) * binomial(n, k) * e
+    if e1:
+        total -= (-1) ** (n - k) * binomial(n - 1, k) * e1
     return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** (gap - 1)))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-DEFAULT_CYCLE_TYPE_BOUND = 64
+CYCLE_TYPE_BOUND = 64
 
 
 def binomial(a: int, b: int) -> int:
@@ -81,10 +81,10 @@ def _cycle_types_cached(n: int) -> tuple[CycleType, ...]:
     return tuple(types)
 
 
-def enumerate_cycle_types(n: int, bound: int = DEFAULT_CYCLE_TYPE_BOUND) -> tuple[CycleType, ...]:
+def enumerate_cycle_types(n: int) -> tuple[CycleType, ...]:
     """All cycle types of S_n, sorted lexicographically on the count vector."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the cycle-type enumeration bound {bound}")
+    if n > CYCLE_TYPE_BOUND:
+        raise ValueError(f"n={n} exceeds the cycle-type enumeration bound {CYCLE_TYPE_BOUND}")
     return _cycle_types_cached(n)

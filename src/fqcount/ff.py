@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-DEFAULT_ORDER_BOUND = 1 << 20
+MAX_ORDER = 1 << 20
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 
@@ -359,10 +359,10 @@ class FieldSpec:
         }
 
 
-def make_field(p: int, e: int, max_order: int = DEFAULT_ORDER_BOUND) -> FieldSpec:
+def make_field(p: int, e: int) -> FieldSpec:
     """Construct GF(p^e) with the canonical modulus.
 
-    Rejects non-prime p and orders above max_order (default 2**20).
+    Rejects non-prime p and orders above MAX_ORDER = 2**20.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise FieldError("p and e must be integers")
@@ -371,8 +371,8 @@ def make_field(p: int, e: int, max_order: int = DEFAULT_ORDER_BOUND) -> FieldSpe
     if e < 1:
         raise FieldError(f"extension degree must be >= 1, got {e}")
     q = p ** e
-    if q > max_order:
-        raise FieldError(f"field order {q} exceeds the configured bound {max_order}")
+    if q > MAX_ORDER:
+        raise FieldError(f"field order {q} exceeds the configured bound {MAX_ORDER}")
     key = (p, e)
     cached = _FIELD_CACHE.get(key)
     if cached is None:

@@ -1,6 +1,10 @@
 """Independent exact ground truth: enumeration and dynamic programs.
 
-Every closed form in this package is validated against a function here.  The
+Every closed form in this package is validated against one entry here per
+quantity: `brute_nk_distribution` for root counts (`span_root_distribution`
+for spans), `subset_pair_tally` for subset counts, `brute_subsets_mss2` for
+the two-moment readings and `quadlin_counts` for quadratic/linear systems.
+They return plain integers and import nothing from the closed forms.  The
 routes are exact and deterministic: field elements are handled as
 enumeration indices through integer lookup tables, tallies are integers, and
 no floating point is involved anywhere.
@@ -46,7 +50,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import ExactCount
 from .exactcomb import binomial
 from .ff import FieldElement, FieldSpec, is_prime
 
@@ -54,7 +57,7 @@ DEFAULT_MAX_ITEMS = 10 ** 8
 TABLE_ORDER_LIMIT = 1 << 10  # dense q*q lookup tables stay desk scale
 _BLOCK_ENTRIES = 1 << 16  # table entries per block of `_level_sums`
 
-MSS2_MODES = ("sum-only", "power-sums", "first-distinct")
+MSS2_MODES = ("power-sums", "first-distinct")
 MSS2_PREDICATES = ("power-sums", "elementary")
 SUBSET_PREDICATES = ("sum-only", *MSS2_PREDICATES)
 
@@ -390,19 +393,6 @@ def brute_nk_distribution(
     return _orbit_distribution(field, fixed_row, basis, orbits, absorbed)
 
 
-def brute_nk(
-    field: FieldSpec,
-    u_high: Sequence[FieldElement],
-    n: int,
-    ell: int,
-    k: int,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> ExactCount:
-    """Count of tails making the polynomial have exactly k distinct roots."""
-    dist = brute_nk_distribution(field, u_high, n, ell, budget)
-    return ExactCount(dist[k] if 0 <= k <= field.q else 0)
-
-
 # ---------------------------------------------------------------------------
 # Subset tallies: a dynamic program over accumulator states, modulo primes.
 # ---------------------------------------------------------------------------
@@ -533,13 +523,6 @@ def subset_pair_tally(
     return counts
 
 
-def subset_sum_distribution(
-    field: FieldSpec, t_size: int, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[int]:
-    """Counts of size-t subsets per sum value (all b at once)."""
-    return subset_pair_tally(field, t_size, "sum-only", budget)
-
-
 def brute_subsets_mss2(
     field: FieldSpec,
     t_size: int,
@@ -548,10 +531,9 @@ def brute_subsets_mss2(
     mode: str = "power-sums",
     predicate: str = "power-sums",
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> ExactCount:
-    """Exhaustive subset counting in three modes.
+) -> int:
+    """Exact two-moment subset counts, in two modes.
 
-    sum-only        size-t subsets with sum m1.
     power-sums      size-t subsets with (sum, second accumulator) = (m1, m2).
     first-distinct  size-(t-1) subsets S completed by x_t = m1 - sum(S); counts
                     those whose completed tuple has second accumulator m2 (the
@@ -559,7 +541,8 @@ def brute_subsets_mss2(
 
     The `predicate` switch selects the power-sum or elementary-symmetric
     reading of the second accumulator; the two must tally identically away
-    from characteristic 2.  Every mode reads `subset_pair_tally`.  The
+    from characteristic 2.  Both modes read `subset_pair_tally`, which also
+    gives the plain subset-sum counts under its "sum-only" predicate.  The
     first-distinct target states, (s1, m2 - (m1 - s1)^2) or
     (s1, m2 - (m1 - s1) s1) for every sum s1 of S, are gathered from the
     lookup tables once the subset DP has passed the budget.
@@ -573,21 +556,17 @@ def brute_subsets_mss2(
     if predicate not in MSS2_PREDICATES:
         raise ValueError(f"predicate must be one of {MSS2_PREDICATES}, got {predicate!r}")
 
-    if mode == "sum-only":
-        [value] = subset_pair_tally(field, t_size, "sum-only", budget, [m1.index])
-    elif mode == "power-sums":
-        [value] = subset_pair_tally(field, t_size, predicate, budget, [m1.index * q + m2.index])
-    else:  # first-distinct
-        if not 1 <= t_size <= q + 1:
-            raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
-        _subset_tables(field, t_size - 1, predicate, budget)  # the budget, then the tables
-        t = field_tables(field)
-        s1 = np.arange(q)
-        last = t["add"][m1.index, t["neg"]]  # m1 - s1
-        second = t["mul"][last, last if predicate == "power-sums" else s1]
-        states = s1 * q + t["add"][m2.index, t["neg"][second]]  # (s1, m2 - second)
-        value = sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
-    return ExactCount(value)
+    if mode == "power-sums":
+        return subset_pair_tally(field, t_size, predicate, budget, [m1.index * q + m2.index])[0]
+    if not 1 <= t_size <= q + 1:
+        raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
+    _subset_tables(field, t_size - 1, predicate, budget)  # the budget, then the tables
+    t = field_tables(field)
+    s1 = np.arange(q)
+    last = t["add"][m1.index, t["neg"]]  # m1 - s1
+    second = t["mul"][last, last if predicate == "power-sums" else s1]
+    states = s1 * q + t["add"][m2.index, t["neg"][second]]  # (s1, m2 - second)
+    return sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
 
 
 # ---------------------------------------------------------------------------
@@ -656,18 +635,3 @@ def quadlin_counts(
                   [b0.index for _, _, _, b0 in instances]]
     return [_crt(r, moduli) for r in residues.T.tolist()]
 
-
-def brute_quadlin(
-    field: FieldSpec,
-    a: Sequence[FieldElement],
-    a0: FieldElement,
-    bvec: Sequence[FieldElement],
-    b0: FieldElement,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> ExactCount:
-    """Count tuples in F_q^n satisfying sum(a_i x_i^2) = a0 and sum(b_i x_i) = b0.
-
-    `quadlin_counts` on a batch of one; its budget counts DP state updates,
-    moduli x n x q^3.
-    """
-    return ExactCount(quadlin_counts(field, [(a, a0, bvec, b0)], budget)[0])

@@ -29,7 +29,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     EnumerationBudget,
-    brute_nk,
+    brute_nk_distribution,
     field_tables,
     power_row,
     span_root_distribution,
@@ -215,21 +215,23 @@ def spectrum_oracle(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BU
     return report
 
 
-def _completion_count(family: WengerFamily, top_exponent: int, level: int,
-                      budget: EnumerationBudget) -> int:
-    """Count of monic completions of x^top_exponent (free below degree m) with
-    exactly `level` distinct roots; handled by the gap-2 or gap-3 closed form,
-    falling back to enumeration where the gap-3 form does not apply."""
+def _completion_counts(family: WengerFamily, top_exponent: int, levels: range,
+                       budget: EnumerationBudget) -> dict[int, int]:
+    """Counts of monic completions of x^top_exponent (free below degree m) with
+    exactly `level` distinct roots, for each level; handled by the gap-2 or
+    gap-3 closed form, falling back to one enumeration of the whole family
+    where the gap-3 form does not apply."""
     f = family.field
     ell = family.m - 1
     gap = top_exponent - ell
     if gap == 2:
-        return count_nk_gap2(f, top_exponent, level, f.zero).value
+        return {i: count_nk_gap2(f, top_exponent, i, f.zero).value for i in levels}
     if gap != 3:
         raise ValueError(f"unsupported completion gap {gap}")
     if f.p != 2 and f.e % 2 == 0:
-        return count_nk_gap3(f, top_exponent, level).value
-    return brute_nk(f, [f.zero, f.zero], top_exponent, ell, level, budget).value
+        return {i: count_nk_gap3(f, top_exponent, i).value for i in levels}
+    dist = brute_nk_distribution(f, [f.zero, f.zero], top_exponent, ell, budget)
+    return {i: dist[i] for i in levels}  # every level is at most top_exponent <= q
 
 
 def spectrum_formula(
@@ -257,13 +259,16 @@ def spectrum_formula(
     if low_top not in (m + 1, m + 2):
         raise ValueError(f"low-level top exponent must be m+1 or m+2, got {low_top}")
 
+    # by default one completion family, read once, serves every level
+    low = _completion_counts(family, low_top, range(top + 1 if low_top == top else m), budget)
+    high = low if low_top == top else _completion_counts(family, top, range(m, top + 1), budget)
     counts: dict[int, int] = {q: 1}
     for i in range(0, m):
         # monic polynomials of degree d < m with i roots; d = 0 is the constant 1
         low_degrees = sum(count_nk_gap1(f, d, i).value for d in range(max(i, 1), m)) + (i == 0)
-        counts[i] = (q - 1) * low_degrees + (q - 1) * _completion_count(family, low_top, i, budget)
+        counts[i] = (q - 1) * low_degrees + (q - 1) * low[i]
     for i in range(m, top + 1):
-        counts[i] = (q - 1) * _completion_count(family, top, i, budget)
+        counts[i] = (q - 1) * high[i]
 
     note = (
         "levels below m use completions of x^%d; default is the family's own jump exponent"

@@ -112,6 +112,7 @@ def test_usage_errors_exit_1():
     "subset-sum --p 3 --e 1 --n 4",
     "mss2 --p 3 --e 2 --t 0",
     "mss2 --p 3 --e 2 --t 11 --mode first-distinct",
+    "mss2 --p 5 --e 1 --t 2 --mode sum-only --m2 3 --predicate elementary",
     "quadlin --p 3 --e 1 --a 0,1 --b 1,1",
     "quadlin --p 3 --e 1 --a 1 --b 1 --a0 9",
     "sieve --p 3 --e 1 --n 0",
@@ -122,6 +123,27 @@ def test_usage_errors_exit_1():
 def test_user_preconditions_exit_1(argv, capsys):
     assert run(argv.split())[0] == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_count_oracle_past_q_answers_zero():
+    """No polynomial over F_q has more than q distinct roots, so a --k past q
+    reads 0 from the root oracle's tally as well as from the closed form."""
+    code, text = run(["count", "--gap", "1", "--p", "3", "--e", "1", "--n", "2", "--k", "17",
+                      "--method", "both"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["value"] == payload["oracle_value"] == "0"
+
+
+def test_subset_sum_oracle_reads_the_sum_table():
+    """subset-sum --method oracle answers from subset_pair_tally's sum counts."""
+    fld = ff.make_field(3, 2)
+    for n in range(fld.q + 1):
+        table = oracle.subset_pair_tally(fld, n, "sum-only")
+        for b in range(fld.q):
+            code, text = run(["subset-sum", "--p", "3", "--e", "2", "--n", str(n),
+                              "--b", str(b), "--method", "oracle"])
+            assert code == 0 and json.loads(text)["value"] == str(table[b]), (n, b)
 
 
 def test_oracle_only_routes_skip_closed_form_preconditions():
@@ -135,10 +157,10 @@ def test_oracle_only_routes_skip_closed_form_preconditions():
 def test_internal_value_error_exits_3(monkeypatch, capsys):
     """A ValueError from inside the package, past the command's own screening
     of its arguments, is an internal fault, not a usage error."""
-    def failing(family, top_exponent, level, budget):
+    def failing(family, top_exponent, levels, budget):
         raise ValueError("unsupported completion gap 5")
 
-    monkeypatch.setattr(wenger, "_completion_count", failing)
+    monkeypatch.setattr(wenger, "_completion_counts", failing)
     code, text = run(["wenger", "--variant", "1", "--p", "3", "--e", "1", "--m", "1",
                       "--method", "formula"])
     assert code == 3
@@ -348,4 +370,4 @@ def test_quadlin_cell_makes_one_oracle_call(monkeypatch):
     assert len(calls) == 1 and len(calls[0][1]) == len(rows)
     instances = cli.quadlin_instances(fld, 3, cli.QUADLIN_INSTANCES, cli.DEFAULT_SEED)
     assert [row[4] for row in rows] == \
-        [oracle.brute_quadlin(fld, *instance[:4]).value for instance in instances]
+        [oracle.quadlin_counts(fld, [instance[:4]])[0] for instance in instances]

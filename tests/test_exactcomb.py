@@ -68,7 +68,7 @@ def test_enumerate_cycle_types_counts():
     types = enumerate_cycle_types(6)
     assert list(types) == sorted(types, key=lambda t: t.c)
     with pytest.raises(ValueError):
-        enumerate_cycle_types(5, bound=4)
+        enumerate_cycle_types(65)  # past the bound of 64, refused before any enumeration
 
 
 @pytest.mark.parametrize("n", range(1, 11))

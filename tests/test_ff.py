@@ -51,10 +51,10 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(FieldError):
         make_field(3, 0)
     with pytest.raises(FieldError):
-        make_field(2, 21)  # 2**21 over the default bound
+        make_field(2, 21)  # 2**21 over the bound
     with pytest.raises(FieldError):
-        make_field(2, 5, max_order=16)
-    make_field(2, 4, max_order=16)  # exactly at the bound is fine
+        make_field(1048583, 1)  # the least prime past MAX_ORDER = 2**20
+    assert make_field(1048573, 1).q == 1048573  # the greatest prime below it
 
 
 def test_canonical_moduli_pinned():

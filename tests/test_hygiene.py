@@ -2,7 +2,9 @@
 module but __init__ (which re-exports) imports a name it never reads, and
 every module-level function or class, private or public, is read somewhere
 in the package outside its own body.  __init__'s re-exports are not reads:
-an exported helper that nothing in the package calls fails too."""
+an exported helper that nothing in the package calls fails too.  The oracle
+imports nothing from the code it checks, and the README's library sketch
+runs."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fqcount"
+README = PACKAGE.parent.parent / "README.md"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 CHECKED = sorted(name for name in TREES if name != "__init__.py")
 
@@ -67,3 +70,22 @@ def test_private_definitions_are_referenced(module):
 @pytest.mark.parametrize("module", CHECKED)
 def test_public_definitions_are_read(module):
     assert _unread_definitions(module, private=False) == []
+
+
+def test_oracle_imports_nothing_it_checks():
+    """The ground truth shares no code with the closed forms, the command line
+    or the Wenger spectra it validates."""
+    imported = set()
+    for node in ast.walk(TREES["oracle.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert imported.isdisjoint({"counting", "cli", "wenger"})
+
+
+def test_readme_library_sketch_runs():
+    sketch = README.read_text().split("## Library sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})

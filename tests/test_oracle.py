@@ -20,14 +20,12 @@ from fqcount.ff import FieldSpec, make_field
 from fqcount.oracle import (
     BudgetExceededError,
     EnumerationBudget,
-    brute_nk,
     brute_nk_distribution,
-    brute_quadlin,
     brute_subsets_mss2,
     field_tables,
+    quadlin_counts,
     span_root_distribution,
     subset_pair_tally,
-    subset_sum_distribution,
 )
 from fqcount.wenger import WengerFamily, spectrum_oracle
 
@@ -75,15 +73,16 @@ def test_brute_nk_against_literal_loops(p, e, cases):
 
 def test_brute_nk_known_values():
     f2 = make_field(2, 1)
-    assert brute_nk(f2, [], 3, 2, 1).value == 4
+    assert brute_nk_distribution(f2, [], 3, 2)[1] == 4
     # x^3 + a0 has exactly one root for every constant, so the count is the
     # number of constants: q of them (3 over F_3, 9 over F_9).
     f3 = make_field(3, 1)
-    assert brute_nk(f3, [f3.zero, f3.zero], 3, 0, 1).value == 3
+    assert brute_nk_distribution(f3, [f3.zero, f3.zero], 3, 0)[1] == 3
     f9 = make_field(3, 2)
-    assert brute_nk(f9, [f9.zero, f9.zero], 3, 0, 1).value == 9
-    assert brute_nk(f3, [], 2, 1, 5).value == 0  # k > n
-    assert brute_nk(f3, [], 2, 1, 17).value == 0  # k past q as well
+    assert brute_nk_distribution(f9, [f9.zero, f9.zero], 3, 0)[1] == 9
+    # x^2 + a1 x + a0 over F_3: 3 irreducible, 3 squares, 3 split; the tally
+    # runs over k = 0..q and is zero past n
+    assert brute_nk_distribution(f3, [], 2, 1) == [3, 3, 3, 0]
 
 
 def test_brute_nk_argument_validation():
@@ -200,7 +199,7 @@ def test_subset_layers_match_binomials_and_reference(p, e):
     for t in range(0, min(f.q, 5) + 1):
         joint = subset_pair_tally(f, t)
         assert sum(sum(row) for row in joint) == binomial(f.q, t)
-        assert subset_sum_distribution(f, t) == ref_subset_sum_counts(f, t)
+        assert subset_pair_tally(f, t, "sum-only") == ref_subset_sum_counts(f, t)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
@@ -276,18 +275,18 @@ def test_subset_dp_mss2_q81_against_closed_forms():
     for n in range(1, 82):
         expected = moment_subset_count(f, n).value
         for predicate in oracle.MSS2_PREDICATES:
-            assert brute_subsets_mss2(f, n, predicate=predicate).value == expected, (n, predicate)
+            assert brute_subsets_mss2(f, n, predicate=predicate) == expected, (n, predicate)
     for n in range(2, 83):
         expected = moment_subset_count_m1(f, n).value
         for predicate in oracle.MSS2_PREDICATES:
-            got = brute_subsets_mss2(f, n, mode="first-distinct", predicate=predicate).value
+            got = brute_subsets_mss2(f, n, mode="first-distinct", predicate=predicate)
             assert got == expected, (n, predicate)
 
 
 def test_subset_sums_q625():
     f = make_field(5, 4)
     for n in range(13):
-        dist = subset_sum_distribution(f, n)
+        dist = subset_pair_tally(f, n, "sum-only")
         assert sum(dist) == binomial(f.q, n)
         for b in (0, 1, 5, 124, 624):
             assert dist[b] == subset_sum_count(f, n, f.element(b)).value, (n, b)
@@ -305,15 +304,15 @@ def test_subset_dp_budget_counts_state_updates():
 def test_mss2_modes_against_references():
     f9 = make_field(3, 2)
     for t in range(0, 10):
-        assert brute_subsets_mss2(f9, t, mode="power-sums").value == ref_two_moment_subsets(f9, t)
+        assert brute_subsets_mss2(f9, t, mode="power-sums") == ref_two_moment_subsets(f9, t)
     for t in range(2, 11):
-        assert brute_subsets_mss2(f9, t, mode="first-distinct").value == ref_first_distinct(f9, t)
-    # sum-only equals the marginal reference
+        assert brute_subsets_mss2(f9, t, mode="first-distinct") == ref_first_distinct(f9, t)
+    # the sum counts, read one target at a time, equal the marginal reference
     f7 = make_field(7, 1)
     for t in range(0, 8):
         ref = ref_subset_sum_counts(f7, t)
         for b in range(7):
-            assert brute_subsets_mss2(f7, t, m1=f7.element(b), mode="sum-only").value == ref[b]
+            assert subset_pair_tally(f7, t, "sum-only", states=[b]) == [ref[b]]
 
 
 def test_mss2_nonzero_targets():
@@ -333,7 +332,7 @@ def test_mss2_nonzero_targets():
                     s2 = f5.add(s2, f5.mul(x, x))
                 if s1.index == m1i and s2.index == m2i:
                     direct += 1
-            got = brute_subsets_mss2(f5, t, m1=f5.element(m1i), m2=f5.element(m2i)).value
+            got = brute_subsets_mss2(f5, t, m1=f5.element(m1i), m2=f5.element(m2i))
             assert got == direct
 
 
@@ -346,7 +345,7 @@ def test_first_distinct_nonzero_targets(p, e):
         for m1, m2 in ((f.one, f.element(2)), (f.element(f.q - 1), f.element(f.q // 2))):
             for predicate in oracle.MSS2_PREDICATES:
                 got = brute_subsets_mss2(f, t, m1, m2, mode="first-distinct",
-                                         predicate=predicate).value
+                                         predicate=predicate)
                 assert got == ref_first_distinct_at(f, t, m1, m2, predicate), (t, predicate)
 
 
@@ -366,7 +365,7 @@ def test_first_distinct_states_use_no_field_arithmetic():
             mock.patch.object(FieldSpec, "sub", disabled):
         for predicate, count in want.items():
             got = brute_subsets_mss2(f9, 4, m1, m2, mode="first-distinct", predicate=predicate)
-            assert got.value == count, predicate
+            assert got == count, predicate
 
 
 def test_first_distinct_budget_refused_before_tables():
@@ -384,12 +383,12 @@ def test_elementary_predicate_equivalence():
     for p, e in [(3, 2), (5, 2)]:
         f = make_field(p, e)
         for t in range(0, min(f.q, 9) + 1):
-            a = brute_subsets_mss2(f, t, mode="power-sums").value
-            b = brute_subsets_mss2(f, t, mode="power-sums", predicate="elementary").value
+            a = brute_subsets_mss2(f, t, mode="power-sums")
+            b = brute_subsets_mss2(f, t, mode="power-sums", predicate="elementary")
             assert a == b, (p, e, t)
         for t in range(2, min(f.q, 9) + 1):
-            a = brute_subsets_mss2(f, t, mode="first-distinct").value
-            b = brute_subsets_mss2(f, t, mode="first-distinct", predicate="elementary").value
+            a = brute_subsets_mss2(f, t, mode="first-distinct")
+            b = brute_subsets_mss2(f, t, mode="first-distinct", predicate="elementary")
             assert a == b, (p, e, t)
 
 
@@ -400,9 +399,11 @@ def test_mss2_validation():
     with pytest.raises(ValueError):
         brute_subsets_mss2(f9, 2, mode="nonsense")
     with pytest.raises(ValueError):
+        brute_subsets_mss2(f9, 2, mode="sum-only")  # subset_pair_tally's "sum-only" serves sums
+    with pytest.raises(ValueError):
         brute_subsets_mss2(f9, 2, predicate="nonsense")
-    assert brute_subsets_mss2(f9, 0, mode="power-sums").value == 1  # empty subset
-    assert brute_subsets_mss2(f9, 10, mode="first-distinct").value == 1
+    assert brute_subsets_mss2(f9, 0, mode="power-sums") == 1  # empty subset
+    assert brute_subsets_mss2(f9, 10, mode="first-distinct") == 1
 
 
 def test_brute_quadlin_against_reference():
@@ -415,7 +416,7 @@ def test_brute_quadlin_against_reference():
         ([two, two, one], f3.one, [one, f3.zero, two], f3.element(2)),
     ]
     for a, a0, bvec, b0 in cases:
-        assert brute_quadlin(f3, a, a0, bvec, b0).value == ref_quadlin(f3, a, a0, bvec, b0)
+        assert quadlin_counts(f3, [(a, a0, bvec, b0)]) == [ref_quadlin(f3, a, a0, bvec, b0)]
 
 
 @pytest.mark.parametrize("block", ["1", "q", "7q"])
@@ -425,22 +426,22 @@ def test_brute_quadlin_block_independence(monkeypatch, block):
     bvec = [f5.element(i) for i in (1, 0, 3, 2)]
     a0, b0 = f5.element(2), f5.element(4)
     expected = ref_quadlin(f5, a, a0, bvec, b0)
-    assert brute_quadlin(f5, a, a0, bvec, b0).value == expected
+    assert quadlin_counts(f5, [(a, a0, bvec, b0)]) == [expected]
     monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", {"1": 1, "q": 5, "7q": 35}[block])
-    assert brute_quadlin(f5, a, a0, bvec, b0).value == expected
+    assert quadlin_counts(f5, [(a, a0, bvec, b0)]) == [expected]
 
 
 def test_quadlin_budget():
     """The DP's budget counts state updates: one modulus (9^14 < 2^61) x 14
     coordinates x 9^3 (q values of x for each of the q^2 states)."""
     f9 = make_field(3, 2)
-    args = (f9, [f9.one] * 14, f9.zero, [f9.one] * 14, f9.zero)
+    instance = ([f9.one] * 14, f9.zero, [f9.one] * 14, f9.zero)
     with pytest.raises(BudgetExceededError) as info:
-        brute_quadlin(*args, EnumerationBudget(10 ** 4))
+        quadlin_counts(f9, [instance], EnumerationBudget(10 ** 4))
     assert info.value.required == 14 * 9 ** 3 == 10206
     assert "10206 DP state updates" in str(info.value)
-    assert brute_quadlin(*args, EnumerationBudget(10206)).value == \
-        quad_lin_solution_count(*args).value
+    assert quadlin_counts(f9, [instance], EnumerationBudget(10206)) == \
+        [quad_lin_solution_count(f9, *instance).value]
 
 
 def test_quadlin_dp_past_two_to_the_63():
@@ -458,9 +459,9 @@ def test_quadlin_dp_past_two_to_the_63():
     for expected_case, instance in enumerate(instances, start=1):
         case, closed_form = quadlin_case_count(f, *instance)
         assert case == expected_case and closed_form.value > 2 ** 63
-        assert brute_quadlin(f, *instance).value == closed_form.value, case
+        assert quadlin_counts(f, [instance]) == [closed_form.value], case
     with pytest.raises(BudgetExceededError) as info:
-        brute_quadlin(f, *instance, EnumerationBudget(2 * 14 * 49 ** 3 - 1))
+        quadlin_counts(f, [instance], EnumerationBudget(2 * 14 * 49 ** 3 - 1))
     assert info.value.required == 2 * 14 * 49 ** 3
 
 
@@ -520,7 +521,7 @@ def test_quadlin_dp_chinese_remainders(monkeypatch, moduli):
     expected = [quad_lin_solution_count(f9, a, a0, bvec, b0).value for a0, b0 in targets]
     monkeypatch.setattr(oracle, "_MODULI", moduli)
     assert len(oracle._moduli_past(9 ** 5)) >= 2
-    assert [brute_quadlin(f9, a, a0, bvec, b0).value for a0, b0 in targets] == expected
+    assert [quadlin_counts(f9, [(a, a0, bvec, b0)])[0] for a0, b0 in targets] == expected
 
 
 # Random spans and systems against the literal references, with block sizes
@@ -608,8 +609,8 @@ def test_brute_quadlin_matches_literal(q, data):
         bvec = [f.zero] * n
     a0, b0 = (f.element(data.draw(st.integers(0, q - 1), label=name)) for name in ("a0", "b0"))
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, 2)):
-        got = brute_quadlin(f, a, a0, bvec, b0).value
-    assert got == ref_quadlin(f, a, a0, bvec, b0)
+        got = quadlin_counts(f, [(a, a0, bvec, b0)])
+    assert got == [ref_quadlin(f, a, a0, bvec, b0)]
 
 
 @ORACLE_PROPERTY
