@@ -379,7 +379,7 @@ def _wenger_check(config, fld, m, variant):
     family = wenger.WengerFamily(variant, fld, m)
     vertices = fld.q ** (m + 1)
     repro = f"wenger --variant {variant} --p {fld.p} --e {fld.e} --m {m} --method both"
-    formula = wenger.spectrum_formula(family, budget=config.budget)
+    formula = wenger.spectrum_formula(family)
     brute = wenger.spectrum_oracle(family, budget=config.budget)
     levels = sorted(set(formula.levels()) | set(brute.levels()), reverse=True)
     rows = [(variant, level, "", formula.multiplicity(level), brute.multiplicity(level), repro)
@@ -403,11 +403,8 @@ def _wenger_exponent_rule(config, result: SuiteResult, kept) -> None:
     alternative_ok = True
     for family in families:
         brute = wenger.spectrum_oracle(family, budget=config.budget)
-        default_ok &= wenger.spectrum_formula(
-            family, budget=config.budget).same_spectrum(brute)
-        alternative_ok &= wenger.spectrum_formula(
-            family, low_level_top_exponent=family.m + 2, budget=config.budget
-        ).same_spectrum(brute)
+        default_ok &= wenger.spectrum_formula(family).same_spectrum(brute)
+        alternative_ok &= wenger.alternative_spectrum(family, config.budget).same_spectrum(brute)
     result.notes["variant1_low_exponent"] = {
         "default_rule_matches_all": default_ok,
         "alternative_rule_matches_all": alternative_ok,
@@ -626,7 +623,7 @@ def _cmd_mss2(args, config: RunConfig, out) -> int:
         lambda: oracle.brute_subsets_mss2(fld, args.t, m1=m1, m2=m2, mode=mode,
                                           predicate=args.predicate, budget=config.budget),
         {"query": {"kind": "mss2", "q": fld.q, "t": args.t, "m1": args.m1,
-                   "m2": args.m2, "mode": mode}},
+                   "m2": args.m2, "mode": mode, "predicate": args.predicate}},
     )
 
 
@@ -683,7 +680,9 @@ def _cmd_wenger(args, config: RunConfig, out) -> int:
                                "q": fld.q, "m": args.m}}
     reports = {}
     if args.method in ("formula", "both"):
-        reports["formula"] = wenger.spectrum_formula(family, budget=config.budget)
+        if args.variant == 2:
+            _require_moment_field(fld, "variant-2 closed forms")
+        reports["formula"] = wenger.spectrum_formula(family)
     if args.method in ("oracle", "both"):
         reports["oracle"] = wenger.spectrum_oracle(family, budget=config.budget)
     verified = None

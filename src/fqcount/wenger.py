@@ -5,10 +5,12 @@ The graphs are bipartite point/line incidence graphs on two copies of
 F_q^(m+1).  Their eigenvalues are +-sqrt(q*i) for integer levels i, so the
 whole spectrum is carried as (level, multiplicity) pairs and never touches a
 real number: multiplicities come either from the closed-form root counts
-(spectrum_formula) or from counting the roots of every coefficient vector's
-function, one vector per scalar class (spectrum_oracle), and the adjacency
+(spectrum_formula, which enumerates nothing; variant 2 needs odd square q
+there) or from counting the roots of every coefficient vector's function, one
+vector per scalar class (spectrum_oracle, on every field), and the adjacency
 matrix is checked against a claimed spectrum through integer trace moments
-alone.
+alone.  alternative_spectrum is a diagnostic: variant 1 under the other
+exponent rule, which the oracle refutes.
 Matching as many even moments as there are distinct nonzero levels pins the
 level multiset uniquely (Vandermonde), so moment_check is a complete
 verification with zero numerical tolerance.  It has one route and no size
@@ -49,18 +51,13 @@ class WengerFamily:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         q = self.field.q
-        if self.variant == 1:
-            if self.m + 1 > q - 1:
-                raise ValueError(f"variant 1 needs m + 1 <= q - 1, got m={self.m}, q={q}")
-        else:
-            if self.m + 2 > q - 1:
-                raise ValueError(f"variant 2 needs m + 2 <= q - 1, got m={self.m}, q={q}")
-            if self.field.p == 2 or self.field.e % 2:
-                raise ValueError("variant 2 needs odd characteristic and even extension degree")
+        if self.top_exponent > q - 1:
+            raise ValueError(f"variant {self.variant} needs m + {self.variant} <= q - 1, "
+                             f"got m={self.m}, q={q}")
 
     @property
     def top_exponent(self) -> int:
-        return self.m + 1 if self.variant == 1 else self.m + 2
+        return self.m + self.variant
 
     def basis_exponents(self) -> tuple[int, ...]:
         """Monomial exponents weighted by the coefficient vector, low slot first."""
@@ -215,59 +212,32 @@ def spectrum_oracle(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BU
     return report
 
 
-def _completion_counts(family: WengerFamily, top_exponent: int, levels: range,
-                       budget: EnumerationBudget) -> dict[int, int]:
+def _completion_counts(family: WengerFamily, levels: range) -> dict[int, int]:
     """Counts of monic completions of x^top_exponent (free below degree m) with
-    exactly `level` distinct roots, for each level; handled by the gap-2 or
-    gap-3 closed form, falling back to one enumeration of the whole family
-    where the gap-3 form does not apply."""
+    exactly `level` distinct roots, for each level: the gap-2 closed form for
+    variant 1 and the gap-3 closed form, odd square q only, for variant 2."""
     f = family.field
-    ell = family.m - 1
-    gap = top_exponent - ell
-    if gap == 2:
-        return {i: count_nk_gap2(f, top_exponent, i, f.zero).value for i in levels}
-    if gap != 3:
-        raise ValueError(f"unsupported completion gap {gap}")
-    if f.p != 2 and f.e % 2 == 0:
-        return {i: count_nk_gap3(f, top_exponent, i).value for i in levels}
-    dist = brute_nk_distribution(f, [f.zero, f.zero], top_exponent, ell, budget)
-    return {i: dist[i] for i in levels}  # every level is at most top_exponent <= q
+    top = family.top_exponent
+    if family.variant == 1:
+        return {i: count_nk_gap2(f, top, i, f.zero).value for i in levels}
+    return {i: count_nk_gap3(f, top, i).value for i in levels}
 
 
-def spectrum_formula(
-    family: WengerFamily,
-    low_level_top_exponent: int | None = None,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> SpectrumReport:
-    """Level multiplicities assembled from the closed-form root counts.
-
-    Levels below m collect the coefficient vectors whose top slot vanishes
+def _assemble_levels(family: WengerFamily, low: Mapping[int, int], low_top: int,
+                     high: Mapping[int, int]) -> SpectrumReport:
+    """Levels below m collect the coefficient vectors whose top slot vanishes
     (degree classes 0..m-1, a geometric inclusion-exclusion sum) plus the
-    full-degree completions; levels m..top come from completions alone, and
-    level q is the zero vector.
-
-    low_level_top_exponent overrides which completion family feeds the
-    below-m levels; the default is the family's own jump exponent, which is
-    the reading the enumeration oracle confirms (the alternative is kept for
-    diagnostics and is expected to disagree with the oracle).
-    """
+    completions in `low`, here of x^low_top; levels m..top come from the
+    family's own completions `high` alone, and level q is the zero vector."""
     f = family.field
     q = f.q
     m = family.m
-    top = family.top_exponent
-    low_top = family.top_exponent if low_level_top_exponent is None else low_level_top_exponent
-    if low_top not in (m + 1, m + 2):
-        raise ValueError(f"low-level top exponent must be m+1 or m+2, got {low_top}")
-
-    # by default one completion family, read once, serves every level
-    low = _completion_counts(family, low_top, range(top + 1 if low_top == top else m), budget)
-    high = low if low_top == top else _completion_counts(family, top, range(m, top + 1), budget)
     counts: dict[int, int] = {q: 1}
     for i in range(0, m):
         # monic polynomials of degree d < m with i roots; d = 0 is the constant 1
         low_degrees = sum(count_nk_gap1(f, d, i).value for d in range(max(i, 1), m)) + (i == 0)
         counts[i] = (q - 1) * low_degrees + (q - 1) * low[i]
-    for i in range(m, top + 1):
+    for i in range(m, family.top_exponent + 1):
         counts[i] = (q - 1) * high[i]
 
     note = (
@@ -286,6 +256,29 @@ def spectrum_formula(
             "note": note,
         },
     )
+
+
+def spectrum_formula(family: WengerFamily) -> SpectrumReport:
+    """Level multiplicities assembled from the closed-form root counts of the
+    family's own completions, read once for every level; it enumerates
+    nothing.  Variant 2 needs odd square q, as the gap-3 closed form does, and
+    raises its ValueError on any other field."""
+    completions = _completion_counts(family, range(family.top_exponent + 1))
+    return _assemble_levels(family, completions, family.top_exponent, completions)
+
+
+def alternative_spectrum(family: WengerFamily,
+                         budget: EnumerationBudget = DEFAULT_BUDGET) -> SpectrumReport:
+    """The variant-1 spectrum under the other exponent rule, a diagnostic:
+    levels below m take the completions of x^(m+2) from the root oracle.  It
+    is expected to disagree with spectrum_oracle, which confirms the family's
+    own exponent m + 1."""
+    if family.variant != 1:
+        raise ValueError(f"the alternative exponent rule is for variant 1, got {family.variant}")
+    f = family.field
+    m = family.m
+    low = brute_nk_distribution(f, [f.zero, f.zero], m + 2, m - 1, budget)
+    return _assemble_levels(family, low, m + 2, _completion_counts(family, range(m, m + 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,33 @@ def test_wenger_both_methods_verified(tmp_path):
     assert export.read_text().count("\n") == 27
 
 
+def test_wenger_variant2_oracle_route_on_any_field():
+    """Only the closed form needs odd square q; the oracle and the moment
+    check run variant 2 on a prime field."""
+    code, text = run(["wenger", "--variant", "2", "--p", "7", "--e", "1", "--m", "1",
+                      "--method", "oracle", "--check-moments", "3"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["moment_check"] is True
+    assert payload["oracle"]["levels"] == [
+        {"i": "7", "mult": "1"}, {"i": "3", "mult": "12"},
+        {"i": "1", "mult": "6"}, {"i": "0", "mult": "30"}]
+
+
+def test_mss2_query_names_its_predicate():
+    """The two predicates give different oracle values here, so the query
+    must say which one ran."""
+    answers = {}
+    for predicate in ("power-sums", "elementary"):
+        code, text = run(["mss2", "--p", "2", "--e", "2", "--t", "2", "--m1", "1", "--m2", "1",
+                          "--method", "oracle", "--predicate", predicate])
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["query"]["predicate"] == predicate
+        answers[predicate] = payload["value"]
+    assert answers == {"power-sums": "2", "elementary": "1"}
+
+
 def test_usage_errors_exit_1():
     assert run(["count", "--gap", "4", "--p", "3", "--e", "1", "--n", "5", "--k", "1"])[0] == 1
     assert run(["nonsense"])[0] == 1
@@ -119,6 +146,8 @@ def test_usage_errors_exit_1():
     "sieve --p 3 --e 1 --n 2 --system two-moment",
     "wenger --variant 1 --p 3 --e 1 --m 3",
     "wenger --variant 1 --p 3 --e 1 --m 1 --check-moments 1",
+    "wenger --variant 2 --p 7 --e 1 --m 1",
+    "wenger --variant 2 --p 2 --e 2 --m 1 --method formula",
 ])
 def test_user_preconditions_exit_1(argv, capsys):
     assert run(argv.split())[0] == 1
@@ -157,7 +186,7 @@ def test_oracle_only_routes_skip_closed_form_preconditions():
 def test_internal_value_error_exits_3(monkeypatch, capsys):
     """A ValueError from inside the package, past the command's own screening
     of its arguments, is an internal fault, not a usage error."""
-    def failing(family, top_exponent, levels, budget):
+    def failing(family, levels):
         raise ValueError("unsupported completion gap 5")
 
     monkeypatch.setattr(wenger, "_completion_counts", failing)

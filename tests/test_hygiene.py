@@ -3,8 +3,8 @@ module but __init__ (which re-exports) imports a name it never reads, and
 every module-level function or class, private or public, is read somewhere
 in the package outside its own body.  __init__'s re-exports are not reads:
 an exported helper that nothing in the package calls fails too.  The oracle
-imports nothing from the code it checks, and the README's library sketch
-runs."""
+imports nothing from the code it checks, no closed form takes an enumeration
+budget, and the README's library sketch runs."""
 
 import ast
 from pathlib import Path
@@ -83,6 +83,18 @@ def test_oracle_imports_nothing_it_checks():
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert imported.isdisjoint({"counting", "cli", "wenger"})
+
+
+def test_closed_forms_take_no_budget():
+    """A closed form does no enumeration, so it has no budget to spend:
+    neither a function of counting.py nor wenger.spectrum_formula takes one."""
+    functions = [node for node in ast.walk(TREES["counting.py"])
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    functions += [node for node in TREES["wenger.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "spectrum_formula"]
+    assert len(functions) > 1
+    assert [node.name for node in functions
+            if "budget" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}] == []
 
 
 def test_readme_library_sketch_runs():

@@ -1,5 +1,6 @@
 """Jumped Wenger graphs: construction, oracle and closed-form spectra, the
-exponent-rule resolution, moment verification, and the edge export format."""
+closed form's freedom from enumeration, the exponent-rule resolution, moment
+verification, and the edge export format."""
 
 import io
 import re
@@ -7,11 +8,13 @@ import re
 import numpy as np
 import pytest
 
+from fqcount import oracle, wenger
 from fqcount.cli import WENGER_FAMILIES
 from fqcount.ff import make_field
 from fqcount.wenger import (
     SpectrumReport,
     WengerFamily,
+    alternative_spectrum,
     build_graph,
     export_edges,
     moment_check,
@@ -42,11 +45,18 @@ def test_family_validation():
     with pytest.raises(ValueError):
         WengerFamily(2, f3, 1)  # m + 2 > q - 1
     with pytest.raises(ValueError):
-        WengerFamily(2, make_field(7, 1), 1)  # odd extension degree
-    with pytest.raises(ValueError):
-        WengerFamily(2, make_field(2, 2), 1)  # even characteristic
-    with pytest.raises(ValueError):
         WengerFamily(3, f3, 1)
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 3), (2, 2)])
+def test_variant2_formula_needs_odd_square_field(p, e):
+    """Variant 2 builds on every field; only its closed form, the gap-3 one,
+    refuses an odd extension degree or characteristic 2."""
+    fam = WengerFamily(2, make_field(p, e), 1)
+    with pytest.raises(ValueError):
+        spectrum_formula(fam)
+    report = spectrum_oracle(fam)
+    assert moment_check(build_graph(fam), report, len(report.nonzero_levels()))
 
 
 def test_basis_exponents_skip_one():
@@ -132,6 +142,34 @@ def test_spectrum_agreement_beyond_acceptance_grid(variant, p, e, m):
     assert spectrum_formula(fam).same_spectrum(spectrum_oracle(fam))
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("spectrum_formula enumerated")
+
+
+@pytest.mark.parametrize("variant,fields", [
+    (1, [(2, 6), (11, 2), (2, 8), (5, 4)]),   # q = 64, 121, 256, 625
+    (2, [(7, 2), (3, 4), (11, 2), (5, 4)]),   # q = 49, 81, 121, 625
+])
+def test_spectrum_formula_enumerates_nothing(monkeypatch, variant, fields):
+    """With the root oracle and the field tables patched to raise, the closed
+    form still equals the oracle on every verify family, and far past the
+    oracle's reach it keeps both counting identities: every coefficient
+    vector has one level, and every field point is a root of q^m of them."""
+    acceptance = [(fam, spectrum_oracle(fam)) for fam in wenger_acceptance_families()
+                  if fam.variant == variant]
+    for name in ("brute_nk_distribution", "span_root_distribution", "field_tables"):
+        monkeypatch.setattr(wenger, name, _raise)
+    monkeypatch.setattr(oracle, "field_tables", _raise)
+    for fam, oracle_report in acceptance:
+        assert spectrum_formula(fam).same_spectrum(oracle_report)
+    for p, e in fields:
+        fld, q = make_field(p, e), p ** e
+        for m in range(1, 21):
+            report = spectrum_formula(WengerFamily(variant, fld, m))
+            assert sum(mult for _, mult in report.entries) == q ** (m + 1), (q, m)
+            assert sum(level * mult for level, mult in report.entries) == q ** (m + 1), (q, m)
+
+
 def test_exponent_rule_resolution():
     """The family's own jump exponent is the only low-level completion rule
     consistent with the oracle; the alternative fails on at least one family."""
@@ -143,15 +181,17 @@ def test_exponent_rule_resolution():
             continue
         oracle_report = spectrum_oracle(fam)
         default_all &= spectrum_formula(fam).same_spectrum(oracle_report)
-        alt = spectrum_formula(fam, low_level_top_exponent=fam.m + 2)
+        alt = alternative_spectrum(fam)
         alternative_results.append(alt.same_spectrum(oracle_report))
     alternative_all = all(alternative_results)
     assert default_all and not alternative_all
     # the smallest family already separates the two rules
     fam31 = WengerFamily(1, make_field(3, 1), 1)
-    alt = spectrum_formula(fam31, low_level_top_exponent=3)
+    alt = alternative_spectrum(fam31)
     assert alt.multiplicity(0) == 2  # oracle says 4
     assert alt.metadata["low_level_top_exponent"] == 3
+    with pytest.raises(ValueError):
+        alternative_spectrum(WengerFamily(2, make_field(3, 2), 1))
 
 
 def test_moment_check_accepts_true_spectrum(fam31):
