@@ -26,7 +26,7 @@ from math import factorial
 from typing import Sequence
 
 from .exactcomb import binomial, enumerate_cycle_types, perm_type_count
-from .ff import FieldElement, FieldSpec, quadratic_character
+from .ff import FieldElement, FieldSpec, _mul_mod, quadratic_character
 
 
 class IntegralityError(ArithmeticError):
@@ -208,14 +208,16 @@ def quadlin_invariants(
     least one a_i, all nonzero: then P != 0, and B', C' vanish when b, c do.
     The pass runs on the coefficient tuples of elements the caller has
     checked; only the three results are wrapped."""
-    mul, p = field._mul_coeffs, field.p
-    prod, b = a[0].coeffs, mul(bvec[0].coeffs, bvec[0].coeffs)
+    mod, p = field.modulus, field.p
+    prod, b = a[0].coeffs, _mul_mod(bvec[0].coeffs, bvec[0].coeffs, mod, p)
     for ai, bi in zip(a[1:], bvec[1:]):
         x, y = ai.coeffs, bi.coeffs
-        b = tuple((u + v) % p for u, v in zip(mul(x, b), mul(mul(y, y), prod)))
-        prod = mul(prod, x)
-    c = tuple((u - v) % p for u, v in zip(mul(mul(b0.coeffs, b0.coeffs), prod),
-                                          mul(a0.coeffs, b)))
+        y2 = _mul_mod(y, y, mod, p)
+        b = tuple((u + v) % p for u, v in zip(_mul_mod(x, b, mod, p), _mul_mod(y2, prod, mod, p)))
+        prod = _mul_mod(prod, x, mod, p)
+    b02 = _mul_mod(b0.coeffs, b0.coeffs, mod, p)
+    c = tuple((u - v) % p for u, v in zip(_mul_mod(b02, prod, mod, p),
+                                          _mul_mod(a0.coeffs, b, mod, p)))
     return field._trusted(prod), field._trusted(b), field._trusted(c)
 
 

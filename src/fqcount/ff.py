@@ -7,6 +7,12 @@ indices are reproducible across runs: element i has coefficients equal to the
 base-p digits of i, index 0 is zero and index 1 is the multiplicative
 identity.
 
+Every field operation has one route.  Products go through one
+multiply-and-reduce kernel, _mul_mod; the inverse is the Fermat power
+a^(q-2); and a candidate modulus is irreducible when it shares no factor
+with x^(p^i) - x for i <= e/2 (Lidl and Niederreiter, Finite Fields, ch. 3).
+Fields are built once per process and cached.
+
 Everything here is pure and immutable; fields and elements can be shared
 freely across threads.
 """
@@ -15,12 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 MAX_ORDER = 1 << 20
-
-_FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 
 
 class FieldError(ValueError):
@@ -54,39 +58,24 @@ def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _pmod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo the monic polynomial mod."""
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _trim(tuple(x % p for x in a[:dm]))
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...],
+             p: int) -> tuple[int, ...]:
+    """The product of two coefficient tuples of length e = deg(modulus),
+    reduced by the monic modulus in the same pass: e coefficients in [0, p)."""
+    e = len(modulus) - 1
+    if e == 1:
+        return ((a[0] * b[0]) % p,)
+    prod = [0] * (2 * e - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(tuple(out))
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    m = max(len(a), len(b))
-    out = [0] * m
-    for i in range(m):
-        if i < len(a):
-            out[i] += a[i]
-        if i < len(b):
-            out[i] -= b[i]
-        out[i] %= p
-    return _trim(tuple(out))
+                prod[i + j] += ai * bj
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(e):
+                prod[i - e + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:e])
 
 
 def _pdivmod(a: tuple[int, ...], b: tuple[int, ...],
@@ -122,54 +111,32 @@ def _resultant(f: tuple[int, ...], g: tuple[int, ...], p: int) -> int:
     return res * pow(g[0], len(f) - 1, p) % p
 
 
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return a
-
-
-def _frobenius_power(base: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """base^p reduced modulo mod, by square-and-multiply on the exponent p."""
-    result: tuple[int, ...] = (1,)
-    acc = base
-    k = p
-    while k:
-        if k & 1:
-            result = _pmod(_pmul(result, acc, p), mod, p)
-        acc = _pmod(_pmul(acc, acc, p), mod, p)
-        k >>= 1
-    return result
-
-
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
+    """Irreducibility of a monic polynomial f of degree e >= 2 over F_p.
 
-    Degree <= 3 reduces to a root check; in general a reducible polynomial of
-    degree e has an irreducible factor of degree <= e // 2, and the product of
-    all monic irreducibles of degree dividing i is x^(p^i) - x.
+    A reducible f has an irreducible factor of degree d <= e // 2, and the
+    product of all monic irreducibles of degree dividing i is x^(p^i) - x; so
+    f is irreducible when gcd(f, x^(p^i) - x) = 1 for i = 1..e // 2.  Each
+    x^(p^i) mod f is the p-th power of the one before, by square-and-multiply
+    through _mul_mod.
     """
     e = len(coeffs) - 1
-    if e <= 0:
-        return False
-    if e == 1:
-        return True
-    if e <= 3:
-        return all(_eval_mod_p(coeffs, x, p) != 0 for x in range(p))
-    t = (0, 1)  # the polynomial x
+    x = (0, 1) + (0,) * (e - 2)
+    t = x
     for _ in range(e // 2):
-        t = _frobenius_power(t, coeffs, p)
-        g = _pgcd(coeffs, _psub(t, (0, 1), p), p)
-        if len(g) - 1 > 0:
+        power, k = (1,) + (0,) * (e - 1), p
+        while k:
+            if k & 1:
+                power = _mul_mod(power, t, coeffs, p)
+            t = _mul_mod(t, t, coeffs, p)
+            k >>= 1
+        t = power
+        a, b = coeffs, _trim(tuple((c - d) % p for c, d in zip(t, x)))
+        while b:
+            a, b = b, _pdivmod(a, b, p)[1]
+        if len(a) > 1:
             return False
     return True
-
-
-def _eval_mod_p(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    y = 0
-    for c in reversed(coeffs):
-        y = (y * x + c) % p
-    return y
 
 
 def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -177,11 +144,12 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 
     Coefficient vectors are compared from the constant term upward.  Degree 1
     uses the placeholder modulus x, i.e. (0, 1); arithmetic is then plain
-    mod-p.
+    mod-p.  Above degree 1 a zero constant term leaves the factor x, so the
+    candidates start at constant term 1.
     """
     if e == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         coeffs = tuple(tail) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
@@ -277,9 +245,6 @@ class FieldSpec:
         object.__setattr__(x, "coeffs", coeffs)
         return x
 
-    def _wrap(self, coeffs: tuple[int, ...]) -> FieldElement:
-        return self._trusted(tuple(coeffs) + (0,) * (self.e - len(coeffs)))
-
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a), self._check(b)
         return self._trusted(tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
@@ -294,43 +259,14 @@ class FieldSpec:
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a), self._check(b)
-        return self._trusted(self._mul_coeffs(a.coeffs, b.coeffs))
-
-    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """The coefficients of the product of two elements' coefficient tuples,
-        reduced by the monic modulus in the same pass."""
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        modulus = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(e):
-                    prod[i - e + j] -= c * modulus[j]
-        return tuple(c % p for c in prod[:e])
+        return self._trusted(_mul_mod(a.coeffs, b.coeffs, self.modulus, self.p))
 
     def inv(self, a: FieldElement) -> FieldElement:
+        """a^(q-2), the inverse by Fermat's little theorem; zero has none."""
         self._check(a)
         if a.is_zero():
             raise FieldError("inversion of zero")
-        p = self.p
-        if self.e == 1:
-            return self._trusted((pow(a.coeffs[0], p - 2, p),))
-        # Extended Euclid against the modulus, keeping s_i * a = r_i (mod it).
-        r0, r1 = self.modulus, _trim(a.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            quot, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
-        scale = pow(r0[0], p - 2, p)  # the gcd r0 is a nonzero constant
-        return self._wrap(tuple(c * scale % p for c in s0))
+        return self.pow_(a, self.q - 2)
 
     def pow_(self, a: FieldElement, k: int) -> FieldElement:
         """a**k by square-and-multiply; negative k inverts first."""
@@ -373,12 +309,12 @@ def make_field(p: int, e: int) -> FieldSpec:
     q = p ** e
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds the configured bound {MAX_ORDER}")
-    key = (p, e)
-    cached = _FIELD_CACHE.get(key)
-    if cached is None:
-        cached = FieldSpec(p=p, e=e, q=q, modulus=canonical_modulus(p, e))
-        _FIELD_CACHE[key] = cached
-    return cached
+    return _canonical_field(p, e)
+
+
+@cache
+def _canonical_field(p: int, e: int) -> FieldSpec:
+    return FieldSpec(p=p, e=e, q=p ** e, modulus=canonical_modulus(p, e))
 
 
 def quadratic_character(field: FieldSpec, x: FieldElement) -> int:

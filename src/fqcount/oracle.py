@@ -44,7 +44,7 @@ caller reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, gcd
 from typing import Sequence
 
@@ -90,26 +90,22 @@ DEFAULT_BUDGET = EnumerationBudget()
 # Lookup tables.
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-
-
 def _check_table_order(q: int) -> None:
     if q > TABLE_ORDER_LIMIT:
         raise BudgetExceededError("oracle lookup tables", q, TABLE_ORDER_LIMIT, "field elements")
 
 
+@cache
 def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
     """Dense index-level add/mul/neg/inv tables for a small field.
 
     The multiplication table is assembled from discrete logs with respect to
     the first primitive element in enumeration order, so building it costs
     O(q) field multiplications rather than O(q^2).  An element g is
-    primitive when g^((q-1)/r) != 1 for every prime r dividing q - 1.
+    primitive when g^((q-1)/r) != 1 for every prime r dividing q - 1.  The
+    order is checked before anything is built, and the tables are built once
+    per field.
     """
-    key = (field.p, field.e)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     q, p, e = field.q, field.p, field.e
     _check_table_order(q)
 
@@ -146,7 +142,6 @@ def field_tables(field: FieldSpec) -> dict[str, np.ndarray]:
     }
     for arr in tables.values():
         arr.setflags(write=False)  # shared across callers
-    _TABLE_CACHE[key] = tables
     return tables
 
 

@@ -223,12 +223,12 @@ def _completion_counts(family: WengerFamily, levels: range) -> dict[int, int]:
     return {i: count_nk_gap3(f, top, i).value for i in levels}
 
 
-def _assemble_levels(family: WengerFamily, low: Mapping[int, int], low_top: int,
+def _assemble_levels(family: WengerFamily, low: Mapping[int, int],
                      high: Mapping[int, int]) -> SpectrumReport:
     """Levels below m collect the coefficient vectors whose top slot vanishes
     (degree classes 0..m-1, a geometric inclusion-exclusion sum) plus the
-    completions in `low`, here of x^low_top; levels m..top come from the
-    family's own completions `high` alone, and level q is the zero vector."""
+    completions in `low`; levels m..top come from the family's own
+    completions `high` alone, and level q is the zero vector."""
     f = family.field
     q = f.q
     m = family.m
@@ -239,22 +239,11 @@ def _assemble_levels(family: WengerFamily, low: Mapping[int, int], low_top: int,
         counts[i] = (q - 1) * low_degrees + (q - 1) * low[i]
     for i in range(m, family.top_exponent + 1):
         counts[i] = (q - 1) * high[i]
-
-    note = (
-        "levels below m use completions of x^%d; default is the family's own jump exponent"
-        % low_top
-    )
     return SpectrumReport(
         entries=_entries_from_counts(counts),
         vertex_count=2 * q ** (m + 1),
         method="closed-form",
-        metadata={
-            "variant": family.variant,
-            "q": q,
-            "m": m,
-            "low_level_top_exponent": low_top,
-            "note": note,
-        },
+        metadata={"variant": family.variant, "q": q, "m": m},
     )
 
 
@@ -264,7 +253,7 @@ def spectrum_formula(family: WengerFamily) -> SpectrumReport:
     nothing.  Variant 2 needs odd square q, as the gap-3 closed form does, and
     raises its ValueError on any other field."""
     completions = _completion_counts(family, range(family.top_exponent + 1))
-    return _assemble_levels(family, completions, family.top_exponent, completions)
+    return _assemble_levels(family, completions, completions)
 
 
 def alternative_spectrum(family: WengerFamily,
@@ -278,7 +267,7 @@ def alternative_spectrum(family: WengerFamily,
     f = family.field
     m = family.m
     low = brute_nk_distribution(f, [f.zero, f.zero], m + 2, m - 1, budget)
-    return _assemble_levels(family, low, m + 2, _completion_counts(family, range(m, m + 2)))
+    return _assemble_levels(family, low, _completion_counts(family, range(m, m + 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqcount import oracle
 from fqcount.ff import (
     FieldElement,
     FieldError,
@@ -61,6 +63,16 @@ def test_canonical_moduli_pinned():
     assert make_field(3, 1).modulus == (0, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert make_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
+
+
+def test_canonical_moduli_digest():
+    """Every canonical modulus with e >= 2 and p^e <= 4096, 40 fields, p then
+    e ascending, pinned by the sha256 of one line per field."""
+    lines = [f"{p},{e}:{canonical_modulus(p, e)}"
+             for p in range(2, 65) if is_prime(p) for e in range(2, 13) if p ** e <= 4096]
+    assert len(lines) == 40
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "094b7fc80f1fa405dbc4c7feefdea4c99b4b83b284ed972feda52883f1e80a16")
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
@@ -277,9 +289,11 @@ INVERSE_FIELDS = sorted(set(SMALL_FIELDS + ODD_FIELDS_729 + [(2, 5), (2, 6), (3,
 
 @pytest.mark.parametrize("p,e", INVERSE_FIELDS)
 def test_inverse_matches_fermat_power(p, e):
-    """The Euclidean (e > 1) and builtin-pow (e = 1) inverses against x^(q-2)."""
+    """The Fermat inverse x^(q-2) against the oracle's inverse table, which
+    reads it from discrete logs, and x * x^(-1) = 1, at every nonzero x."""
     f = make_field(p, e)
+    table = oracle.field_tables(f)["inv"]
     for x in itertools.islice(f.elements(), 1, None):
         inv = f.inv(x)
-        assert inv == f.pow_(x, f.q - 2)
+        assert inv.index == table[x.index]
         assert f.mul(x, inv) == f.one

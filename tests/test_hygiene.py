@@ -1,12 +1,14 @@
 """Source hygiene without a linter, from the syntax trees of the package: no
 module but __init__ (which re-exports) imports a name it never reads, and
-every module-level function or class, private or public, is read somewhere
-in the package outside its own body.  __init__'s re-exports are not reads:
-an exported helper that nothing in the package calls fails too.  The oracle
-imports nothing from the code it checks, no closed form takes an enumeration
-budget, and the README's library sketch runs."""
+every module-level function or class, private or public, and every private
+method of a class is read somewhere in the package outside its own body.
+__init__'s re-exports are not reads: an exported helper that nothing in the
+package calls fails too.  The oracle imports nothing from the code it
+checks, no closed form takes an enumeration budget, and the README's library
+sketch runs."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,15 @@ CHECKED = sorted(name for name in TREES if name != "__init__.py")
 
 
 def _read_names(nodes):
-    """Every identifier read under the given nodes: bare names and attributes."""
-    names = set()
+    """Every identifier read under the given nodes, bare names and attributes,
+    with the number of its reads."""
+    names = Counter()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names[node.attr] += 1
     return names
 
 
@@ -55,6 +58,18 @@ def _unread_definitions(module, private):
     return unread
 
 
+def _unread_private_methods(module):
+    """The private methods (dunders aside) of the module's classes that
+    nothing in the package reads outside the method's own body."""
+    package = _read_names(TREES.values())
+    return [f"{cls.name}.{node.name}"
+            for cls in TREES[module].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and package[node.name] == _read_names([node])[node.name]]
+
+
 @pytest.mark.parametrize("module", CHECKED)
 def test_no_unused_imports(module):
     tree = TREES[module]
@@ -65,6 +80,11 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", CHECKED)
 def test_private_definitions_are_referenced(module):
     assert _unread_definitions(module, private=True) == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_private_methods_are_read(module):
+    assert _unread_private_methods(module) == []
 
 
 @pytest.mark.parametrize("module", CHECKED)

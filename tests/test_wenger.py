@@ -23,7 +23,7 @@ from fqcount.wenger import (
     _orbit_point_gram_traces,
 )
 
-from helpers import is_edge, ref_orbit_point_gram_traces, ref_point_gram_traces
+from helpers import is_edge, ref_nk_distribution, ref_orbit_point_gram_traces, ref_point_gram_traces
 
 
 def wenger_acceptance_families():
@@ -189,7 +189,16 @@ def test_exponent_rule_resolution():
     fam31 = WengerFamily(1, make_field(3, 1), 1)
     alt = alternative_spectrum(fam31)
     assert alt.multiplicity(0) == 2  # oracle says 4
-    assert alt.metadata["low_level_top_exponent"] == 3
+    # below level m the alternative counts completions of x^(m+2) in place of
+    # x^(m+1); from level m up it is the family's own spectrum
+    for fam in (fam31, WengerFamily(1, make_field(5, 1), 2), WengerFamily(1, make_field(2, 2), 1)):
+        f, m, q = fam.field, fam.m, fam.field.q
+        shift = [(q - 1) * (high - low) for high, low in
+                 zip(ref_nk_distribution(f, [f.zero] * 2, m + 2, m - 1),
+                     ref_nk_distribution(f, [f.zero], m + 1, m - 1))]
+        alt, own = alternative_spectrum(fam), spectrum_formula(fam)
+        for i in range(q + 1):
+            assert alt.multiplicity(i) == own.multiplicity(i) + (shift[i] if i < m else 0), (fam, i)
     with pytest.raises(ValueError):
         alternative_spectrum(WengerFamily(2, make_field(3, 2), 1))
 
