@@ -37,8 +37,8 @@ one table of counts replaces the walk.  Quadratic/linear systems of one
 length run as one batch, a table with one row of states per system, so a
 batch costs the numpy calls of a single system.  The counts can pass 2^63,
 so a table is kept modulo the fewest 61-bit primes whose product exceeds
-every count.  The Chinese remainder theorem rebuilds only the counts a
-caller reads.
+every count.  Both DPs keep these residues on a leading moduli axis, and one
+`_crt` rebuilds only the counts a caller reads.
 """
 
 from __future__ import annotations
@@ -414,73 +414,70 @@ def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
     return moduli, len(moduli) * sum(min(t_max, a + 1) for a in range(q)) * n_states
 
 
-def _dest_maps(field: FieldSpec, predicate: str) -> list[np.ndarray]:
-    """dest[a][s]: the state of S + {a} for a subset S in state s; each map
-    permutes the states."""
-    q = field.q
+def _adjoined(field: FieldSpec, predicate: str, a, s1, s2):
+    """The state of S + {a} for a subset S with accumulators (s1, s2), broadcast
+    elementwise: s1 + a, and s2 + a * s1 ("elementary") or s2 + a^2."""
     t = field_tables(field)
     add_t, mul_t = t["add"], t["mul"]
     if predicate == "sum-only":
-        return [add_t[:, a] for a in range(q)]
-    first = np.repeat(np.arange(q), q)  # state s = s1 * q + s2
-    second = np.tile(np.arange(q), q)
-    dests = []
-    for a in range(q):
-        # the pairwise-product sum picks up a * (the previous plain sum)
-        step = mul_t[a, a] if predicate == "power-sums" else mul_t[a, first]
-        dests.append(add_t[first, a].astype(np.intp) * q + add_t[second, step])
-    return dests
+        return add_t[s1, a]
+    x = s1 if predicate == "elementary" else a
+    return add_t[s1, a].astype(np.intp) * field.q + add_t[s2, mul_t[a, x]]
 
 
 @lru_cache(maxsize=8)
 def _subset_dp(
-    field: FieldSpec, predicate: str, t_max: int, budget: EnumerationBudget
-) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """Per modulus P, the (t_max + 1, states) table of subset counts mod P by
-    size and accumulator state, over every subset of the field.
+    field: FieldSpec, predicate: str, t_max: int, moduli: tuple[int, ...]
+) -> np.ndarray:
+    """The (moduli, t_max + 1, states) table of subset counts, modulo each
+    modulus, by size and accumulator state, over every subset of the field.
 
     Elements are adjoined one at a time.  Adjoining a sends a size-j subset in
-    state s to size j + 1 in state dest_a(s), for every size at once; the old
-    values are read through the inverse map, so each step is one gather-add.
+    state s to size j + 1 in state `_adjoined`(s), a permutation of the
+    states, for every size and modulus at once; the old values are read
+    through the inverse map, so each step is one gather-add.
     """
     q = field.q
-    n_states = q if predicate == "sum-only" else q * q
-    moduli, updates = _dp_plan(q, t_max, n_states)
-    budget.check(updates, f"subset DP ({predicate})", "DP state updates")
-    sources = [np.argsort(dest) for dest in _dest_maps(field, predicate)]
-    tables = []
-    for modulus in moduli:
-        dp = np.zeros((t_max + 1, n_states), dtype=np.int64)
-        dp[0, 0] = 1  # the empty subset, in the zero state
-        for a, src in enumerate(sources):
-            k = min(t_max, a + 1)  # a subset of elements 0..a has at most a + 1 of them
-            grown = dp[1:k + 1]
-            grown += dp[:k, src]
-            np.subtract(grown, modulus, out=grown, where=grown >= modulus)
-        dp.setflags(write=False)  # shared across callers
-        tables.append(dp)
-    return moduli, tuple(tables)
+    # a state is s1 alone, or s1 * q + s2 flattened from an s1 column and an s2 row
+    s1, s2 = (np.arange(q), None) if predicate == "sum-only" else np.ogrid[:q, :q]
+    mods = np.array(moduli, dtype=np.int64)[:, None, None]
+    dp = np.zeros((len(moduli), t_max + 1, q if s2 is None else q * q), dtype=np.int64)
+    dp[:, 0, 0] = 1  # the empty subset, in the zero state
+    for a in range(q):
+        src = np.argsort(_adjoined(field, predicate, a, s1, s2), axis=None)
+        k = min(t_max, a + 1)  # a subset of elements 0..a has at most a + 1 of them
+        grown = dp[:, 1:k + 1]
+        grown += dp[:, :k, src]
+        np.subtract(grown, mods, out=grown, where=grown >= mods)
+    dp.setflags(write=False)  # shared across callers
+    return dp
 
 
-def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """The least x >= 0 with x = residues[i] mod moduli[i], in Garner's form."""
-    x, product = 0, 1
-    for r, modulus in zip(residues, moduli):
-        x += product * ((r - x) * pow(product, -1, modulus) % modulus)
+def _crt(residues: np.ndarray, moduli: Sequence[int]) -> list[int]:
+    """Per cell of a (moduli, cells) residue array, the least x >= 0 with
+    x = residues[i] mod moduli[i], in Garner's form."""
+    counts, product = [0] * residues.shape[1], 1
+    for row, modulus in zip(residues.tolist(), moduli):
+        inverse = pow(product, -1, modulus)
+        counts = [x + product * ((r - x) * inverse % modulus) for x, r in zip(counts, row)]
         product *= modulus
-    return x
+    return counts
 
 
 def _subset_tables(
     field: FieldSpec, t_size: int, predicate: str, budget: EnumerationBudget
-) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """The `_subset_dp` tables that size t_size is read from: one table of
-    every size 0..q when the budget allows it, of sizes 0..t otherwise."""
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The moduli and the `_subset_dp` table that size t_size is read from:
+    one table of every size 0..q when the budget allows it, of sizes 0..t
+    otherwise.  The budget is checked before any table is built."""
     q = field.q
     _check_table_order(q)  # _MODULI covers every table up to this order
-    n_states = q if predicate == "sum-only" else q * q
-    full = _dp_plan(q, q, n_states)[1] <= budget.max_items
-    return _subset_dp(field, predicate, q if full else t_size, budget)
+    for t_max in (q, t_size):  # every size when the budget allows it
+        moduli, updates = _dp_plan(q, t_max, q if predicate == "sum-only" else q * q)
+        if updates <= budget.max_items:
+            break
+    budget.check(updates, f"subset DP ({predicate})", "DP state updates")
+    return moduli, _subset_dp(field, predicate, t_max, moduli)
 
 
 def subset_pair_tally(
@@ -508,11 +505,9 @@ def subset_pair_tally(
         raise ValueError(f"predicate must be one of {SUBSET_PREDICATES}, got {predicate!r}")
     if not 0 <= t_size <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
-    moduli, tables = _subset_tables(field, t_size, predicate, budget)
-    n_states = tables[0].shape[1]
-    cells = np.arange(n_states) if states is None else np.asarray(states, dtype=np.intp)
-    residues = np.stack([table[t_size, cells] for table in tables], axis=1).tolist()
-    counts = [_crt(r, moduli) for r in residues]
+    moduli, table = _subset_tables(field, t_size, predicate, budget)
+    cells = np.arange(table.shape[2]) if states is None else np.asarray(states, dtype=np.intp)
+    counts = _crt(table[:, t_size, cells], moduli)
     if states is None and predicate != "sum-only":
         return [counts[i * q: (i + 1) * q] for i in range(q)]
     return counts
@@ -538,9 +533,9 @@ def brute_subsets_mss2(
     reading of the second accumulator; the two must tally identically away
     from characteristic 2.  Both modes read `subset_pair_tally`, which also
     gives the plain subset-sum counts under its "sum-only" predicate.  The
-    first-distinct target states, (s1, m2 - (m1 - s1)^2) or
-    (s1, m2 - (m1 - s1) s1) for every sum s1 of S, are gathered from the
-    lookup tables once the subset DP has passed the budget.
+    first-distinct target states are the states of S that the DP's own
+    adjoin rule, `_adjoined`, sends to (m1, m2) on adjoining the completion
+    m1 - s1; they are read once the subset DP has passed the budget.
     """
     q = field.q
     m1 = m1 if m1 is not None else field.zero
@@ -557,10 +552,9 @@ def brute_subsets_mss2(
         raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
     _subset_tables(field, t_size - 1, predicate, budget)  # the budget, then the tables
     t = field_tables(field)
-    s1 = np.arange(q)
-    last = t["add"][m1.index, t["neg"]]  # m1 - s1
-    second = t["mul"][last, last if predicate == "power-sums" else s1]
-    states = s1 * q + t["add"][m2.index, t["neg"][second]]  # (s1, m2 - second)
+    s1, s2 = np.ogrid[:q, :q]  # the states s1 * q + s2, as in `_subset_dp`
+    last = t["add"][m1.index, t["neg"][s1]]  # the completion m1 - s1
+    states = np.flatnonzero(_adjoined(field, predicate, last, s1, s2) == m1.index * q + m2.index)
     return sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
 
 
@@ -628,5 +622,5 @@ def quadlin_counts(
         dp = grown
     residues = dp[:, slots, [a0.index for _, a0, _, _ in instances],
                   [b0.index for _, _, _, b0 in instances]]
-    return [_crt(r, moduli) for r in residues.T.tolist()]
+    return _crt(residues, moduli)
 

@@ -224,8 +224,13 @@ def force_quadlin_case(field, a, a0, bvec, b0, case):
 
 @lru_cache(maxsize=None)  # the gap-2 (both b) and gap-3 references of one (n, k) share a tail
 def ref_alternating_tail(q, m, length):
-    """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term."""
-    return sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))
+    """sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), term by term from
+    i = 0, with C(m, i) and q^(length - i) carried from the previous term."""
+    total, binom, power = 0, 1, q ** length
+    for i in range(length + 1):
+        total += (-1) ** i * binom * power
+        binom, power = binom * (m - i) // (i + 1), power // q
+    return total
 
 
 def ref_gap2_main(field, n, k, b):

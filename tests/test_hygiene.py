@@ -4,8 +4,8 @@ every module-level function or class, private or public, and every private
 method of a class is read somewhere in the package outside its own body.
 __init__'s re-exports are not reads: an exported helper that nothing in the
 package calls fails too.  The oracle imports nothing from the code it
-checks, no closed form takes an enumeration budget, and the README's library
-sketch runs."""
+checks, no closed form and no cached function takes an enumeration budget,
+and the README's library sketch runs."""
 
 import ast
 from collections import Counter
@@ -70,6 +70,12 @@ def _unread_private_methods(module):
             and package[node.name] == _read_names([node])[node.name]]
 
 
+def _taking_budget(functions):
+    """The names of the given functions that take a `budget` parameter."""
+    return [node.name for node in functions
+            if "budget" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}]
+
+
 @pytest.mark.parametrize("module", CHECKED)
 def test_no_unused_imports(module):
     tree = TREES[module]
@@ -113,8 +119,24 @@ def test_closed_forms_take_no_budget():
     functions += [node for node in TREES["wenger.py"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "spectrum_formula"]
     assert len(functions) > 1
-    assert [node.name for node in functions
-            if "budget" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}] == []
+    assert _taking_budget(functions) == []
+
+
+def test_cached_functions_take_no_budget():
+    """A budget gates work and is no input of a table, so no function of the
+    package cached with functools.cache or lru_cache takes one."""
+    def cached(node):
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("cache", "lru_cache"):
+                return True
+        return False
+
+    functions = [node for tree in TREES.values() for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)]
+    assert len(functions) > 1
+    assert _taking_budget(functions) == []
 
 
 def test_readme_library_sketch_runs():

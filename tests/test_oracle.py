@@ -239,6 +239,15 @@ def test_subset_dp_chinese_remainders(monkeypatch, fresh_subset_dp, moduli):
         assert subset_pair_tally(fields[q], t, pred) == tally, (q, pred, t)
 
 
+def test_subset_dp_cached_once_whatever_the_budget(fresh_subset_dp):
+    """The budget gates the work but is no input of the table: a large and
+    the default budget read the same cached table."""
+    f9 = make_field(3, 2)
+    subset_pair_tally(f9, 3, budget=EnumerationBudget(10 ** 9))
+    subset_pair_tally(f9, 3)
+    assert oracle._subset_dp.cache_info().currsize == 1
+
+
 def test_subset_dp_moduli_cover_every_table():
     """Distinct primes below 2^61 whose product passes every C(q, k) the
     lookup tables allow."""

@@ -171,6 +171,16 @@ def test_horner_tail_matches_literal_sum(q, data):
     assert _alternating_tail(q, m, length) == ref_alternating_tail(q, m, length)
 
 
+def test_literal_tail_reference_is_the_sum_term_by_term():
+    """The reference carries C(m, i) and q^(length - i) from one term to the
+    next; it is the sum with every term computed afresh."""
+    for q in (2, 3, 5, 9, 49):
+        for m in range(q + 3):
+            for length in range(q + 3):
+                afresh = sum((-1) ** i * comb(m, i) * q ** (length - i) for i in range(length + 1))
+                assert ref_alternating_tail(q, m, length) == afresh, (q, m, length)
+
+
 class CountingQ(int):
     """The field size q as an int that counts the Horner steps acc * q."""
 
