@@ -1,5 +1,5 @@
-"""Command-line surface: counting subcommands, configuration, deterministic
-JSON/CSV serialization, and the formula-vs-oracle verification sweeps.
+"""Command-line surface: counting subcommands, deterministic JSON/CSV
+serialization, and the formula-vs-oracle verification sweeps.
 
 Exit codes: 0 success, 1 usage/precondition error, 2 enumeration budget
 exceeded, 3 verification mismatch or an internal fault (a failed exact
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -30,9 +29,7 @@ EXIT_MISMATCH = 3
 
 DEFAULT_SEED = 20250808
 MIN_BUDGET = 10 ** 4
-
-ENV_BUDGET = "FQCOUNT_BUDGET"
-ENV_FORMAT = "FQCOUNT_FORMAT"
+METHODS = ("formula", "oracle", "both")
 
 CSV_COLUMNS = ("suite", "q", "n", "ell", "k", "b", "formula_value", "oracle_value", "match")
 
@@ -73,59 +70,17 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved runtime settings: defaults < config file < env < CLI flags."""
+    """Run settings, from the --budget and --format flags."""
 
     budget: oracle.EnumerationBudget = oracle.DEFAULT_BUDGET
     output_format: str = "json"
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Parse plain `key = value` lines; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in ("budget", "output_format"):
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
-    return values
-
-
-def _parse_int(value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    budget = oracle.DEFAULT_MAX_ITEMS
-    output_format = "json"
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-        if "budget" in file_values:
-            budget = _parse_int(file_values["budget"], "budget")
-        if "output_format" in file_values:
-            output_format = file_values["output_format"]
-    if os.environ.get(ENV_BUDGET):
-        budget = _parse_int(os.environ[ENV_BUDGET], ENV_BUDGET)
-    if os.environ.get(ENV_FORMAT):
-        output_format = os.environ[ENV_FORMAT]
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
-    if getattr(args, "format", None) is not None:
-        output_format = args.format
+    budget = oracle.DEFAULT_MAX_ITEMS if args.budget is None else args.budget
     if budget < MIN_BUDGET:
         raise UsageError(f"budget must be >= {MIN_BUDGET}, got {budget}")
-    if output_format not in ("json", "csv", "plain"):
-        raise UsageError(f"output format must be json, csv or plain, got {output_format!r}")
-    return RunConfig(budget=oracle.EnumerationBudget(budget), output_format=output_format)
+    return RunConfig(oracle.EnumerationBudget(budget), args.format or "json")
 
 
 # ---------------------------------------------------------------------------
@@ -543,31 +498,7 @@ def _nk_formula(fld, gap: int, n: int, k: int, b):
     return counting.count_nk_gap3(fld, n, k)
 
 
-def _run_both(args, config, out, formula_fn, oracle_fn, payload_base: dict) -> int:
-    method = args.method
-    payload = dict(payload_base)
-    if method in ("formula", "both"):
-        result = formula_fn()
-        payload["value"] = result.value
-        payload["method"] = "closed-form"
-        if result.note:
-            payload["note"] = result.note
-    if method in ("oracle", "both"):
-        value = oracle_fn()
-        if method == "oracle":
-            payload["value"] = value
-            payload["method"] = "oracle"
-        else:
-            payload["oracle_value"] = value
-            payload["match"] = payload["value"] == value
-    _emit(payload, config, out)
-    if method == "both" and not payload["match"]:
-        return EXIT_MISMATCH
-    return EXIT_OK
-
-
-def _cmd_count(args, config: RunConfig, out) -> int:
-    fld = _field_from_args(args)
+def _screen_count(args, fld, budget):
     gap = args.gap
     _require(gap == 2 or args.b in (None, 0), "--b is only meaningful for --gap 2")
     _require(args.n >= gap, f"gap-{gap} counts need degree n >= {gap}, got {args.n}")
@@ -578,32 +509,23 @@ def _cmd_count(args, config: RunConfig, out) -> int:
 
     def oracle_count():
         dist = oracle.brute_nk_distribution(fld, _fixed_high(fld, gap, b), args.n, args.n - gap,
-                                            config.budget)
+                                            budget)
         return dist[args.k] if args.k <= fld.q else 0  # no polynomial has more than q roots
 
-    return _run_both(
-        args, config, out,
-        lambda: _nk_formula(fld, gap, args.n, args.k, b),
-        oracle_count,
-        {"query": {"kind": "distinct-root-count", "q": fld.q, "p": fld.p, "e": fld.e,
-                   "n": args.n, "ell": args.n - gap, "k": args.k, "b": b.index}},
-    )
+    return (lambda: _nk_formula(fld, gap, args.n, args.k, b), oracle_count,
+            {"kind": "distinct-root-count", "q": fld.q, "p": fld.p, "e": fld.e,
+             "n": args.n, "ell": args.n - gap, "k": args.k, "b": b.index})
 
 
-def _cmd_subset_sum(args, config: RunConfig, out) -> int:
-    fld = _field_from_args(args)
+def _screen_subset_sum(args, fld, budget):
     b = _from_user(fld.element, args.b)
     _require(0 <= args.n <= fld.q, f"subset size must lie in [0, {fld.q}], got {args.n}")
-    return _run_both(
-        args, config, out,
-        lambda: counting.subset_sum_count(fld, args.n, b),
-        lambda: oracle.subset_pair_tally(fld, args.n, "sum-only", config.budget, [b.index])[0],
-        {"query": {"kind": "subset-sum", "q": fld.q, "n": args.n, "b": args.b}},
-    )
+    return (lambda: counting.subset_sum_count(fld, args.n, b),
+            lambda: oracle.subset_pair_tally(fld, args.n, "sum-only", budget, [b.index])[0],
+            {"kind": "subset-sum", "q": fld.q, "n": args.n, "b": args.b})
 
 
-def _cmd_mss2(args, config: RunConfig, out) -> int:
-    fld = _field_from_args(args)
+def _screen_mss2(args, fld, budget):
     m1 = _from_user(fld.element, args.m1)
     m2 = _from_user(fld.element, args.m2)
     mode = args.mode
@@ -615,20 +537,15 @@ def _cmd_mss2(args, config: RunConfig, out) -> int:
         low += 1  # the closed forms start at one subset element, or two tuple entries
     _require(low <= args.t <= high,
              f"--t must lie in [{low}, {high}] for this mode and method, got {args.t}")
-
-    return _run_both(
-        args, config, out,
-        lambda: (counting.moment_subset_count if mode == "power-sums"
-                 else counting.moment_subset_count_m1)(fld, args.t),
-        lambda: oracle.brute_subsets_mss2(fld, args.t, m1=m1, m2=m2, mode=mode,
-                                          predicate=args.predicate, budget=config.budget),
-        {"query": {"kind": "mss2", "q": fld.q, "t": args.t, "m1": args.m1,
-                   "m2": args.m2, "mode": mode, "predicate": args.predicate}},
-    )
+    return (lambda: (counting.moment_subset_count if mode == "power-sums"
+                     else counting.moment_subset_count_m1)(fld, args.t),
+            lambda: oracle.brute_subsets_mss2(fld, args.t, m1=m1, m2=m2, mode=mode,
+                                              predicate=args.predicate, budget=budget),
+            {"kind": "mss2", "q": fld.q, "t": args.t, "m1": args.m1,
+             "m2": args.m2, "mode": mode, "predicate": args.predicate})
 
 
-def _cmd_quadlin(args, config: RunConfig, out) -> int:
-    fld = _field_from_args(args)
+def _screen_quadlin(args, fld, budget):
     a = _parse_vector(fld, args.a)
     bvec = _parse_vector(fld, args.b)
     a0 = _from_user(fld.element, args.a0)
@@ -641,13 +558,69 @@ def _cmd_quadlin(args, config: RunConfig, out) -> int:
                  "every quadratic coefficient a_i must be nonzero")
         _require(not all(x.is_zero() for x in bvec),
                  "at least one linear coefficient b_i must be nonzero")
-    return _run_both(
-        args, config, out,
-        lambda: counting.quad_lin_solution_count(fld, a, a0, bvec, b0),
-        lambda: oracle.quadlin_counts(fld, [(a, a0, bvec, b0)], config.budget)[0],
-        {"query": {"kind": "quadlin", "q": fld.q, "a": args.a, "a0": args.a0,
-                   "bvec": args.b, "b0": args.b0}},
-    )
+    return (lambda: counting.quad_lin_solution_count(fld, a, a0, bvec, b0),
+            lambda: oracle.quadlin_counts(fld, [(a, a0, bvec, b0)], budget)[0],
+            {"kind": "quadlin", "q": fld.q, "a": args.a, "a0": args.a0,
+             "bvec": args.b, "b0": args.b0})
+
+
+@dataclass(frozen=True)
+class Query:
+    """One formula/oracle query command.  `arguments` are its
+    `(flag, add_argument keywords)` pairs, declared after --p and --e and
+    before --method, whose default is `method`.  `screen(args, fld, budget)`
+    raises UsageError before any work starts and returns the closed-form
+    thunk, the oracle thunk and the query payload."""
+
+    help: str
+    method: str
+    arguments: tuple
+    screen: Callable
+
+
+QUERIES: dict[str, Query] = {
+    "count": Query("distinct-root count for one gap family", "formula", (
+        ("--gap", dict(type=int, choices=(1, 2, 3), required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--b", dict(type=int, default=None, help="element index (gap 2 only)")),
+    ), _screen_count),
+    "subset-sum": Query("n-subsets with a prescribed sum", "formula", (
+        ("--n", dict(type=int, required=True)),
+        ("--b", dict(type=int, default=0, help="target sum, as an element index")),
+    ), _screen_subset_sum),
+    "mss2": Query("two-moment subset counting", "both", (
+        ("--t", dict(type=int, required=True, help="subset / tuple size")),
+        ("--m1", dict(type=int, default=0, help="first target, element index")),
+        ("--m2", dict(type=int, default=0, help="second target, element index")),
+        ("--mode", dict(choices=oracle.MSS2_MODES, default="power-sums")),
+        ("--predicate", dict(choices=oracle.MSS2_PREDICATES, default="power-sums")),
+    ), _screen_mss2),
+    "quadlin": Query("diagonal quadratic + linear system count", "both", (
+        ("--a", dict(required=True, help="comma-separated nonzero element indices")),
+        ("--a0", dict(type=int, default=0)),
+        ("--b", dict(required=True, help="comma-separated element indices")),
+        ("--b0", dict(type=int, default=0)),
+    ), _screen_quadlin),
+}
+
+
+def _cmd_query(args, config: RunConfig, out) -> int:
+    formula, oracle_count, query = QUERIES[args.command].screen(
+        args, _field_from_args(args), config.budget)
+    payload = {"query": query}
+    if args.method != "oracle":
+        result = formula()
+        payload.update(value=result.value, method="closed-form")
+        if result.note:
+            payload["note"] = result.note
+    if args.method == "oracle":
+        payload.update(value=oracle_count(), method="oracle")
+    elif args.method == "both":
+        value = oracle_count()
+        payload.update(oracle_value=value, match=payload["value"] == value)
+    _emit(payload, config, out)
+    return EXIT_MISMATCH if payload.get("match") is False else EXIT_OK
 
 
 def _cmd_sieve(args, config: RunConfig, out) -> int:
@@ -763,7 +736,6 @@ def _add_global_args(parser: argparse.ArgumentParser, default) -> None:
     parser.add_argument("--budget", type=int, default=default,
                         help=f"enumeration budget (min {MIN_BUDGET})")
     parser.add_argument("--format", choices=("json", "csv", "plain"), default=default)
-    parser.add_argument("--config", default=default, help="path to a `key = value` config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,36 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("field", help="describe GF(p^e) and its enumeration table")
     add_field_args(sp)
 
-    sp = add_command("count", help="distinct-root count for one gap family")
-    add_field_args(sp)
-    sp.add_argument("--gap", type=int, choices=(1, 2, 3), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--b", type=int, default=None, help="element index (gap 2 only)")
-    sp.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
-
-    sp = add_command("subset-sum", help="n-subsets with a prescribed sum")
-    add_field_args(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--b", type=int, default=0, help="target sum, as an element index")
-    sp.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
-
-    sp = add_command("mss2", help="two-moment subset counting")
-    add_field_args(sp)
-    sp.add_argument("--t", type=int, required=True, help="subset / tuple size")
-    sp.add_argument("--m1", type=int, default=0, help="first target, element index")
-    sp.add_argument("--m2", type=int, default=0, help="second target, element index")
-    sp.add_argument("--mode", choices=oracle.MSS2_MODES, default="power-sums")
-    sp.add_argument("--predicate", choices=oracle.MSS2_PREDICATES, default="power-sums")
-    sp.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
-
-    sp = add_command("quadlin", help="diagonal quadratic + linear system count")
-    add_field_args(sp)
-    sp.add_argument("--a", required=True, help="comma-separated nonzero element indices")
-    sp.add_argument("--a0", type=int, default=0)
-    sp.add_argument("--b", required=True, help="comma-separated element indices")
-    sp.add_argument("--b0", type=int, default=0)
-    sp.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
+    for name, query in QUERIES.items():
+        sp = add_command(name, help=query.help)
+        add_field_args(sp)
+        for flag, spec in query.arguments:
+            sp.add_argument(flag, **spec)
+        sp.add_argument("--method", choices=METHODS, default=query.method)
 
     sp = add_command("sieve", help="distinct-coordinate sieve demonstrations")
     add_field_args(sp)
@@ -828,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_field_args(sp)
     sp.add_argument("--variant", type=int, choices=(1, 2), required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
+    sp.add_argument("--method", choices=METHODS, default="both")
     sp.add_argument("--export", default=None, help="write the edge list to this path")
     sp.add_argument("--check-moments", type=int, default=None, dest="check_moments",
                     help="verify the spectrum against T exact trace moments")
@@ -846,10 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "field": _cmd_field,
-    "count": _cmd_count,
-    "subset-sum": _cmd_subset_sum,
-    "mss2": _cmd_mss2,
-    "quadlin": _cmd_quadlin,
+    **dict.fromkeys(QUERIES, _cmd_query),
     "sieve": _cmd_sieve,
     "wenger": _cmd_wenger,
     "verify": _cmd_verify,

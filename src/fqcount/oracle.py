@@ -408,10 +408,10 @@ def _moduli_past(largest: int) -> tuple[int, ...]:
 
 
 def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
-    """The moduli a table of subset sizes 0..t_max needs, and its DP state
+    """The moduli a table of subset sizes 0..t_max <= q needs, and its DP state
     updates: adjoining element a touches sizes 1..min(t_max, a + 1)."""
     moduli = _moduli_past(binomial(q, min(t_max, q // 2)))  # no count in the table exceeds it
-    return moduli, len(moduli) * sum(min(t_max, a + 1) for a in range(q)) * n_states
+    return moduli, len(moduli) * (t_max * (t_max + 1) // 2 + (q - t_max) * t_max) * n_states
 
 
 def _adjoined(field: FieldSpec, predicate: str, a, s1, s2):
@@ -531,11 +531,11 @@ def brute_subsets_mss2(
 
     The `predicate` switch selects the power-sum or elementary-symmetric
     reading of the second accumulator; the two must tally identically away
-    from characteristic 2.  Both modes read `subset_pair_tally`, which also
-    gives the plain subset-sum counts under its "sum-only" predicate.  The
-    first-distinct target states are the states of S that the DP's own
-    adjoin rule, `_adjoined`, sends to (m1, m2) on adjoining the completion
-    m1 - s1; they are read once the subset DP has passed the budget.
+    from characteristic 2.  Both modes read the subset DP of
+    `subset_pair_tally`.  The first-distinct target states are the states of
+    S that the DP's own adjoin rule, `_adjoined`, sends to (m1, m2) on
+    adjoining the completion m1 - s1, read from the one table planned and
+    budgeted for size t - 1.
     """
     q = field.q
     m1 = m1 if m1 is not None else field.zero
@@ -550,12 +550,12 @@ def brute_subsets_mss2(
         return subset_pair_tally(field, t_size, predicate, budget, [m1.index * q + m2.index])[0]
     if not 1 <= t_size <= q + 1:
         raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
-    _subset_tables(field, t_size - 1, predicate, budget)  # the budget, then the tables
+    moduli, table = _subset_tables(field, t_size - 1, predicate, budget)
     t = field_tables(field)
     s1, s2 = np.ogrid[:q, :q]  # the states s1 * q + s2, as in `_subset_dp`
     last = t["add"][m1.index, t["neg"][s1]]  # the completion m1 - s1
     states = np.flatnonzero(_adjoined(field, predicate, last, s1, s2) == m1.index * q + m2.index)
-    return sum(subset_pair_tally(field, t_size - 1, predicate, budget, states))
+    return sum(_crt(table[:, t_size - 1, states], moduli))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Command-line behavior: outputs, exit codes, configuration layering, and
-byte determinism."""
+"""Command-line behavior: outputs, exit codes, the --budget and --format
+flags, and byte determinism."""
 
 import io
 import json
@@ -152,6 +152,20 @@ def test_usage_errors_exit_1():
 def test_user_preconditions_exit_1(argv, capsys):
     assert run(argv.split())[0] == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+QUERY_ARGS = {"count": "--gap 1 --n 3 --k 1", "subset-sum": "--n 2", "mss2": "--t 4",
+              "quadlin": "--a 1,2 --b 1,1"}
+
+
+@pytest.mark.parametrize("name", cli.QUERIES)
+def test_query_default_method(name):
+    """count and subset-sum default to the closed form; mss2 and quadlin to both routes."""
+    code, text = run([name, "--p", "3", "--e", "2", *QUERY_ARGS[name].split()])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["method"] == "closed-form"
+    assert ("oracle_value" in payload) == (name in ("mss2", "quadlin"))
 
 
 def test_count_oracle_past_q_answers_zero():
@@ -315,48 +329,40 @@ def test_output_byte_determinism_run_twice():
         assert run(args) == (code, first)
 
 
-def test_config_file_and_env_layering(tmp_path, monkeypatch):
-    config = tmp_path / "fqcount.conf"
-    config.write_text("# comment\nbudget = 20000\noutput_format = plain\n")
-    # config file value applies
-    code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",
-                      "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
-    assert code == 2  # 97655 swept tails over the configured 20000
-    # env overrides the file
-    monkeypatch.setenv(cli.ENV_BUDGET, str(10 ** 8))
-    code, text = run(["--config", str(config), "count", "--gap", "1", "--p", "5",
-                      "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
-    assert code == 0
-    assert "value = " in text  # plain format from the config file
-    # flag overrides the env
-    code, _ = run(["--config", str(config), "--budget", "20000", "count", "--gap", "1",
-                   "--p", "5", "--e", "1", "--n", "8", "--k", "1", "--method", "oracle"])
-    assert code == 2
-
-
-def test_env_parallelism_and_format(monkeypatch):
-    monkeypatch.setenv(cli.ENV_FORMAT, "plain")
-    code, text = run(["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"])
+def test_budget_and_format_flags():
+    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "8", "--k", "1",
+                    "--method", "oracle"]
+    assert run(["--budget", "20000"] + oracle_count)[0] == 2  # 97655 swept tails
+    # given before and after the subcommand, the later --budget decides
+    assert run(["--budget", "20000"] + oracle_count + ["--budget", str(10 ** 8)])[0] == 0
+    assert run(["--budget", str(10 ** 8)] + oracle_count + ["--budget", "20000"])[0] == 2
+    code, text = run(["--format", "plain", "count", "--gap", "1", "--p", "2", "--e", "1",
+                      "--n", "3", "--k", "1"])
     assert code == 0
     assert 'value = "4"' in text
-    # the parallelism setting is gone: its flag is unknown, its variable ignored
-    monkeypatch.setenv("FQCOUNT_PARALLELISM", "-3")
-    assert run(["field", "--p", "2", "--e", "1"])[0] == 0
+
+
+def test_settings_variables_are_ignored(monkeypatch):
+    """--budget and --format are the only route to their settings."""
+    commands = (["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "8", "--k", "1",
+                 "--method", "oracle"],
+                ["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"])
+    plain = [run(argv) for argv in commands]
+    assert [code for code, _ in plain] == [0, 0]
+    for name, value in (("FQCOUNT_BUDGET", "20000"), ("FQCOUNT_FORMAT", "plain"),
+                        ("FQCOUNT_PARALLELISM", "-3")):
+        monkeypatch.setenv(name, value)
+        assert [run(argv) for argv in commands] == plain, name
     assert run(["--parallelism", "2", "field", "--p", "3", "--e", "1"])[0] == 1
 
 
-def test_config_file_rejects_garbage(tmp_path, capsys):
-    config = tmp_path / "bad.conf"
-    config.write_text("budget: 123\n")
-    code, _ = run(["--config", str(config), "field", "--p", "2", "--e", "1"])
-    assert code == 1
-    code, _ = run(["--config", str(tmp_path / "missing.conf"), "field", "--p", "2", "--e", "1"])
-    assert code == 1
-    # a misspelled key, or the removed `parallelism`, is an error, not a default
-    config.write_text("# comment\nbudjet = 10\nparallelism = 4\n")
-    code, _ = run(["--config", str(config), "field", "--p", "2", "--e", "1"])
-    assert code == 1
-    assert capsys.readouterr().err.endswith(f"error: {config}:2: unknown config key 'budjet'\n")
+def test_config_flag_exits_1(tmp_path, capsys):
+    config = tmp_path / "fqcount.conf"
+    config.write_text("budget = 20000\n")
+    field = ["field", "--p", "2", "--e", "1"]
+    for argv in (["--config", str(config)] + field, field + ["--config", str(config)]):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_counts_serialize_as_strings():

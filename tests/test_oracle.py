@@ -386,6 +386,16 @@ def test_first_distinct_budget_refused_before_tables():
     assert info.value.required == 234 * 625  # the size-12 table of the subset DP
 
 
+def test_first_distinct_plans_the_subset_dp_once(monkeypatch):
+    """A first-distinct count reads the one table it budgeted: one DP plan."""
+    plans = []
+    real = oracle._dp_plan
+    monkeypatch.setattr(oracle, "_dp_plan", lambda *args: plans.append(args) or real(*args))
+    f9 = make_field(3, 2)
+    assert brute_subsets_mss2(f9, 5, mode="first-distinct") == ref_first_distinct(f9, 5)
+    assert plans == [(9, 9, 81)]
+
+
 def test_elementary_predicate_equivalence():
     """Power-sum and elementary-symmetric readings tally identically at zero
     targets away from characteristic 2."""
