@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import random
+import signal
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial, perm
@@ -828,6 +829,10 @@ def run_command(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
+    # A reader that closes the pipe ends the process quietly, as it ends `cat`.
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

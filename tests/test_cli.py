@@ -3,6 +3,11 @@ flags, and byte determinism."""
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +368,30 @@ def test_config_flag_exits_1(tmp_path, capsys):
     for argv in (["--config", str(config)] + field, field + ["--config", str(config)]):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unopenable_output_path_exits_1(tmp_path, capsys):
+    export = tmp_path / "missing" / "edges.txt"
+    assert run(["wenger", "--variant", "1", "--p", "2", "--e", "1", "--m", "1",
+                "--method", "oracle", "--export", str(export)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_like_cat():
+    """A reader that stops after one line, as `| head -1` does, ends the
+    command by SIGPIPE with nothing on stderr.  The subset CSV (about 109 kB)
+    outgrows a 64 KiB pipe, so the command is still writing when the pipe
+    closes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fqcount", "--format", "csv", "verify", "--suite", "subset"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"suite,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert b"error:" not in stderr
 
 
 def test_counts_serialize_as_strings():

@@ -1,7 +1,9 @@
 """The vectorized enumeration oracles against literal pure-python loops, plus
 budget and determinism behavior."""
 
+import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -54,6 +56,40 @@ def test_field_tables_match_arithmetic(p, e):
             b = f.element(j)
             assert t["add"][i, j] == f.add(a, b).index
             assert t["mul"][i, j] == f.mul(a, b).index
+
+
+# Every proper prime power up to TABLE_ORDER_LIMIT, and the prime fields up to
+# 31: each (p, e) with p <= 31 and p^e <= 1024, 37 fields.
+PINNED_TABLE_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                       for e in range(1, 11) if p ** e <= oracle.TABLE_ORDER_LIMIT]
+PINNED_TABLES_SHA256 = "f0fa0196f18841da3f8a863b0b203923d64aae4919f89de5470e31661641e37f"
+
+
+def test_field_tables_bytes_pinned():
+    """Name, dtype, shape and bytes of all six tables of 37 fields, pinned by
+    one sha256 over the tables as the int64 digit-cube build produced them."""
+    assert len(PINNED_TABLE_FIELDS) == 37
+    digest = hashlib.sha256()
+    for p, e in PINNED_TABLE_FIELDS:
+        tables = field_tables.__wrapped__(make_field(p, e))  # uncached
+        for name in sorted(tables):
+            a = tables[name]
+            digest.update(f"{p},{e},{name},{a.dtype.str},{a.shape};".encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == PINNED_TABLES_SHA256
+
+
+@pytest.mark.parametrize("p,e", [(2, 10), (5, 4)])
+def test_field_tables_peak_allocation(p, e):
+    """Building the tables allocates at most 2.5 times the bytes returned."""
+    f = make_field(p, e)
+    tracemalloc.start()
+    try:
+        tables = field_tables.__wrapped__(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(a.nbytes for a in tables.values())
 
 
 @pytest.mark.parametrize("p,e,cases", [

@@ -7,13 +7,15 @@ quadratic/linear counts summed over a0 and against their earlier case table.
 The inclusion-exclusion tail is checked on both sides of its branch bound,
 with its Horner step count.  The root oracle's canonical families
 (translated, left alone at p | n, and absorbed) are checked against the
-literal tally at q <= 9."""
+literal tally at q <= 9.  The oracle's lookup tables are checked against
+field arithmetic on fields of every order up to their limit, q = 1024."""
 
 import random
 from math import comb
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fqcount.counting import (
     _alternating_tail,
@@ -24,8 +26,8 @@ from fqcount.counting import (
     quad_lin_solution_count,
     quadlin_case_count,
 )
-from fqcount.ff import make_field
-from fqcount.oracle import brute_nk_distribution
+from fqcount.ff import is_prime, make_field
+from fqcount.oracle import TABLE_ORDER_LIMIT, brute_nk_distribution, field_tables
 
 from helpers import (
     force_quadlin_case,
@@ -308,3 +310,40 @@ def test_root_oracle_absorbed_families(q, data):
     u_high = absorbed_u_high(f, draw_elements(f, data, n - ell - 1, "u_high"), n, ell, vanish)
     assume(u_high is not None)
     assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
+
+
+TABLE_FIELDS = [(p, e) for p in range(2, TABLE_ORDER_LIMIT + 1) if is_prime(p)
+                for e in range(1, 11) if p ** e <= TABLE_ORDER_LIMIT]
+TABLE_LAYOUT = {"add": (np.int32, 2), "mul": (np.int32, 2), "neg": (np.int32, 1),
+                "inv": (np.int32, 1), "log": (np.int64, 1), "antilog": (np.int64, 1)}
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from(TABLE_FIELDS), st.integers(0, 2 ** 32 - 1))
+@example((5, 4), 0)
+@example((3, 6), 1)
+@example((31, 2), 2)
+@example((2, 10), 3)
+def test_field_tables_match_arithmetic_up_to_the_limit(pe, seed):
+    """add/mul/neg/inv at seeded elements against `FieldSpec` arithmetic,
+    distributivity through the tables, log inverting antilog, and the layout
+    every caller reads: dtype, rank, read-only and C-contiguous."""
+    f = make_field(*pe)
+    t = field_tables.__wrapped__(f)  # uncached, so the process keeps no large table
+    assert {name: (a.dtype, a.ndim, a.flags.writeable, a.flags.c_contiguous)
+            for name, a in t.items()} == {name: (np.dtype(dt), ndim, False, True)
+                                          for name, (dt, ndim) in TABLE_LAYOUT.items()}
+    add, mul, neg, inv = t["add"], t["mul"], t["neg"], t["inv"]
+    assert add.shape == mul.shape == (f.q, f.q) and t["antilog"].shape == (f.q - 1,)
+    assert neg.shape == inv.shape == t["log"].shape == (f.q,)
+    assert np.array_equal(t["log"][t["antilog"]], np.arange(f.q - 1))
+    rng = random.Random(seed)
+    for _ in range(8):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        x, y = f.element(a), f.element(b)
+        assert add[a, b] == f.add(x, y).index
+        assert mul[a, b] == f.mul(x, y).index
+        assert neg[a] == f.neg(x).index
+        if a:
+            assert inv[a] == f.inv(x).index
+        assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
