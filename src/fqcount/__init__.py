@@ -17,15 +17,8 @@ from .counting import (
     moment_subset_count_m1,
     quad_lin_solution_count,
     s_plus_minus,
-    s_plus_minus_type_sums,
     subset_sum_count,
     v_of,
-)
-from .exactcomb import (
-    CycleType,
-    binomial,
-    enumerate_cycle_types,
-    perm_type_count,
 )
 from .ff import (
     FieldElement,
@@ -43,7 +36,9 @@ from .oracle import (
     subset_pair_tally,
 )
 from .sieve import (
-    SymmetricCounter,
+    enumerate_cycle_types,
+    perm_type_count,
+    s_plus_minus_type_sums,
     sieve_distinct,
     sieve_first_n_minus_1,
     subset_sum_counter,

@@ -18,10 +18,10 @@ import random
 import signal
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from math import factorial, perm
+from math import comb, factorial, perm
 from typing import Callable, Sequence
 
-from . import counting, exactcomb, ff, oracle, sieve, wenger
+from . import counting, ff, oracle, sieve, wenger
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,7 +212,7 @@ def _subset_check(config, fld, n):
     rows = [("", "", bi, counting.subset_sum_count(fld, n, fld.element(bi)).value, dist[bi],
              f"subset-sum --p {fld.p} --e {fld.e} --n {n} --b {bi} --method both")
             for bi in range(fld.q)]
-    rows.append(("", "", "sum", sum(dist), exactcomb.binomial(fld.q, n)))
+    rows.append(("", "", "sum", sum(dist), comb(fld.q, n)))
     return rows
 
 
@@ -295,16 +295,16 @@ def _sieve_compare(fld, n: int, system: str, b_index: int = 0):
     factorial, which counts the tuples themselves."""
     first = system == "two-moment-first"  # x_n may repeat a member
     if system == "unconstrained":
-        counter, closed = sieve.unconstrained_counter(fld, n), perm(fld.q, n)
+        counter, closed = sieve.unconstrained_counter(fld), perm(fld.q, n)
     elif system == "sum":
         b = fld.element(b_index)
-        counter = sieve.subset_sum_counter(fld, n, b)
+        counter = sieve.subset_sum_counter(fld, b)
         closed = counting.subset_sum_count(fld, n, b).value
     else:
-        counter = sieve.two_moment_counter(fld, n)
+        counter = sieve.two_moment_counter(fld)
         closed_form = counting.moment_subset_count_m1 if first else counting.moment_subset_count
         closed = closed_form(fld, n).value
-    total = (sieve.sieve_first_n_minus_1 if first else sieve.sieve_distinct)(counter)
+    total = (sieve.sieve_first_n_minus_1 if first else sieve.sieve_distinct)(n, counter)
     # Tuples to subsets; a remainder is a sieve fault and must not floor away.
     subsets, rem = divmod(total, factorial(n - 1 if first else n))
     return total, subsets if rem == 0 else None, closed
@@ -326,7 +326,7 @@ def _two_moment_check(config, fld, n):
 
 def _signed_split_check(config, fld, n):
     closed = counting.s_plus_minus(fld, n)
-    direct = counting.s_plus_minus_type_sums(fld, n)
+    direct = sieve.s_plus_minus_type_sums(fld, n)
     return [("", "signed-split-plus", 0, closed[0], direct[0]),
             ("", "signed-split-minus", 0, closed[1], direct[1])]
 
@@ -627,7 +627,7 @@ def _cmd_query(args, config: RunConfig, out) -> int:
 def _cmd_sieve(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
     first = args.system == "two-moment-first"
-    low, high = 1 + first, exactcomb.CYCLE_TYPE_BOUND + first
+    low, high = 1 + first, sieve.CYCLE_TYPE_BOUND + first
     if args.system == "sum":
         _from_user(fld.element, args.b)
         high = min(high, fld.q)

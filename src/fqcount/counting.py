@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
-from .exactcomb import binomial, enumerate_cycle_types, perm_type_count
 from .ff import FieldElement, FieldSpec, _mul_mod, quadratic_character
 
 
@@ -73,7 +72,7 @@ def _alternating_tail(q: int, m: int, length: int) -> int:
     """
     g = m - length
     lo, hi = (length + 1, m) if 0 < g <= length + 1 else (0, length)
-    acc, c = 0, binomial(m, lo)
+    acc, c = 0, comb(m, lo)
     for i in range(lo, hi + 1):
         acc = acc * q + (-c if i % 2 else c)
         c = c * (m - i) // (i + 1)
@@ -91,11 +90,11 @@ def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> E
     A zero excess (e for gap 1 and for gap 2 unless p | n, e1 for gaps 1 and
     2) skips its binomial, C(n, k) or C(n-1, k), of up to 187 digits at q = 625.
     """
-    total = binomial(q, k) * _alternating_tail(q, q - k, n - k)
+    total = comb(q, k) * _alternating_tail(q, q - k, n - k)
     if e:
-        total += (-1) ** (n - k) * binomial(n, k) * e
+        total += (-1) ** (n - k) * comb(n, k) * e
     if e1:
-        total -= (-1) ** (n - k) * binomial(n - 1, k) * e1
+        total -= (-1) ** (n - k) * comb(n - 1, k) * e1
     return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** (gap - 1)))
 
 
@@ -115,10 +114,10 @@ def _reduced_regime(q: int, n: int, k: int, gap: int, note: str, z: bool = True)
     """
     r = q - 1 - n + gap
     if r <= 0:  # the sum is empty: every function, each q^(-r) times
-        return ExactCount(binomial(q, k) * q ** -r * (q - 1) ** (q - k), note=note)
+        return ExactCount(comb(q, k) * q ** -r * (q - 1) ** (q - k), note=note)
     m = q - k
-    fixed = sum((-1) ** (m - t) * binomial(m, t) * (z * q ** r - q ** t) for t in range(r))
-    total = binomial(q, k) * ((q - 1) ** m + fixed)
+    fixed = sum((-1) ** (m - t) * comb(m, t) * (z * q ** r - q ** t) for t in range(r))
+    total = comb(q, k) * ((q - 1) ** m + fixed)
     return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** r), note=note)
 
 
@@ -156,7 +155,7 @@ def _sum_excess(field: FieldSpec, n: int, b: FieldElement) -> int:
     p = field.p
     if n % p:
         return 0
-    return (-1) ** (n + n // p) * v_of(field, b) * binomial(field.q // p, n // p)
+    return (-1) ** (n + n // p) * v_of(field, b) * comb(field.q // p, n // p)
 
 
 def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
@@ -165,7 +164,7 @@ def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
     field._check(b)
     if not 0 <= n <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {n}")
-    return ExactCount(_exact_int(binomial(q, n) + _sum_excess(field, n, b), f"M({n}, b)", q))
+    return ExactCount(_exact_int(comb(q, n) + _sum_excess(field, n, b), f"M({n}, b)", q))
 
 
 def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCount:
@@ -320,35 +319,14 @@ def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     alpha = beta = 0
     for j in range(n // p + 1):
         i = n - p * j
-        alpha += binomial(s, i) * binomial((q - s) // p, j)
-        beta += (-1) ** j * binomial(s - 1 + i, s - 1) * binomial((q + s) // p, j)
+        alpha += comb(s, i) * comb((q - s) // p, j)
+        beta += (-1) ** j * comb(s - 1 + i, s - 1) * comb((q + s) // p, j)
     return alpha, beta
 
 
-def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
-    """Direct signed sums over cycle types, split by the parity of the number
-    of cycles whose length is coprime to p."""
-    q, p = field.q, field.p
-    s = _sqrt_q(field)
-    totals = [0, 0]  # by the parity of the coprime-length cycle count
-    for t in enumerate_cycle_types(n):
-        weight = perm_type_count(t)
-        coprime_cycles = 0
-        for i, ci in enumerate(t.c, start=1):
-            if ci == 0:
-                continue
-            if i % p == 0:
-                weight *= (-q) ** ci
-            else:
-                weight *= (-s) ** ci
-                coprime_cycles += ci
-        totals[coprime_cycles % 2] += weight
-    return totals[0], totals[1]
-
-
 def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
-    """Closed-form S+(n), S-(n) from alpha/beta; s_plus_minus_type_sums is the
-    independent cycle-type route that verify and the tests compare it with."""
+    """Closed-form S+(n), S-(n) from alpha/beta; sieve.s_plus_minus_type_sums
+    is the independent cycle-type route that verify and the tests compare it with."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha, beta = alpha_beta(field, n)
@@ -370,7 +348,7 @@ def _moment_excess(field: FieldSpec, n: int) -> int:
     alpha, beta = alpha_beta(field, n)
     if n % p:
         return _sqrt_q(field) * (q - 1) // 2 * (alpha - (-1) ** n * beta)
-    return (q - 1) * binomial(q // p, n // p) + q * (q - 1) // 2 * (alpha + (-1) ** n * beta)
+    return (q - 1) * comb(q // p, n // p) + q * (q - 1) // 2 * (alpha + (-1) ** n * beta)
 
 
 def _moment_excess_m1(field: FieldSpec, n: int) -> int:
@@ -388,7 +366,7 @@ def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
     _require_moment_field(field)
     if not 1 <= n <= q:
         raise ValueError(f"subset size must lie in [1, {q}], got {n}")
-    total = binomial(q, n) + _moment_excess(field, n)
+    total = comb(q, n) + _moment_excess(field, n)
     return ExactCount(_exact_int(total, f"M({n},0,0)", q * q))
 
 
@@ -399,7 +377,7 @@ def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
     _require_moment_field(field)
     if not 2 <= n <= q + 1:
         raise ValueError(f"tuple size must lie in [2, {q + 1}], got {n}")
-    total = q * binomial(q, n - 1) + _moment_excess_m1(field, n)
+    total = q * comb(q, n - 1) + _moment_excess_m1(field, n)
     return ExactCount(_exact_int(total, f"M1({n},0,0)", q * q))
 
 

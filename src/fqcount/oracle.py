@@ -50,7 +50,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactcomb import binomial
 from .ff import FieldElement, FieldSpec, is_prime
 
 DEFAULT_MAX_ITEMS = 10 ** 8
@@ -418,7 +417,7 @@ def _moduli_past(largest: int) -> tuple[int, ...]:
 def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
     """The moduli a table of subset sizes 0..t_max <= q needs, and its DP state
     updates: adjoining element a touches sizes 1..min(t_max, a + 1)."""
-    moduli = _moduli_past(binomial(q, min(t_max, q // 2)))  # no count in the table exceeds it
+    moduli = _moduli_past(comb(q, min(t_max, q // 2)))  # no count in the table exceeds it
     return moduli, len(moduli) * (t_max * (t_max + 1) // 2 + (q - t_max) * t_max) * n_states
 
 

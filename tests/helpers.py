@@ -16,8 +16,8 @@ from math import comb
 import numpy as np
 
 from fqcount.counting import alpha_beta, v_of
-from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
 from fqcount.ff import FieldError, quadratic_character
+from fqcount.sieve import enumerate_cycle_types, perm_type_count
 
 
 def ref_nk_distribution(field, u_high, n, ell):
@@ -365,7 +365,7 @@ def stirling_cycle(n, i):
     """Unsigned count of permutations of S_n with exactly i cycles."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return sum(perm_type_count(t) for t in enumerate_cycle_types(n) if t.num_cycles() == i)
+    return sum(perm_type_count(t) for t in enumerate_cycle_types(n) if len(t) == i)
 
 
 def p_divisible_cycle_count(n, i, p):
@@ -375,7 +375,7 @@ def p_divisible_cycle_count(n, i, p):
     if n % p:
         return 0
     return sum(perm_type_count(t) for t in enumerate_cycle_types(n)
-               if t.num_cycles() == i and all(length % p == 0 for length in t.cycle_lengths()))
+               if len(t) == i and all(length % p == 0 for length in t))
 
 
 def char_restriction_trivial(field):

@@ -268,7 +268,7 @@ def test_global_options_after_subcommand():
 
 def test_sieve_non_divisible_total_is_a_mismatch(monkeypatch):
     real = sieve.sieve_distinct
-    monkeypatch.setattr(sieve, "sieve_distinct", lambda counter: real(counter) + 1)
+    monkeypatch.setattr(sieve, "sieve_distinct", lambda n, count: real(n, count) + 1)
     code, text = run(["sieve", "--p", "3", "--e", "2", "--n", "4", "--system", "two-moment"])
     assert code == 3
     payload = json.loads(text)

@@ -4,8 +4,9 @@ every module-level function or class, private or public, and every private
 method of a class is read somewhere in the package outside its own body.
 __init__'s re-exports are not reads: an exported helper that nothing in the
 package calls fails too.  The oracle imports nothing from the code it
-checks, no closed form and no cached function takes an enumeration budget,
-and the README's library sketch runs."""
+checks, the closed forms import nothing from the package but the field, no
+closed form and no cached function takes an enumeration budget, and the
+README's library sketch runs."""
 
 import ast
 from collections import Counter
@@ -109,6 +110,17 @@ def test_oracle_imports_nothing_it_checks():
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert imported.isdisjoint({"counting", "cli", "wenger"})
+
+
+def test_closed_forms_import_only_the_field():
+    """A closed form does not enumerate, so counting.py reads nothing of the
+    package but ff: no cycle types, no sieve, no oracle."""
+    imported = {node.module for node in ast.walk(TREES["counting.py"])
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    imported |= {alias.name for node in ast.walk(TREES["counting.py"])
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name.startswith("fqcount")}
+    assert imported == {"ff"}
 
 
 def test_closed_forms_take_no_budget():

@@ -12,9 +12,9 @@ from fqcount.counting import (
     moment_subset_count,
     moment_subset_count_m1,
     s_plus_minus,
-    s_plus_minus_type_sums,
 )
 from fqcount.ff import make_field
+from fqcount.sieve import s_plus_minus_type_sums
 
 from helpers import ref_first_distinct, ref_two_moment_subsets
 

@@ -8,10 +8,12 @@ The inclusion-exclusion tail is checked on both sides of its branch bound,
 with its Horner step count.  The root oracle's canonical families
 (translated, left alone at p | n, and absorbed) are checked against the
 literal tally at q <= 9.  The oracle's lookup tables are checked against
-field arithmetic on fields of every order up to their limit, q = 1024."""
+field arithmetic on fields of every order up to their limit, q = 1024.  The
+sieve's unconstrained and subset-sum counters recover the falling factorial
+at every field order up to 49."""
 
 import random
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from fqcount.counting import (
 )
 from fqcount.ff import is_prime, make_field
 from fqcount.oracle import TABLE_ORDER_LIMIT, brute_nk_distribution, field_tables
+from fqcount.sieve import (
+    sieve_distinct,
+    sieve_first_n_minus_1,
+    subset_sum_counter,
+    unconstrained_counter,
+)
 
 from helpers import (
     force_quadlin_case,
@@ -347,3 +355,20 @@ def test_field_tables_match_arithmetic_up_to_the_limit(pe, seed):
         if a:
             assert inv[a] == f.inv(x).index
         assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+
+
+SIEVE_FIELDS = [(p, e) for p in range(2, 50) if is_prime(p)
+                for e in range(1, 7) if p ** e <= 49]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from(SIEVE_FIELDS), st.integers(1, 10))
+def test_sieve_identities(pe, n):
+    """Distinct n-tuples of F_q number perm(q, n); with the last coordinate
+    free, q perm(q, n - 1); and the subset-sum sieve summed over every b
+    splits the distinct tuples by their sum."""
+    f = make_field(*pe)
+    assert sieve_distinct(n, unconstrained_counter(f)) == perm(f.q, n)
+    if n >= 2:
+        assert sieve_first_n_minus_1(n, unconstrained_counter(f)) == f.q * perm(f.q, n - 1)
+    assert sum(sieve_distinct(n, subset_sum_counter(f, b)) for b in f.elements()) == perm(f.q, n)

@@ -1,5 +1,7 @@
 """The distinct-coordinate sieve engine and its counter factories."""
 
+import hashlib
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -10,10 +12,11 @@ from fqcount.counting import (
     quad_lin_solution_count,
     subset_sum_count,
 )
-from fqcount.exactcomb import CycleType
 from fqcount.ff import make_field
 from fqcount.sieve import (
-    SymmetricCounter,
+    enumerate_cycle_types,
+    perm_type_count,
+    s_plus_minus_type_sums,
     sieve_distinct,
     sieve_first_n_minus_1,
     subset_sum_counter,
@@ -33,43 +36,42 @@ def falling_factorial(q, n):
 def test_unconstrained_gives_falling_factorial(p, e):
     f = make_field(p, e)
     for n in range(1, 7):
-        assert sieve_distinct(unconstrained_counter(f, n)) == falling_factorial(f.q, n)
+        assert sieve_distinct(n, unconstrained_counter(f)) == falling_factorial(f.q, n)
 
 
 def test_unconstrained_first_variant():
     """Free last coordinate times ordered distinct tuples in front."""
     f = make_field(3, 1)
-    assert sieve_first_n_minus_1(unconstrained_counter(f, 3)) == 3 * (3 * 2)
+    assert sieve_first_n_minus_1(3, unconstrained_counter(f)) == 3 * (3 * 2)
     with pytest.raises(ValueError):
-        sieve_first_n_minus_1(unconstrained_counter(f, 1))
+        sieve_first_n_minus_1(1, unconstrained_counter(f))
 
 
 def test_identity_type_recovers_whole_set():
-    """count_for_type at the all-fixed-points type must equal |X|."""
+    """A counter at the all-fixed-points type must equal |X|."""
     f9 = make_field(3, 2)
     for n in (2, 3, 4):
-        all_fixed = CycleType(n, (n,) + (0,) * (n - 1))
-        assert unconstrained_counter(f9, n).count_for_type(all_fixed) == f9.q ** n
+        all_fixed = (1,) * n
+        assert unconstrained_counter(f9)(all_fixed) == f9.q ** n
         ones = [f9.one] * n
         whole = quad_lin_solution_count(f9, ones, f9.zero, ones, f9.zero).value
-        assert two_moment_counter(f9, n).count_for_type(all_fixed) == whole
+        assert two_moment_counter(f9)(all_fixed) == whole
 
 
 def test_degenerate_collapse_when_every_length_divisible():
     """All cycle lengths divisible by p: both glued equations vanish, leaving
     one free value per cycle."""
     f9 = make_field(3, 2)
-    counter = two_moment_counter(f9, 3)
-    assert counter.count_for_type(CycleType(3, (0, 0, 1))) == 9
-    counter6 = two_moment_counter(f9, 6)
-    assert counter6.count_for_type(CycleType(6, (0, 0, 2, 0, 0, 0))) == 81
-    assert counter6.count_for_type(CycleType(6, (0, 0, 0, 0, 0, 1))) == 9
+    count = two_moment_counter(f9)
+    assert count((3,)) == 9
+    assert count((3, 3)) == 81
+    assert count((6,)) == 9
 
 
 def test_sum_counter_example_f5():
     """Over F_5, pairs with x + y = 0: 5 - 1 = 4 ordered, hence 2 subsets."""
     f5 = make_field(5, 1)
-    total = sieve_distinct(subset_sum_counter(f5, 2, f5.zero))
+    total = sieve_distinct(2, subset_sum_counter(f5, f5.zero))
     assert total == 4
     assert total // factorial(2) == subset_sum_count(f5, 2, f5.zero).value == 2
 
@@ -80,7 +82,7 @@ def test_sum_counter_matches_closed_form(p, e):
     for n in range(1, 5):
         for b_index in range(min(f.q, 3)):
             b = f.element(b_index)
-            total = sieve_distinct(subset_sum_counter(f, n, b))
+            total = sieve_distinct(n, subset_sum_counter(f, b))
             assert total % factorial(n) == 0
             assert total // factorial(n) == subset_sum_count(f, n, b).value
 
@@ -88,7 +90,7 @@ def test_sum_counter_matches_closed_form(p, e):
 def test_two_moment_sieve_route_q9():
     f9 = make_field(3, 2)
     for n in range(1, 9):
-        total = sieve_distinct(two_moment_counter(f9, n))
+        total = sieve_distinct(n, two_moment_counter(f9))
         assert total % factorial(n) == 0
         assert total // factorial(n) == moment_subset_count(f9, n).value
 
@@ -96,26 +98,58 @@ def test_two_moment_sieve_route_q9():
 def test_two_moment_first_variant_q9():
     f9 = make_field(3, 2)
     for n in range(2, 9):
-        total = sieve_first_n_minus_1(two_moment_counter(f9, n))
+        total = sieve_first_n_minus_1(n, two_moment_counter(f9))
         assert total % factorial(n - 1) == 0
         assert total // factorial(n - 1) == moment_subset_count_m1(f9, n).value
     # pinned spot values
-    assert sieve_first_n_minus_1(two_moment_counter(f9, 2)) == 1
-    assert sieve_first_n_minus_1(two_moment_counter(f9, 3)) == 0
+    assert sieve_first_n_minus_1(2, two_moment_counter(f9)) == 1
+    assert sieve_first_n_minus_1(3, two_moment_counter(f9)) == 0
 
 
 def test_two_moment_sieve_route_q25_small():
     f25 = make_field(5, 2)
     for n in range(1, 6):
-        total = sieve_distinct(two_moment_counter(f25, n))
+        total = sieve_distinct(n, two_moment_counter(f25))
         assert total % factorial(n) == 0
         assert total // factorial(n) == moment_subset_count(f25, n).value
 
 
 def test_constant_counter_sums_signed_type_counts():
-    from fqcount.exactcomb import enumerate_cycle_types, perm_type_count
+    expected = sum((-1) ** (3 - len(t)) * perm_type_count(t) for t in enumerate_cycle_types(3))
+    assert sieve_distinct(3, lambda t: 1) == expected
 
-    counter = SymmetricCounter(3, lambda t: 1)
-    expected = sum((-1) ** (3 - t.num_cycles()) * perm_type_count(t)
-                   for t in enumerate_cycle_types(3))
-    assert sieve_distinct(counter) == expected
+
+# sha256 of the repr of the 708 values below; any changed sieve value changes it.
+SIEVE_GRID_SHA256 = "97acd4e5dcf40feb745de8d41fa9a75a328800f258a2ab89a943eec5c6600ef3"
+
+
+def test_sieve_values_pinned():
+    """708 sieve values over nine fields: the unconstrained counter (n <= 12)
+    and its first-(n-1) variant, the subset-sum counter for b < min(q, 4),
+    and at odd squares the two-moment counter (n <= 10), its first-(n-1)
+    variant and the S+- type sums (n <= 16)."""
+    grid = []
+    for p, e in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]:
+        f = make_field(p, e)
+        grid += [sieve_distinct(n, unconstrained_counter(f)) for n in range(1, 13)]
+        grid += [sieve_first_n_minus_1(n, unconstrained_counter(f)) for n in range(2, 13)]
+        grid += [sieve_distinct(n, subset_sum_counter(f, f.element(b)))
+                 for n in range(1, 13) for b in range(min(f.q, 4))]
+        if p % 2 and e % 2 == 0:
+            grid += [sieve_distinct(n, two_moment_counter(f)) for n in range(1, 11)]
+            grid += [sieve_first_n_minus_1(n, two_moment_counter(f)) for n in range(2, 11)]
+            grid += [s_plus_minus_type_sums(f, n) for n in range(1, 17)]
+    assert len(grid) == 708
+    assert hashlib.sha256(repr(grid).encode()).hexdigest() == SIEVE_GRID_SHA256
+
+
+def test_cycle_types_are_streamed():
+    """The sieve holds one cycle type at a time, not all p(36) = 17977."""
+    f3 = make_field(3, 1)
+    tracemalloc.start()
+    try:
+        assert sieve_distinct(36, unconstrained_counter(f3)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
