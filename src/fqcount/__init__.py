@@ -2,7 +2,7 @@
 
 Closed-form counts of monic polynomial completions with a prescribed number
 of distinct roots (coefficient gaps 1-3), subset-sum and two-moment subset
-counts, a distinct-coordinate sieve over permutation cycle types, exhaustive
+counts, a distinct-coordinate sieve by the exponential formula, exhaustive
 enumeration oracles validating every closed form, and the exact spectra of
 jumped Wenger graphs built from those counts.
 """
@@ -36,8 +36,6 @@ from .oracle import (
     subset_pair_tally,
 )
 from .sieve import (
-    enumerate_cycle_types,
-    perm_type_count,
     s_plus_minus_type_sums,
     sieve_distinct,
     sieve_first_n_minus_1,

@@ -54,6 +54,7 @@ QUADLIN_INSTANCES = 200
 SIEVE_FIELD = (3, 2)
 SIEVE_MOMENT_MAX_N = 8
 SIEVE_SUM_SPLIT_MAX_N = 10
+SIEVE_MAX_N = 1024  # `fqcount sieve` degrees; the budget charges n(n+1)/2 steps per sum
 WENGER_FAMILIES = (
     (1, 3, 1, 1), (1, 2, 2, 1), (1, 5, 1, 1), (1, 5, 1, 2), (1, 3, 2, 1),
     (2, 3, 2, 1), (2, 3, 2, 2), (2, 3, 2, 3),
@@ -289,19 +290,19 @@ def _quadlin_sum_over_a0(config, fld, n):
     return [("", "sum-over-a0", "*", total, q ** (n - 1))]
 
 
-def _sieve_compare(fld, n: int, system: str, b_index: int = 0):
+def _sieve_compare(config, fld, n: int, system: str, b_index: int = 0):
     """(distinct tuples, subsets or None on a remainder, closed form) for one
     sieve system.  For `unconstrained` the closed form is the falling
     factorial, which counts the tuples themselves."""
     first = system == "two-moment-first"  # x_n may repeat a member
     if system == "unconstrained":
-        counter, closed = sieve.unconstrained_counter(fld), perm(fld.q, n)
+        counter, closed = sieve.unconstrained_counter(fld, config.budget), perm(fld.q, n)
     elif system == "sum":
         b = fld.element(b_index)
-        counter = sieve.subset_sum_counter(fld, b)
+        counter = sieve.subset_sum_counter(fld, b, config.budget)
         closed = counting.subset_sum_count(fld, n, b).value
     else:
-        counter = sieve.two_moment_counter(fld)
+        counter = sieve.two_moment_counter(fld, config.budget)
         closed_form = counting.moment_subset_count_m1 if first else counting.moment_subset_count
         closed = closed_form(fld, n).value
     total = (sieve.sieve_first_n_minus_1 if first else sieve.sieve_distinct)(n, counter)
@@ -310,8 +311,8 @@ def _sieve_compare(fld, n: int, system: str, b_index: int = 0):
     return total, subsets if rem == 0 else None, closed
 
 
-def _sieve_row(fld, n: int, system: str, b_index: int = 0) -> tuple:
-    total, subsets, closed = _sieve_compare(fld, n, system, b_index)
+def _sieve_row(config, fld, n: int, system: str, b_index: int = 0) -> tuple:
+    total, subsets, closed = _sieve_compare(config, fld, n, system, b_index)
     got = total if system == "unconstrained" else subsets
     label = {"unconstrained": "falling-factorial", "sum": "sum-counter"}.get(system, system)
     b_opt = f" --b {b_index}" if system == "sum" else ""
@@ -320,8 +321,8 @@ def _sieve_row(fld, n: int, system: str, b_index: int = 0) -> tuple:
 
 
 def _two_moment_check(config, fld, n):
-    rows = [_sieve_row(fld, n, "two-moment")]
-    return rows + ([_sieve_row(fld, n, "two-moment-first")] if n >= 2 else [])
+    rows = [_sieve_row(config, fld, n, "two-moment")]
+    return rows + ([_sieve_row(config, fld, n, "two-moment-first")] if n >= 2 else [])
 
 
 def _signed_split_check(config, fld, n):
@@ -402,9 +403,9 @@ SUITES: dict[str, Suite] = {
                      notes={"instances_per_cell": QUADLIN_INSTANCES}),
     "sieve": Suite((
         ([(p, e, n) for p, e in ((3, 1), (5, 1), (3, 2)) for n in range(1, min(6, p ** e) + 1)],
-         lambda config, fld, n: [_sieve_row(fld, n, "unconstrained")]),
+         lambda config, fld, n: [_sieve_row(config, fld, n, "unconstrained")]),
         ([(p, e, n, b) for p, e in ((5, 1), (3, 2)) for n in range(1, 5) for b in (0, 1)],
-         lambda config, fld, n, b: [_sieve_row(fld, n, "sum", b)]),
+         lambda config, fld, n, b: [_sieve_row(config, fld, n, "sum", b)]),
         ([(*SIEVE_FIELD, n) for n in range(1, SIEVE_MOMENT_MAX_N + 1)], _two_moment_check),
         ([(*SIEVE_FIELD, n) for n in range(1, SIEVE_SUM_SPLIT_MAX_N + 1)], _signed_split_check),
     )),
@@ -627,7 +628,7 @@ def _cmd_query(args, config: RunConfig, out) -> int:
 def _cmd_sieve(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
     first = args.system == "two-moment-first"
-    low, high = 1 + first, sieve.CYCLE_TYPE_BOUND + first
+    low, high = 1 + first, SIEVE_MAX_N + first
     if args.system == "sum":
         _from_user(fld.element, args.b)
         high = min(high, fld.q)
@@ -636,7 +637,7 @@ def _cmd_sieve(args, config: RunConfig, out) -> int:
         high = min(high, fld.q + first)
     _require(low <= args.n <= high,
              f"--n must lie in [{low}, {high}] for --system {args.system}, got {args.n}")
-    total, subsets, closed = _sieve_compare(fld, args.n, args.system, args.b)
+    total, subsets, closed = _sieve_compare(config, fld, args.n, args.system, args.b)
     payload: dict = {"query": {"kind": "sieve", "q": fld.q, "n": args.n, "system": args.system},
                      "distinct_tuples": total}
     if args.system == "unconstrained":
@@ -833,6 +834,9 @@ def main() -> None:
     sigpipe = getattr(signal, "SIGPIPE", None)
     if sigpipe is not None:
         signal.signal(sigpipe, signal.SIG_DFL)
+    # Exact counts print in full, past the default limit of 4300 digits
+    # (an interpreter without that limit has no setter).
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -1,151 +1,138 @@
 """Distinct-coordinate counting over symmetric solution sets.
 
-The engine sums sign-weighted per-type counts over permutation cycle types:
-for a coordinate-permutation-invariant X in F_q^n,
+For a coordinate-permutation-invariant X in F_q^n (J. Li and D. Wan, "A new
+sieve for distinct coordinate counting", Sci. China Math. 53, 2010),
 
     #{x in X : all coordinates distinct}
-        = sum over cycle types tau of (-1)^(n - cycles(tau)) * C(tau) * |X_tau|,
+        = sum over sigma in S_n of (-1)^(n - cycles(sigma)) * |X_sigma|,
 
-where X_tau glues coordinates along the cycles of tau and C(tau) counts the
-permutations of that type (J. Li and D. Wan, "A new sieve for distinct
-coordinate counting", Sci. China Math. 53, 2010).  A first-(n-1)-coordinates
-variant leaves the last coordinate out of the distinctness requirement.
+where X_sigma glues coordinates along the cycles of sigma.  A first-(n-1)
+variant leaves the last coordinate out of the distinctness requirement: it
+is one more cycle of length 1, never glued.
 
-A cycle type is the ascending tuple of its cycle lengths and a counter is a
-plain function of that tuple.  Types are streamed, never stored, so a sum
-holds O(n) memory whatever p(n) is.  This is the one module that enumerates
-cycle types, S+(n) and S-(n) included (the route counting.s_plus_minus is
-checked against).
+Each |X_sigma| here combines products prod w(l) over the cycle lengths l of
+sigma, so no cycle type is ever formed: by the exponential formula (Stanley,
+EC II, 5.1) the signed sum of prod w(l) over S_n is a_n, in n(n+1)/2 steps of
+
+    a_0 = 1,  a_m = sum_(i=1..m) (-1)^(i-1) w(i) (m-1)!/(m-i)! a_(m-i).
+
+A weight is a pair (u, v) for u + vY with Y^2 = 1, so one sum also splits by
+the parity of the number of cycles whose length is coprime to p.
 """
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Callable, Iterator
+from typing import Callable
 
-from .counting import _sqrt_q, quad_lin_solution_count
+from .counting import _exact_int, _require_moment_field, _sqrt_q
 from .ff import FieldElement, FieldSpec
+from .oracle import DEFAULT_BUDGET, EnumerationBudget
 
-CYCLE_TYPE_BOUND = 64
-
-Counter = Callable[[tuple[int, ...]], int]
-
-
-def enumerate_cycle_types(n: int) -> Iterator[tuple[int, ...]]:
-    """All cycle types of S_n as ascending tuples of cycle lengths, in
-    lexicographic order, streamed one at a time.  The bound is checked here,
-    before any type is made."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > CYCLE_TYPE_BOUND:
-        raise ValueError(f"n={n} exceeds the cycle-type enumeration bound {CYCLE_TYPE_BOUND}")
-
-    def partitions(rest: int, least: int) -> Iterator[tuple[int, ...]]:
-        # parts >= least: a first part leaving room for one as large, then rest alone
-        for first in range(least, rest // 2 + 1):
-            for tail in partitions(rest - first, first):
-                yield (first, *tail)
-        yield (rest,)
-
-    return partitions(n, 1)
+Pair = tuple[int, int]  # u + vY with Y^2 = 1
+Weight = Callable[[int], Pair]  # a cycle length to its weight
+Counter = Callable[[int, bool], int]  # (points, first) to the signed total
 
 
-def perm_type_count(lengths: tuple[int, ...]) -> int:
-    """Number of permutations with the given ascending cycle lengths:
-    n! / prod(i^(c_i) c_i!), the c_i! built up along each run of equal lengths."""
-    denom, run = 1, 0
-    for j, length in enumerate(lengths):
-        run = run + 1 if j and lengths[j - 1] == length else 1
-        denom *= length * run
-    return factorial(sum(lengths)) // denom
+def _times(w: Pair, a: Pair) -> Pair:
+    return w[0] * a[0] + w[1] * a[1], w[0] * a[1] + w[1] * a[0]
 
 
-def _signed_type_sum(n: int, count: Counter) -> int:
-    """sum over cycle types t of n points of (-1)^(n - cycles(t)) * C(t) * count(t)."""
-    total = 0
-    for t in enumerate_cycle_types(n):
-        term = perm_type_count(t) * count(t)
-        total += -term if (n - len(t)) % 2 else term
-    return total
+def _signed_sum(n: int, w: Weight) -> Pair:
+    """a_n of the recurrence above.  The inner sum runs in Horner form, so
+    every product has a weight or an integer below n as one factor."""
+    signed = [(0, 0)] + [_times((1 if i % 2 else -1, 0), w(i)) for i in range(1, n + 1)]
+    a = [(1, 0)]
+    for m in range(1, n + 1):
+        u = v = 0
+        for i in range(m, 0, -1):
+            (wu, wv), (au, av), k = signed[i], a[m - i], m - i
+            u, v = wu * au + wv * av + k * u, wu * av + wv * au + k * v
+        a.append((u, v))
+    return a[n]
+
+
+def _weights(field: FieldSpec, s: int = 0) -> tuple[Weight, Weight, Weight]:
+    """Three weights per cycle length l: q (free); q if p | l, else 0
+    (divisible); q if p | l, else sY (split).  A cycle of length divisible
+    by p drops out of every glued form; the others keep their length as the
+    coefficient."""
+    q, p = field.q, field.p
+    return (lambda length: (q, 0), lambda length: (0 if length % p else q, 0),
+            lambda length: (0, s) if length % p else (q, 0))
+
+
+def _counter(combine: Callable[..., int], weights: tuple[Weight, ...],
+             budget: EnumerationBudget) -> Counter:
+    """The counter whose total is combine(n, *sums): one signed sum per
+    weight, n the number of coordinates.  A first-(n-1) count multiplies
+    each sum by its weight at the appended 1-cycle."""
+    def count(points: int, first: bool) -> int:
+        budget.check(len(weights) * points * (points + 1) // 2, "sieve", "recurrence steps")
+        sums = [_signed_sum(points, w) for w in weights]
+        if first:
+            sums = [_times(w(1), total) for w, total in zip(weights, sums)]
+        return combine(points + first, *sums)
+
+    return count
 
 
 def sieve_distinct(n: int, count: Counter) -> int:
     """Exact count of all-coordinates-distinct n-tuples in the counted set."""
-    return _signed_type_sum(n, count)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return count(n, False)
 
 
 def sieve_first_n_minus_1(n: int, count: Counter) -> int:
-    """Count of n-tuples whose first n-1 coordinates are pairwise distinct.
-
-    The last coordinate is never glued: the counter sees it as one more
-    cycle of length 1 after the type of the first n-1 points.
-    """
+    """Count of n-tuples whose first n-1 coordinates are pairwise distinct."""
     if n < 2:
         raise ValueError(f"first-(n-1) sieve needs n >= 2, got {n}")
-    return _signed_type_sum(n - 1, lambda t: count((*t, 1)))
+    return count(n - 1, True)
 
 
 def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
-    """S+(n) and S-(n) directly: (-1)^n times the signed type sum of
-    prod(q if p | l else sqrt(q)) over the cycle lengths l, split by the
-    parity of the number of cycles whose length is coprime to p.
-
-    One pass carries both parts in one integer, the odd part shifted left
-    past the even one: each part is at most the rising factorial
-    q (q+1) ... (q+n-1) < (q+n)^n in size, so a rounding shift splits them.
-    """
-    q, p = field.q, field.p
-    s = _sqrt_q(field)
-    shift = n * (q + n).bit_length() + 1
-
-    def count(lengths: tuple[int, ...]) -> int:
-        coprime = sum(1 for length in lengths if length % p)
-        return q ** (len(lengths) - coprime) * s ** coprime << (coprime % 2) * shift
-
-    total = (-1) ** n * _signed_type_sum(n, count)
-    odd = (total + (1 << shift - 1)) >> shift
-    return total - (odd << shift), odd
+    """S+(n) and S-(n) directly: (-1)^n times the signed sum of the split
+    weight at Y = sqrt(q), one part for each parity of the coprime cycles."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    even, odd = _signed_sum(n, _weights(field, _sqrt_q(field))[2])
+    return (-1) ** n * even, (-1) ** n * odd
 
 
-# ---------------------------------------------------------------------------
-# Counter factories: each treats a free trailing coordinate (the first-(n-1)
-# variant) as the length-1 cycle the sieve appends.
-# ---------------------------------------------------------------------------
-
-def unconstrained_counter(field: FieldSpec) -> Counter:
+def unconstrained_counter(field: FieldSpec, budget: EnumerationBudget = DEFAULT_BUDGET) -> Counter:
     """X = F_q^n; gluing leaves one free value per cycle."""
-    q = field.q
-    return lambda lengths: q ** len(lengths)
+    return _counter(lambda n, free: free[0], _weights(field)[:1], budget)
 
 
-def subset_sum_counter(field: FieldSpec, b: FieldElement) -> Counter:
-    """X = solutions of x_1 + ... + x_n = b."""
-    q, p = field.q, field.p
+def subset_sum_counter(field: FieldSpec, b: FieldElement,
+                       budget: EnumerationBudget = DEFAULT_BUDGET) -> Counter:
+    """X = solutions of x_1 + ... + x_n = b.  A permutation leaves
+    q^(cycles - 1) solutions, unless every length is divisible by p: then the
+    glued form vanishes, leaving q^cycles solutions at b = 0 and none else."""
     field._check(b)
 
-    def count(lengths: tuple[int, ...]) -> int:
-        if all(length % p == 0 for length in lengths):
-            # the glued linear form vanishes identically
-            return q ** len(lengths) if b.is_zero() else 0
-        return q ** (len(lengths) - 1)
+    def combine(n: int, free: Pair, divisible: Pair) -> int:
+        rest = _exact_int(free[0] - divisible[0], "subset-sum sieve", field.q)
+        return rest + (divisible[0] if b.is_zero() else 0)
 
-    return count
+    return _counter(combine, _weights(field)[:2], budget)
 
 
-def two_moment_counter(field: FieldSpec) -> Counter:
-    """X = solutions of (sum x_i^2 = 0, sum x_i = 0).
+def two_moment_counter(field: FieldSpec, budget: EnumerationBudget = DEFAULT_BUDGET) -> Counter:
+    """X = solutions of (sum x_i^2 = 0, sum x_i = 0), at odd square q = s^2.
 
-    Cycles of length divisible by p drop out of both glued equations and
-    contribute a free factor of q each; the rest form a diagonal
-    quadratic/linear system with one variable per cycle.
+    The N >= 1 cycles of length coprime to p form the diagonal system with
+    a = b = their lengths, all squares in F_p, whose sum is n, and c = 0.  It
+    has (q^N + t)/q^2 solutions: t = (q - 1) s^(N+1) for odd N when p does not
+    divide n, t = q(q - 1) s^N for even N when p divides n, and t = 0
+    otherwise.  Each other cycle is a free factor q; at N = 0 that is all.
     """
     q, p = field.q, field.p
+    s = _require_moment_field(field)
 
-    def count(lengths: tuple[int, ...]) -> int:
-        coeffs = [field.from_int(length) for length in lengths if length % p]
-        if not coeffs:
-            return q ** len(lengths)
-        sols = quad_lin_solution_count(field, coeffs, field.zero, coeffs, field.zero).value
-        return q ** (len(lengths) - len(coeffs)) * sols
+    def combine(n: int, free: Pair, divisible: Pair, split: Pair) -> int:
+        even, odd = split
+        excess = (q - 1) * s * odd if n % p else (q - 1) * (q * even + divisible[0])
+        return _exact_int(free[0] + excess, "two-moment sieve", q * q)
 
-    return count
+    return _counter(combine, _weights(field, s), budget)

@@ -11,13 +11,13 @@ which the Gauss-sum identity must reproduce.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
+from typing import Iterator
 
 import numpy as np
 
-from fqcount.counting import alpha_beta, v_of
+from fqcount.counting import alpha_beta, quad_lin_solution_count, v_of
 from fqcount.ff import FieldError, quadratic_character
-from fqcount.sieve import enumerate_cycle_types, perm_type_count
 
 
 def ref_nk_distribution(field, u_high, n, ell):
@@ -359,6 +359,108 @@ def ref_orbit_point_gram_traces(graph, big_t):
         x = sum(on_lines[lines_of_point[:, j]] for j in range(q))
         traces.append(q ** graph.family.m * sum(int(v) for v in x.diagonal()))
     return traces
+
+
+# ---------------------------------------------------------------------------
+# The literal cycle-type walk of the distinct-coordinate sieve: every cycle
+# type of S_n as an ascending tuple of lengths, its permutation count, and a
+# counter per solution set that reads the tuple.  fqcount.sieve sums the same
+# terms by the exponential formula and forms no cycle type.
+# ---------------------------------------------------------------------------
+
+CYCLE_TYPE_BOUND = 64
+
+
+def enumerate_cycle_types(n: int) -> Iterator[tuple[int, ...]]:
+    """All cycle types of S_n as ascending tuples of cycle lengths, in
+    lexicographic order, streamed one at a time.  The bound is checked here,
+    before any type is made."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > CYCLE_TYPE_BOUND:
+        raise ValueError(f"n={n} exceeds the cycle-type enumeration bound {CYCLE_TYPE_BOUND}")
+
+    def partitions(rest: int, least: int) -> Iterator[tuple[int, ...]]:
+        # parts >= least: a first part leaving room for one as large, then rest alone
+        for first in range(least, rest // 2 + 1):
+            for tail in partitions(rest - first, first):
+                yield (first, *tail)
+        yield (rest,)
+
+    return partitions(n, 1)
+
+
+def perm_type_count(lengths: tuple[int, ...]) -> int:
+    """Number of permutations with the given ascending cycle lengths:
+    n! / prod(i^(c_i) c_i!), the c_i! built up along each run of equal lengths."""
+    denom, run = 1, 0
+    for j, length in enumerate(lengths):
+        run = run + 1 if j and lengths[j - 1] == length else 1
+        denom *= length * run
+    return factorial(sum(lengths)) // denom
+
+
+def ref_signed_type_sum(n, count, first=False):
+    """sum over cycle types t of n points of (-1)^(n - cycles(t)) * C(t) * count(t),
+    with one never-glued 1-cycle after t when `first` (the first-(n-1) variant)."""
+    total = 0
+    for t in enumerate_cycle_types(n):
+        term = perm_type_count(t) * count((*t, 1) if first else t)
+        total += -term if (n - len(t)) % 2 else term
+    return total
+
+
+def ref_unconstrained_counter(field):
+    """X = F_q^n; gluing leaves one free value per cycle."""
+    q = field.q
+    return lambda lengths: q ** len(lengths)
+
+
+def ref_subset_sum_counter(field, b):
+    """X = solutions of x_1 + ... + x_n = b."""
+    q, p = field.q, field.p
+
+    def count(lengths):
+        if all(length % p == 0 for length in lengths):
+            # the glued linear form vanishes identically
+            return q ** len(lengths) if b.is_zero() else 0
+        return q ** (len(lengths) - 1)
+
+    return count
+
+
+def ref_two_moment_counter(field):
+    """X = solutions of (sum x_i^2 = 0, sum x_i = 0).
+
+    Cycles of length divisible by p drop out of both glued equations and
+    contribute a free factor of q each; the rest form a diagonal
+    quadratic/linear system with one variable per cycle.
+    """
+    q, p = field.q, field.p
+
+    def count(lengths):
+        coeffs = [field.from_int(length) for length in lengths if length % p]
+        if not coeffs:
+            return q ** len(lengths)
+        sols = quad_lin_solution_count(field, coeffs, field.zero, coeffs, field.zero).value
+        return q ** (len(lengths) - len(coeffs)) * sols
+
+    return count
+
+
+def ref_s_plus_minus(field, n):
+    """S+(n) and S-(n): (-1)^n times the signed type sum of
+    prod(q if p | l else sqrt(q)) over the cycle lengths l, one sum for each
+    parity of the number of cycles whose length is coprime to p."""
+    q, p, s = field.q, field.p, field.p ** (field.e // 2)
+
+    def part(parity):
+        def count(lengths):
+            coprime = sum(1 for length in lengths if length % p)
+            return q ** (len(lengths) - coprime) * s ** coprime if coprime % 2 == parity else 0
+        return (-1) ** n * ref_signed_type_sum(n, count)
+
+    return part(0), part(1)
 
 
 def stirling_cycle(n, i):

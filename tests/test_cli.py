@@ -149,6 +149,7 @@ def test_usage_errors_exit_1():
     "quadlin --p 3 --e 1 --a 1 --b 1 --a0 9",
     "sieve --p 3 --e 1 --n 0",
     "sieve --p 3 --e 1 --n 2 --system two-moment",
+    "sieve --p 3 --e 1 --n 1025",
     "wenger --variant 1 --p 3 --e 1 --m 3",
     "wenger --variant 1 --p 3 --e 1 --m 1 --check-moments 1",
     "wenger --variant 2 --p 7 --e 1 --m 1",
@@ -274,6 +275,36 @@ def test_sieve_non_divisible_total_is_a_mismatch(monkeypatch):
     payload = json.loads(text)
     assert payload["match"] is False
     assert payload["subsets"] is None
+
+
+def test_sieve_reaches_the_field_order():
+    """The recurrence answers at n = q = 81, and at q + 1 for the first-(n-1)
+    variant, where the cycle-type walk stopped at 64."""
+    code, text = run(["sieve", "--p", "3", "--e", "4", "--n", "81", "--system", "sum"])
+    assert code == 0 and json.loads(text)["match"] is True
+    code, text = run(["sieve", "--p", "3", "--e", "4", "--n", "82", "--system", "two-moment-first"])
+    assert code == 0 and json.loads(text)["match"] is True
+
+
+def test_sieve_charges_recurrence_steps_to_the_budget(capsys):
+    """Three sums of 200 * 201 / 2 steps are over a budget of 10^4."""
+    argv = ["--budget", "10000", "sieve", "--p", "5", "--e", "4", "--n", "200",
+            "--system", "two-moment"]
+    assert run(argv) == (2, "")
+    assert "60300 recurrence steps" in capsys.readouterr().err
+
+
+def test_counts_past_4300_digits_print_in_full():
+    """The command prints an exact count of more than 4300 decimal digits,
+    past the interpreter's default conversion limit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fqcount", "--format", "csv", "count", "--gap", "1", "--p", "2",
+         "--e", "20", "--n", "2000", "--k", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    value = next(line for line in proc.stdout.splitlines() if line.startswith("value,"))
+    assert len(value) > 4300
 
 
 def test_help_exits_zero():

@@ -6,9 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from fqcount.sieve import enumerate_cycle_types, perm_type_count
-
-from helpers import p_divisible_cycle_count, stirling_cycle
+from helpers import enumerate_cycle_types, p_divisible_cycle_count, perm_type_count, stirling_cycle
 
 
 def cycle_type_of(perm):

@@ -5,8 +5,8 @@ method of a class is read somewhere in the package outside its own body.
 __init__'s re-exports are not reads: an exported helper that nothing in the
 package calls fails too.  The oracle imports nothing from the code it
 checks, the closed forms import nothing from the package but the field, no
-closed form and no cached function takes an enumeration budget, and the
-README's library sketch runs."""
+closed form and no cached function takes an enumeration budget, no module
+walks cycle types, and the README's library sketch runs."""
 
 import ast
 from collections import Counter
@@ -149,6 +149,16 @@ def test_cached_functions_take_no_budget():
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)]
     assert len(functions) > 1
     assert _taking_budget(functions) == []
+
+
+def test_no_cycle_type_walk():
+    """The sieve sums by the exponential formula: no module defines the
+    cycle-type walk, which only the tests keep, and sieve.py yields nothing."""
+    defined = {node.name for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"enumerate_cycle_types", "perm_type_count", "_signed_type_sum"})
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   for node in ast.walk(TREES["sieve.py"]))
 
 
 def test_readme_library_sketch_runs():

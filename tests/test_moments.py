@@ -42,7 +42,7 @@ def test_s_plus_minus_pinned_values():
 
 @pytest.mark.parametrize("p,e,max_n", [(3, 2, 10), (5, 2, 8)])
 def test_s_plus_minus_routes_agree(p, e, max_n):
-    """The closed form equals the independent sum over cycle types."""
+    """The closed form equals the sieve's independent signed sum."""
     f = make_field(p, e)
     for n in range(1, max_n + 1):
         assert s_plus_minus(f, n) == s_plus_minus_type_sums(f, n)
@@ -50,8 +50,9 @@ def test_s_plus_minus_routes_agree(p, e, max_n):
 
 def test_s_plus_minus_past_the_cycle_type_range():
     """The closed form does no cycle-type work, so a degree whose p(n) no
-    enumeration reaches still answers."""
+    enumeration reaches still answers, and the sieve's recurrence agrees."""
     s_plus, s_minus = s_plus_minus(make_field(3, 2), 70)
+    assert (s_plus, s_minus) == s_plus_minus_type_sums(make_field(3, 2), 70)
     alpha, beta = alpha_beta(make_field(3, 2), 70)
     assert s_plus - s_minus == factorial(70) * beta
     assert s_plus + s_minus == factorial(70) * alpha
