@@ -188,7 +188,7 @@ def _gap_check(gap: int) -> Callable:
         def repro(k):
             return f"count --gap {gap} --p {fld.p} --e {fld.e} --n {n} --k {k}{b_opt} --method both"
 
-        counts = [_nk_formula(fld, gap, n, k, b).value for k in range(max(n, q) + 1)]
+        counts = [*counting.nk_table(fld, gap, n, b), *[0] * abs(n - q)]
         rows = [(ell, k, b_index, count, dist[k] if k <= q else 0, repro(k))
                 for k, count in enumerate(counts)]
         rows.append((ell, "sum", b_index, sum(counts), q ** (ell + 1), repro(0)))
@@ -202,10 +202,10 @@ def _gap_check(gap: int) -> Callable:
 
 def _gap2_sum_over_b(config, fld, n):
     """Summing the gap-2 family over b must reconstruct the gap-1 family."""
-    return [("sum-over-b", k, "*",
-             sum(counting.count_nk_gap2(fld, n, k, fld.element(bi)).value for bi in range(fld.q)),
-             counting.count_nk_gap1(fld, n, k).value)
-            for k in range(n + 1)]
+    by_b = [counting.nk_table(fld, 2, n, fld.element(bi)) for bi in range(fld.q)]
+    pad = [0] * max(n - fld.q, 0)
+    summed, gap1 = [*map(sum, zip(*by_b)), *pad], [*counting.nk_table(fld, 1, n), *pad]
+    return [("sum-over-b", k, "*", summed[k], gap1[k]) for k in range(n + 1)]
 
 
 def _subset_check(config, fld, n):

@@ -10,7 +10,9 @@ alpha/beta/S+- those formulas are assembled from.  Below q, a gap-2 or gap-3
 count is the inclusion-exclusion tail plus the excesses of M(n, b), M(n,0,0)
 and M1(n,0,0) over uniform (_main_regime).  From q on, x^q = x turns every
 gap into a count of functions on the field by their zeros, with at most two
-top interpolation coefficients fixed (_reduced_regime).
+top interpolation coefficients fixed (_reduced_regime).  Either regime builds
+a family's whole table k -> N_k in one pass over k, cached on plain ints
+(nk_table); the per-k counts read their entry from it.
 
 Every result is an exact integer.  Each formula is a multiple of its count
 in integer arithmetic, divided exactly before returning (_exact_int); a
@@ -58,48 +60,37 @@ def v_of(field: FieldSpec, b: FieldElement) -> int:
     return field.q - 1 if b.is_zero() else -1
 
 
-def _alternating_tail(q: int, m: int, length: int) -> int:
-    """T = sum_{i=0}^{length} (-1)^i C(m, i) q^(length - i), from its shorter side.
+def _main_regime(q: int, n: int, gap: int, e: int, e1: int) -> list[int]:
+    """N_0, ..., N_n for n < q from one identity for gaps 1-3,
 
-    The inclusion-exclusion tail shared by the gap-1/2/3 counts.  The full sum
-    to i = m is (q - 1)^m, so with g = m - length
+        q^(gap-1) N_k = C(q,k) T_k + (-1)^(n-k) [C(n,k) e - C(n-1,k) e1],
 
-        q^g T = (q - 1)^m - sum_{i=length+1}^{m} (-1)^i C(m, i) q^(m - i),
-
-    divided exactly.  That complement is summed when 0 < g <= length + 1, the
-    terms up to length otherwise: one Horner pass either way, C(m, i) updated
-    step by step, so min(length + 1, g) steps for g > 0 plus one power.
+    with the gap's subset-count excesses e, e1 (none for gap 1) and the
+    inclusion-exclusion tail T_k = sum_{i<=n-k} (-1)^i C(q-k,i) q^(n-k-i).
+    The sign is that of the excesses' inclusion-exclusion layer; at k = n the
+    identity returns the subset count.  Pascal's rule on C(q-k, i) gives
+    T_k = q T_(k+1) - T_(k+1) + (-1)^(n-k) C(q-k-1, n-k) from T_n = 1, so one
+    pass from k = n down to 0 takes n tail steps and carries C(q-k-1, n-k),
+    C(q,k) and C(n,k) by one exact division by a small int each step.
     """
-    g = m - length
-    lo, hi = (length + 1, m) if 0 < g <= length + 1 else (0, length)
-    acc, c = 0, comb(m, lo)
-    for i in range(lo, hi + 1):
-        acc = acc * q + (-c if i % 2 else c)
-        c = c * (m - i) // (i + 1)
-    return _exact_int((q - 1) ** m - acc, "alternating tail", q ** g) if lo else acc
+    den = q ** (gap - 1)
+    tail, c, cq, cn = 1, 1, comb(q, n), 1
+    table = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        j = n - k
+        if j:
+            c = c * (q - k - 1) // j
+            tail = tail * q - tail + (-c if j % 2 else c)
+            cq, cn = cq * (k + 1) // (q - k), cn * (k + 1) // j
+        total = cq * tail
+        if e or e1:  # C(n-1, k) = C(n, k) (n - k) / n
+            total += (-1) ** j * (cn * e - cn * j // n * e1)
+        table[k] = _exact_int(total, f"N_{k} gap{gap}", den)
+    return table
 
 
-def _main_regime(q: int, n: int, k: int, gap: int, e: int = 0, e1: int = 0) -> ExactCount:
-    """N_k for k <= n < q from one identity for gaps 1-3,
-
-        q^(gap-1) N_k = C(q,k) T + (-1)^(n-k) [C(n,k) e - C(n-1,k) e1],
-
-    with T = _alternating_tail(q, q-k, n-k) and the gap's subset-count
-    excesses e, e1 (none for gap 1).  The sign is that of the excesses'
-    inclusion-exclusion layer; at k = n the identity returns the subset count.
-    A zero excess (e for gap 1 and for gap 2 unless p | n, e1 for gaps 1 and
-    2) skips its binomial, C(n, k) or C(n-1, k), of up to 187 digits at q = 625.
-    """
-    total = comb(q, k) * _alternating_tail(q, q - k, n - k)
-    if e:
-        total += (-1) ** (n - k) * comb(n, k) * e
-    if e1:
-        total -= (-1) ** (n - k) * comb(n - 1, k) * e1
-    return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** (gap - 1)))
-
-
-def _reduced_regime(q: int, n: int, k: int, gap: int, note: str, z: bool = True) -> ExactCount:
-    """N_k for n >= q: modulo x^q - x a completion is a function on the field.
+def _reduced_regime(q: int, n: int, gap: int, z: bool) -> list[int]:
+    """N_0, ..., N_q for n >= q: modulo x^q - x a completion is a function on the field.
 
     The free tail has degree <= L = n - gap, so the top r = q - 1 - L <= gap - 1
     coefficients of the function's interpolation polynomial are fixed, to zero
@@ -111,14 +102,54 @@ def _reduced_regime(q: int, n: int, k: int, gap: int, note: str, z: bool = True)
 
         q^max(r,0) N_k = C(q,k) q^max(-r,0)
                          [(q-1)^m + sum_{t<r} (-1)^(m-t) C(m,t) (z q^r - q^t)].
+
+    One pass from k = q down to 0 carries C(q,k) and (q-1)^m.
     """
     r = q - 1 - n + gap
-    if r <= 0:  # the sum is empty: every function, each q^(-r) times
-        return ExactCount(comb(q, k) * q ** -r * (q - 1) ** (q - k), note=note)
-    m = q - k
-    fixed = sum((-1) ** (m - t) * comb(m, t) * (z * q ** r - q ** t) for t in range(r))
-    total = comb(q, k) * ((q - 1) ** m + fixed)
-    return ExactCount(_exact_int(total, f"N_{k} gap{gap}", q ** r), note=note)
+    scale, den = q ** max(-r, 0), q ** max(r, 0)
+    cq, power = 1, 1
+    table = [0] * (q + 1)
+    for k in range(q, -1, -1):
+        m = q - k
+        if m:
+            cq, power = cq * (k + 1) // m, power * (q - 1)
+        fixed = sum((-1) ** (m - t) * comb(m, t) * (z * den - q ** t) for t in range(r))
+        table[k] = _exact_int(cq * scale * (power + fixed), f"N_{k} gap{gap}", den)
+    return table
+
+
+@lru_cache(maxsize=256)
+def _table(q: int, n: int, gap: int, e: int, e1: int, z: bool) -> tuple[int, ...]:
+    """One family's N_0, ..., N_min(n,q), keyed on plain ints, so that every
+    nonzero b of a gap-2 family shares an entry.  An entry holds at most n + 1
+    ints of at most (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1).
+    A Wenger spectrum at m reads m tables, so one sweep over a few dozen
+    spectra and gap families can read more than 100: 256 keep them all."""
+    return tuple(_main_regime(q, n, gap, e, e1) if n < q else _reduced_regime(q, n, gap, z))
+
+
+def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) -> tuple[int, ...]:
+    """N_k for k = 0..min(n, q): the completions of x^n (gaps 1 and 3) or of
+    x^n - b*x^(n-1) (gap 2), free below degree n - gap + 1, with exactly k
+    distinct roots.  Gap 3 needs odd p and an even extension degree.
+
+    One pass builds the whole table (_main_regime below q, _reduced_regime
+    from q on), cached by _table; the count_nk_gap* functions read it.
+    """
+    q = field.q
+    if gap == 3:
+        _require_moment_field(field)
+    elif gap == 2:
+        field._check(b)
+    elif gap != 1:
+        raise ValueError(f"closed forms cover gaps 1-3, got {gap}")
+    if n < gap:
+        raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
+    if n >= q:
+        # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
+        return _table(q, n, gap, 0, 0, gap != 2 or n > q or b.is_zero() != (q == 2))
+    e = _sum_excess(field, n, b) if gap == 2 else _moment_excess(field, n) if gap == 3 else 0
+    return _table(q, n, gap, e, _moment_excess_m1(field, n) if gap == 3 else 0, True)
 
 
 def _k_past_roots(q: int, n: int, k: int, gap: int) -> bool:
@@ -141,9 +172,7 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     q = field.q
     if _k_past_roots(q, n, k, 1):
         return ExactCount(0)
-    if n < q:
-        return _main_regime(q, n, k, 1)
-    return _reduced_regime(q, n, k, 1, "reduced-degree regime (n >= q)")
+    return ExactCount(nk_table(field, 1, n)[k], "reduced-degree regime (n >= q)" if n >= q else None)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +210,8 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
     field._check(b)
     if _k_past_roots(q, n, k, 2):
         return ExactCount(0)
-
-    if n < q:
-        return _main_regime(q, n, k, 2, _sum_excess(field, n, b))
-    if n > q:
-        return _reduced_regime(q, n, k, 2, "reduced-degree regime (n > q)")
-    # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
-    return _reduced_regime(q, n, k, 2, "reduced-degree regime (n == q)", b.is_zero() != (q == 2))
+    note = None if n < q else f"reduced-degree regime (n {'>' if n > q else '=='} q)"
+    return ExactCount(nk_table(field, 2, n, b)[k], note)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +421,7 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
     _require_moment_field(field)
     if _k_past_roots(q, n, k, 3):
         return ExactCount(0)
-
-    if n < q:
-        return _main_regime(q, n, k, 3, _moment_excess(field, n), _moment_excess_m1(field, n))
-    note = ("reduced-degree regime (n == q)" if n == q else
+    note = (None if n < q else "reduced-degree regime (n == q)" if n == q else
             "reduced-degree regime (n == q + 1)" if n == q + 1 else
             "reduced-degree regime (n > q + 1)")
-    return _reduced_regime(q, n, k, 3, note)
+    return ExactCount(nk_table(field, 3, n)[k], note)

@@ -25,7 +25,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .counting import count_nk_gap1, count_nk_gap2, count_nk_gap3
+from .counting import nk_table
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
@@ -217,10 +217,8 @@ def _completion_counts(family: WengerFamily, levels: range) -> dict[int, int]:
     exactly `level` distinct roots, for each level: the gap-2 closed form for
     variant 1 and the gap-3 closed form, odd square q only, for variant 2."""
     f = family.field
-    top = family.top_exponent
-    if family.variant == 1:
-        return {i: count_nk_gap2(f, top, i, f.zero).value for i in levels}
-    return {i: count_nk_gap3(f, top, i).value for i in levels}
+    table = nk_table(f, family.variant + 1, family.top_exponent, f.zero)
+    return {i: table[i] for i in levels}
 
 
 def _assemble_levels(family: WengerFamily, low: Mapping[int, int],
@@ -233,9 +231,10 @@ def _assemble_levels(family: WengerFamily, low: Mapping[int, int],
     q = f.q
     m = family.m
     counts: dict[int, int] = {q: 1}
+    tables = {d: nk_table(f, 1, d) for d in range(1, m)}
     for i in range(0, m):
         # monic polynomials of degree d < m with i roots; d = 0 is the constant 1
-        low_degrees = sum(count_nk_gap1(f, d, i).value for d in range(max(i, 1), m)) + (i == 0)
+        low_degrees = sum(tables[d][i] for d in range(max(i, 1), m)) + (i == 0)
         counts[i] = (q - 1) * low_degrees + (q - 1) * low[i]
     for i in range(m, family.top_exponent + 1):
         counts[i] = (q - 1) * high[i]

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from fqcount import cli, counting, ff, oracle, sieve, wenger
-from fqcount.counting import ExactCount
 
 
 def run(argv):
@@ -321,16 +320,17 @@ def test_verify_single_suite_ok():
 
 def test_verify_detects_corrupted_formula(monkeypatch):
     """Harness self-test: a deliberately wrong closed form must surface as
-    exit code 3 with a reproducer line."""
-    real = counting.count_nk_gap2
+    exit code 3 with a reproducer line.  verify reads whole tables, so the
+    gap-2 table of degree 3 is corrupted at k = 1."""
+    real = counting.nk_table
 
-    def corrupted(field, n, k, b):
-        result = real(field, n, k, b)
-        if n == 3 and k == 1:
-            return ExactCount(result.value + 1)
-        return result
+    def corrupted(field, gap, n, b=None):
+        table = real(field, gap, n, b)
+        if gap == 2 and n == 3:
+            return (table[0], table[1] + 1, *table[2:])
+        return table
 
-    monkeypatch.setattr(counting, "count_nk_gap2", corrupted)
+    monkeypatch.setattr(counting, "nk_table", corrupted)
     code, text = run(["verify", "--suite", "gap2", "--max-q", "3"])
     assert code == 3
     assert "MISMATCH" in text

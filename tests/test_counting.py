@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from fqcount import counting
 from fqcount.counting import (
     ExactCount,
     IntegralityError,
@@ -156,3 +157,21 @@ def test_gap2_preconditions():
     f3 = make_field(3, 1)
     with pytest.raises(ValueError):
         count_nk_gap2(f3, 1, 0, f3.zero)
+
+
+def test_gap2_table_is_one_cache_entry():
+    """Every k of a gap-2 table reads one cached table, keyed on the subset-sum
+    excess: at q = 625, n = 624 the nonzero b = 1 and b = 7 share one miss;
+    at n = 620, where p | n, b = 0 has an excess of its own."""
+    f = make_field(5, 4)
+    q = f.q
+    counting._table.cache_clear()
+    for bi in (1, 7):
+        values = [count_nk_gap2(f, q - 1, k, f.element(bi)).value for k in range(q)]
+        assert sum(values) == q ** (q - 2)
+    info = counting._table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2 * q - 1, 1)
+    counting._table.cache_clear()
+    for bi in (0, 1, 7):
+        assert sum(count_nk_gap2(f, 620, k, f.element(bi)).value for k in range(621)) == q ** 619
+    assert counting._table.cache_info().misses == 2

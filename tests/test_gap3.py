@@ -138,3 +138,15 @@ def test_table_computes_its_terms_once():
     assert (info.misses, info.currsize) == (2, 2)
     assert info.hits == 2 * 41 - 2  # each of the 41 entries reads both sums
     assert sum(table) == 81 ** 38
+
+
+@pytest.mark.parametrize("n", [312, 626])
+def test_table_is_one_cache_entry(n):
+    """Every k of a gap-3 table at q = 625, in either regime, is one cache
+    miss; every other read is a hit on the same table."""
+    f = make_field(5, 4)
+    counting._table.cache_clear()
+    table = [count_nk_gap3(f, n, k).value for k in range(min(n, f.q) + 1)]
+    info = counting._table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(table) - 1, 1)
+    assert sum(table) == f.q ** (n - 2)

@@ -2,10 +2,11 @@
 forms are used: q in {49, 81, 121, 625}, with degrees across the whole valid
 range (gap 3 included past n = 64, where no cycle-type enumeration reaches),
 the gap-2/3 main regime against its earlier alpha/beta and p | n form, the
-reduced regime n >= q against the earlier case tables, and the
-quadratic/linear counts summed over a0 and against their earlier case table.
-The inclusion-exclusion tail is checked on both sides of its branch bound,
-with its Horner step count.  The root oracle's canonical families
+reduced regime n >= q against the earlier case tables, every gap-1/2/3 table
+against its binomial moments, and the quadratic/linear counts summed over a0
+and against their earlier case table.  Each table's inclusion-exclusion
+tails are checked at every k against the literal sum, with the pass's step
+count.  The root oracle's canonical families
 (translated, left alone at p | n, and absorbed) are checked against the
 literal tally at q <= 9.  The oracle's lookup tables are checked against
 field arithmetic on fields of every order up to their limit, q = 1024.  The
@@ -13,6 +14,7 @@ sieve's unconstrained and subset-sum counters recover the falling factorial
 at every field order up to 49."""
 
 import random
+from functools import cache
 from math import comb, perm
 
 import numpy as np
@@ -20,11 +22,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fqcount.counting import (
-    _alternating_tail,
+    _main_regime,
     count_nk_gap1,
     count_nk_gap2,
     count_nk_gap3,
     moment_subset_count,
+    nk_table,
     quad_lin_solution_count,
     quadlin_case_count,
 )
@@ -37,6 +40,7 @@ from fqcount.sieve import (
     unconstrained_counter,
 )
 
+import helpers
 from helpers import (
     force_quadlin_case,
     ref_nk_distribution,
@@ -173,12 +177,23 @@ def test_quadlin_identity_matches_case_table(q, data):
     assert (got_case, got.value) == ref_quadlin_cases(f, *instance)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(qs, st.data())
-def test_horner_tail_matches_literal_sum(q, data):
-    m = data.draw(st.integers(0, q), label="m")
-    length = data.draw(st.integers(0, q), label="length")
-    assert _alternating_tail(q, m, length) == ref_alternating_tail(q, m, length)
+# Every degree from 1 to q - 1, except at q = 625, where the literal sums of
+# every table would take minutes: both ends and the middle there, and
+# test_main_regime_near_q_against_literal_tail reads n = q - 3 ... q - 1.
+TAIL_DEGREES = {2: range(1, 2), 3: range(1, 3), 5: range(1, 5), 9: range(1, 9),
+                49: range(1, 49), 625: (1, 2, 3, 4, 5, 100, 125, 312, 500, 621)}
+
+
+@pytest.mark.parametrize("q", sorted(TAIL_DEGREES))
+def test_table_tails_match_literal_sum(q):
+    """Every k of a degree-n < q table: the gap-1 entry is C(q, k) T_k, with
+    T_k the literal tail sum_{i<=n-k} (-1)^i C(q-k, i) q^(n-k-i), the tail
+    that gaps 2 and 3 add their excesses to."""
+    for n in TAIL_DEGREES[q]:
+        table = _main_regime(q, n, 1, 0, 0)
+        assert len(table) == n + 1
+        for k, count in enumerate(table):
+            assert count == comb(q, k) * ref_alternating_tail(q, q - k, n - k), (n, k)
 
 
 def test_literal_tail_reference_is_the_sum_term_by_term():
@@ -192,7 +207,7 @@ def test_literal_tail_reference_is_the_sum_term_by_term():
 
 
 class CountingQ(int):
-    """The field size q as an int that counts the Horner steps acc * q."""
+    """The field size q as an int that counts the tail steps T * q."""
 
     steps = 0
 
@@ -202,31 +217,74 @@ class CountingQ(int):
 
 
 @pytest.mark.parametrize("q", [2, 3, 625])
-def test_tail_sides_meet_at_the_branch_bound(q):
-    """On both sides of 0 < g <= length + 1, with g = m - length (also m < length,
-    length = 0 and m = 0): the tail is the literal sum, in min(length + 1, g)
-    Horner steps when g > 0 and length + 1 otherwise."""
-    for length in sorted({0, 1, 2, q // 2, q - 1}):
-        for m in {0, max(length - 1, 0), length, length + 1, 2 * length + 1, 2 * length + 2}:
-            g, counted = m - length, CountingQ(q)
-            assert _alternating_tail(counted, m, length) == ref_alternating_tail(q, m, length)
-            assert counted.steps == (min(length + 1, g) if g > 0 else length + 1), (m, length)
+def test_table_takes_one_tail_step_per_degree(q):
+    """A degree-n table takes n recurrence steps T_(k+1) -> T_k, one product by
+    q each, and builds the same table as a plain int q."""
+    for n in sorted({1, q // 2, q - 1} - {0}):
+        counted = CountingQ(q)
+        assert _main_regime(counted, n, 1, 0, 0) == _main_regime(q, n, 1, 0, 0)
+        assert counted.steps == n, n
 
 
-def test_main_regime_near_q_against_literal_tail():
+def test_main_regime_near_q_against_literal_tail(monkeypatch):
     """Gap 1 and gap 2 (b = 0 and b != 0) at q = 625 and n = q - 1, q - 2, q - 3,
-    where the tail is summed from its short side: a seeded spread of k against
-    the literal tail, and every k summed to the number of completions."""
+    where the tail pass runs longest: every k against the literal tail (each
+    literal sum computed once, for gap 1 and both gap-2 references), and every
+    k summed to the number of completions."""
+    monkeypatch.setattr(helpers, "ref_alternating_tail", cache(helpers.ref_alternating_tail))
     f = FIELDS[625]
-    q, rng = f.q, random.Random(625)
+    q = f.q
     for n in (q - 1, q - 2, q - 3):
-        for k in sorted(rng.sample(range(n + 1), 6) + [0, n]):
-            assert count_nk_gap1(f, n, k).value == comb(q, k) * ref_alternating_tail(q, q - k, n - k)
+        for k in range(n + 1):
+            literal = helpers.ref_alternating_tail(q, q - k, n - k)
+            assert count_nk_gap1(f, n, k).value == comb(q, k) * literal, (n, k)
             for b in (f.zero, f.element(n)):
                 assert count_nk_gap2(f, n, k, b).value == ref_gap2_main(f, n, k, b), (n, k)
         assert sum(count_nk_gap1(f, n, k).value for k in range(n + 1)) == q ** n
         for b in (f.zero, f.element(n)):
             assert sum(count_nk_gap2(f, n, k, b).value for k in range(n + 1)) == q ** (n - 1)
+
+
+MOMENT_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)
+
+
+def binomial_moments(table, top, prime):
+    """sum_k C(k, j) N_k mod prime for j = 0..top, with the rows C(k, .) of
+    Pascal's triangle carried mod prime in int64 (every product < 2^62)."""
+    row, acc = np.zeros(top + 1, np.int64), np.zeros(top + 1, np.int64)
+    row[0] = 1
+    for count in table:
+        acc = (acc + row * (count % prime)) % prime
+        row[1:] = (row[1:] + row[:-1]) % prime
+    return acc.tolist()
+
+
+def subset_moments(q, ell, top, prime):
+    """C(q, j) q^(ell + 1 - j) mod prime for j = 0..top <= min(ell + 1, q)."""
+    out, binom = [], 1
+    for j in range(top + 1):
+        out.append(binom * pow(q, ell + 1 - j, prime) % prime)
+        binom = binom * (q - j) * pow(j + 1, -1, prime) % prime
+    return out
+
+
+@pytest.mark.parametrize("p,e,gap,b_index,n", [
+    *((5, 4, gap, b_index, n) for gap, b_index in ((1, 0), (2, 0), (2, 1), (3, 0))
+      for n in (5, 300, 623, 624, 625, 626, 630)),
+    (7, 4, 1, 0, 2399),
+])
+def test_tables_match_their_binomial_moments(p, e, gap, b_index, n):
+    """Counting pairs (f, S) with S a j-set of roots of f: for j <= ell + 1 the
+    j root conditions are independent on the free tail, so for every gap and
+    fixed part sum_k C(k, j) N_k = C(q, j) q^(ell + 1 - j), 0 <= j <= min(ell + 1, q).
+    No enumeration; both regimes at q = 625, and one gap-1 table at q = 2401.
+    The sums are taken mod two 31-bit primes."""
+    f = make_field(p, e)
+    ell = n - gap
+    table = nk_table(f, gap, n, f.element(b_index))
+    top = min(ell + 1, f.q)
+    for prime in MOMENT_PRIMES:
+        assert binomial_moments(table, top, prime) == subset_moments(f.q, ell, top, prime)
 
 
 ROOT_FIELDS = {f.q: f for f in (make_field(2, 1), make_field(3, 1), make_field(2, 2),
