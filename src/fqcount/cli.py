@@ -505,8 +505,11 @@ def _screen_count(args, fld, budget):
     _require(gap == 2 or args.b in (None, 0), "--b is only meaningful for --gap 2")
     _require(args.n >= gap, f"gap-{gap} counts need degree n >= {gap}, got {args.n}")
     _require(args.k >= 0, f"k must be >= 0, got {args.k}")
-    if gap == 3 and args.method != "oracle":
-        _require_moment_field(fld, "gap-3 closed forms")
+    if args.method != "oracle":  # the closed form builds its family's whole N_k table
+        if gap == 3:
+            _require_moment_field(fld, "gap-3 closed forms")
+        budget.check(counting.nk_table_bytes(fld.q, args.n, gap), "closed-form N_k table",
+                     "bytes")
     b = _from_user(fld.element, args.b) if args.b is not None else fld.zero
 
     def oracle_count():

@@ -140,6 +140,8 @@ def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) 
     if gap == 3:
         _require_moment_field(field)
     elif gap == 2:
+        if b is None:
+            raise ValueError("gap-2 counts need the fixed coefficient b")
         field._check(b)
     elif gap != 1:
         raise ValueError(f"closed forms cover gaps 1-3, got {gap}")
@@ -152,13 +154,16 @@ def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) 
     return _table(q, n, gap, e, _moment_excess_m1(field, n) if gap == 3 else 0, True)
 
 
-def _k_past_roots(q: int, n: int, k: int, gap: int) -> bool:
-    """Screen a gap-g count of degree n; True when k > min(n, q), so it is 0."""
-    if n < gap:
-        raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
+def nk_table_bytes(q: int, n: int, gap: int) -> int:
+    """Bytes bounding nk_table's ints: min(n, q) + 1 of them, each <= q^(n-gap+1)."""
+    return (min(n, q) + 1) * ((n - gap + 1) * q.bit_length() // 8 + 1)
+
+
+def _entry(table: tuple[int, ...], k: int, note: str | None) -> ExactCount:
+    """N_k read from its family's table; 0 past min(n, q), the most roots there are."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return k > min(n, q)
+    return ExactCount(table[k], note) if k < len(table) else ExactCount(0)
 
 
 def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
@@ -169,10 +174,8 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     count reduces through the q-th power map to counting functions on the
     field with k zeros.
     """
-    q = field.q
-    if _k_past_roots(q, n, k, 1):
-        return ExactCount(0)
-    return ExactCount(nk_table(field, 1, n)[k], "reduced-degree regime (n >= q)" if n >= q else None)
+    note = "reduced-degree regime (n >= q)" if n >= field.q else None
+    return _entry(nk_table(field, 1, n), k, note)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +210,8 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
     with z = 1 when that coefficient is zero (_reduced_regime).
     """
     q = field.q
-    field._check(b)
-    if _k_past_roots(q, n, k, 2):
-        return ExactCount(0)
     note = None if n < q else f"reduced-degree regime (n {'>' if n > q else '=='} q)"
-    return ExactCount(nk_table(field, 2, n, b)[k], note)
+    return _entry(nk_table(field, 2, n, b), k, note)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +418,7 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
     N_k = q^(n-q-2) C(q,k) (q-1)^m.
     """
     q = field.q
-    _require_moment_field(field)
-    if _k_past_roots(q, n, k, 3):
-        return ExactCount(0)
     note = (None if n < q else "reduced-degree regime (n == q)" if n == q else
             "reduced-degree regime (n == q + 1)" if n == q + 1 else
             "reduced-degree regime (n > q + 1)")
-    return ExactCount(nk_table(field, 3, n)[k], note)
+    return _entry(nk_table(field, 3, n), k, note)

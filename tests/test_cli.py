@@ -226,6 +226,26 @@ def test_budget_exceeded_exit_2():
     assert code == 2
 
 
+def test_closed_form_table_budget_exit_2(monkeypatch, capsys):
+    """A closed-form count builds its family's whole N_k table, so the table's
+    size bound is charged to --budget first: near q = 3^10 and q = 2^20 the
+    default budget refuses before any table is built."""
+    count = ["count", "--gap", "1", "--p", "5", "--e", "4", "--n", "624", "--k", "3"]
+    assert counting.nk_table_bytes(625, 624, 1) == 488125
+    assert run(["--budget", "488124"] + count)[0] == 2
+    assert run(["--budget", "488125"] + count)[0] == 0
+
+    def unbuilt(*args):
+        raise AssertionError("a refused table was built")
+
+    monkeypatch.setattr(counting, "nk_table", unbuilt)
+    for p, e in ((3, 10), (2, 20)):
+        code, text = run(["count", "--gap", "1", "--p", str(p), "--e", str(e),
+                          "--n", str(p ** e - 2), "--k", "3"])
+        assert (code, text) == (2, "")
+        assert "closed-form N_k table needs" in capsys.readouterr().err
+
+
 def test_subset_dp_budget_refusal_exits_2(capsys):
     code, text = run(["--budget", "10000", "mss2", "--p", "5", "--e", "2", "--t", "12",
                       "--method", "oracle"])

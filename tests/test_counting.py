@@ -157,6 +157,24 @@ def test_gap2_preconditions():
     f3 = make_field(3, 1)
     with pytest.raises(ValueError):
         count_nk_gap2(f3, 1, 0, f3.zero)
+    with pytest.raises(ValueError):
+        counting.nk_table(f3, 2, 3)  # a gap-2 table needs its fixed coefficient b
+    with pytest.raises(ValueError):
+        counting.nk_table(f3, 4, 5)  # the closed forms cover gaps 1-3
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (5, 2), (5, 4)])
+def test_table_bytes_bound_the_table(p, e):
+    """nk_table_bytes, the size a closed-form count charges to the budget,
+    bounds the bytes of the table's integers in both regimes."""
+    f = make_field(p, e)
+    q = f.q
+    for gap in (1, 2, 3) if p % 2 and e % 2 == 0 else (1, 2):
+        for n in sorted({gap, q // 2, q - 1, q, q + 1, q + 5} - set(range(gap))):
+            table = counting.nk_table(f, gap, n, f.one)
+            assert max(table) <= q ** (n - gap + 1)
+            used = sum((x.bit_length() + 7) // 8 for x in table)
+            assert used <= counting.nk_table_bytes(q, n, gap), (gap, n)
 
 
 def test_gap2_table_is_one_cache_entry():
