@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .ff import FieldElement, FieldSpec, _mul_mod, quadratic_character
+from .ff import FieldElement, FieldSpec, _mul_mod, make_field, quadratic_character
 
 
 class IntegralityError(ArithmeticError):
@@ -119,13 +119,21 @@ def _reduced_regime(q: int, n: int, gap: int, z: bool) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _table(q: int, n: int, gap: int, e: int, e1: int, z: bool) -> tuple[int, ...]:
-    """One family's N_0, ..., N_min(n,q), keyed on plain ints, so that every
-    nonzero b of a gap-2 family shares an entry.  An entry holds at most n + 1
-    ints of at most (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1).
-    A Wenger spectrum at m reads m tables, so one sweep over a few dozen
-    spectra and gap families can read more than 100: 256 keep them all."""
-    return tuple(_main_regime(q, n, gap, e, e1) if n < q else _reduced_regime(q, n, gap, z))
+def _table(p: int, e: int, gap: int, n: int, zero: bool) -> tuple[int, ...]:
+    """One family's N_0, ..., N_min(n,q), with its regime and excesses worked
+    out once per table.  The key is plain ints, as the field is canonical for
+    each (p, e), and zero says whether b = 0, so every nonzero b of a gap-2
+    family shares an entry.  An entry holds at most n + 1 ints of at most
+    (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1).  A Wenger spectrum
+    at m reads m tables, so one sweep over a few dozen spectra and gap
+    families can read more than 100: 256 keep them all."""
+    field = make_field(p, e)
+    q = field.q
+    if n >= q:
+        # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
+        return tuple(_reduced_regime(q, n, gap, gap != 2 or n > q or zero != (q == 2)))
+    excess = _sum_excess(field, n, zero) if gap == 2 else _moment_excess(field, n) if gap == 3 else 0
+    return tuple(_main_regime(q, n, gap, excess, _moment_excess_m1(field, n) if gap == 3 else 0))
 
 
 def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) -> tuple[int, ...]:
@@ -136,7 +144,6 @@ def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) 
     One pass builds the whole table (_main_regime below q, _reduced_regime
     from q on), cached by _table; the count_nk_gap* functions read it.
     """
-    q = field.q
     if gap == 3:
         _require_moment_field(field)
     elif gap == 2:
@@ -147,11 +154,7 @@ def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) 
         raise ValueError(f"closed forms cover gaps 1-3, got {gap}")
     if n < gap:
         raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
-    if n >= q:
-        # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
-        return _table(q, n, gap, 0, 0, gap != 2 or n > q or b.is_zero() != (q == 2))
-    e = _sum_excess(field, n, b) if gap == 2 else _moment_excess(field, n) if gap == 3 else 0
-    return _table(q, n, gap, e, _moment_excess_m1(field, n) if gap == 3 else 0, True)
+    return _table(field.p, field.e, gap, n, gap != 2 or b.is_zero())
 
 
 def nk_table_bytes(q: int, n: int, gap: int) -> int:
@@ -182,12 +185,13 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
 # Subset sums, and gap 2: fixed x^n - b*x^(n-1), free tail of degree <= n - 2.
 # ---------------------------------------------------------------------------
 
-def _sum_excess(field: FieldSpec, n: int, b: FieldElement) -> int:
-    """q M(n, b) - C(q, n): (-1)^(n + n/p) v(b) C(q/p, n/p) when p | n, else 0."""
-    p = field.p
+def _sum_excess(field: FieldSpec, n: int, zero: bool) -> int:
+    """q M(n, b) - C(q, n): (-1)^(n + n/p) v(b) C(q/p, n/p) when p | n, else 0,
+    where zero says whether b = 0."""
+    p, q = field.p, field.q
     if n % p:
         return 0
-    return (-1) ** (n + n // p) * v_of(field, b) * comb(field.q // p, n // p)
+    return (-1) ** (n + n // p) * (q - 1 if zero else -1) * comb(q // p, n // p)
 
 
 def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
@@ -196,7 +200,7 @@ def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
     field._check(b)
     if not 0 <= n <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {n}")
-    return ExactCount(_exact_int(comb(q, n) + _sum_excess(field, n, b), f"M({n}, b)", q))
+    return ExactCount(_exact_int(comb(q, n) + _sum_excess(field, n, b.is_zero()), f"M({n}, b)", q))
 
 
 def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCount:
@@ -328,13 +332,11 @@ def _sqrt_q(field: FieldSpec) -> int:
     return field.p ** (field.e // 2)
 
 
-@lru_cache(maxsize=1024)
 def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     """The two finite binomial sums driving the sieve closed forms.
 
     alpha(n) runs over i + p*j = n with 0 <= i <= sqrt(q); beta(n) over the
-    same lattice with an alternating sign in j.  Cached, since every k of a
-    gap-3 table of degree n reads the sums at n and n - 1.
+    same lattice with an alternating sign in j.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

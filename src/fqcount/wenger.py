@@ -21,7 +21,7 @@ walks from two points, counted through the incidence lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -186,8 +186,15 @@ class SpectrumReport:
         return out
 
 
-def _entries_from_counts(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(((i, m) for i, m in counts.items() if m > 0), reverse=True))
+def _report(family: WengerFamily, counts: Mapping[int, int], method: str) -> SpectrumReport:
+    """The report of level -> multiplicity counts, keeping positive ones only."""
+    q = family.field.q
+    return SpectrumReport(
+        entries=tuple(sorted(((i, m) for i, m in counts.items() if m > 0), reverse=True)),
+        vertex_count=2 * q ** (family.m + 1),
+        method=method,
+        metadata={"variant": family.variant, "q": q, "m": family.m},
+    )
 
 
 def spectrum_oracle(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET) -> SpectrumReport:
@@ -199,37 +206,26 @@ def spectrum_oracle(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BU
     basis = [power_row(f, expo) for expo in family.basis_exponents()]
     zero_row = [f.index(f.zero)] * q
     dist = span_root_distribution(f, zero_row, basis, budget)
-    counts = {i: dist[i] for i in range(q + 1)}
-    report = SpectrumReport(
-        entries=_entries_from_counts(counts),
-        vertex_count=2 * q ** (family.m + 1),
-        method="oracle",
-        metadata={"variant": family.variant, "q": q, "m": family.m},
-    )
+    report = _report(family, {i: dist[i] for i in range(q + 1)}, "oracle")
     total = sum(m for _, m in report.entries)
     if total != q ** (family.m + 1):
         raise ArithmeticError(f"level multiplicities sum to {total}, expected {q ** (family.m + 1)}")
     return report
 
 
-def _completion_counts(family: WengerFamily, levels: range) -> dict[int, int]:
-    """Counts of monic completions of x^top_exponent (free below degree m) with
-    exactly `level` distinct roots, for each level: the gap-2 closed form for
-    variant 1 and the gap-3 closed form, odd square q only, for variant 2."""
-    f = family.field
-    table = nk_table(f, family.variant + 1, family.top_exponent, f.zero)
-    return {i: table[i] for i in levels}
-
-
-def _assemble_levels(family: WengerFamily, low: Mapping[int, int],
-                     high: Mapping[int, int]) -> SpectrumReport:
+def _assemble_levels(family: WengerFamily, low: Sequence[int] | None = None) -> SpectrumReport:
     """Levels below m collect the coefficient vectors whose top slot vanishes
     (degree classes 0..m-1, a geometric inclusion-exclusion sum) plus the
     completions in `low`; levels m..top come from the family's own
-    completions `high` alone, and level q is the zero vector."""
+    completions alone, and level q is the zero vector.  The family's own
+    completions of x^top_exponent (free below degree m) are one closed-form
+    table, gap 2 for variant 1 and gap 3, odd square q only, for variant 2;
+    `low` defaults to it."""
     f = family.field
     q = f.q
     m = family.m
+    own = nk_table(f, family.variant + 1, family.top_exponent, f.zero)
+    low = own if low is None else low
     counts: dict[int, int] = {q: 1}
     tables = {d: nk_table(f, 1, d) for d in range(1, m)}
     for i in range(0, m):
@@ -237,13 +233,8 @@ def _assemble_levels(family: WengerFamily, low: Mapping[int, int],
         low_degrees = sum(tables[d][i] for d in range(max(i, 1), m)) + (i == 0)
         counts[i] = (q - 1) * low_degrees + (q - 1) * low[i]
     for i in range(m, family.top_exponent + 1):
-        counts[i] = (q - 1) * high[i]
-    return SpectrumReport(
-        entries=_entries_from_counts(counts),
-        vertex_count=2 * q ** (m + 1),
-        method="closed-form",
-        metadata={"variant": family.variant, "q": q, "m": m},
-    )
+        counts[i] = (q - 1) * own[i]
+    return _report(family, counts, "closed-form")
 
 
 def spectrum_formula(family: WengerFamily) -> SpectrumReport:
@@ -251,8 +242,7 @@ def spectrum_formula(family: WengerFamily) -> SpectrumReport:
     family's own completions, read once for every level; it enumerates
     nothing.  Variant 2 needs odd square q, as the gap-3 closed form does, and
     raises its ValueError on any other field."""
-    completions = _completion_counts(family, range(family.top_exponent + 1))
-    return _assemble_levels(family, completions, completions)
+    return _assemble_levels(family)
 
 
 def alternative_spectrum(family: WengerFamily,
@@ -265,8 +255,7 @@ def alternative_spectrum(family: WengerFamily,
         raise ValueError(f"the alternative exponent rule is for variant 1, got {family.variant}")
     f = family.field
     m = family.m
-    low = brute_nk_distribution(f, [f.zero, f.zero], m + 2, m - 1, budget)
-    return _assemble_levels(family, low, _completion_counts(family, range(m, m + 2)))
+    return _assemble_levels(family, brute_nk_distribution(f, [f.zero, f.zero], m + 2, m - 1, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,10 @@ def test_oracle_only_routes_skip_closed_form_preconditions():
 def test_internal_value_error_exits_3(monkeypatch, capsys):
     """A ValueError from inside the package, past the command's own screening
     of its arguments, is an internal fault, not a usage error."""
-    def failing(family, levels):
+    def failing(*args):
         raise ValueError("unsupported completion gap 5")
 
-    monkeypatch.setattr(wenger, "_completion_counts", failing)
+    monkeypatch.setattr(wenger, "nk_table", failing)
     code, text = run(["wenger", "--variant", "1", "--p", "3", "--e", "1", "--m", "1",
                       "--method", "formula"])
     assert code == 3

@@ -178,8 +178,8 @@ def test_table_bytes_bound_the_table(p, e):
 
 
 def test_gap2_table_is_one_cache_entry():
-    """Every k of a gap-2 table reads one cached table, keyed on the subset-sum
-    excess: at q = 625, n = 624 the nonzero b = 1 and b = 7 share one miss;
+    """Every k of a gap-2 table reads one cached table, keyed on whether b is
+    zero: at q = 625, n = 624 the nonzero b = 1 and b = 7 share one miss;
     at n = 620, where p | n, b = 0 has an excess of its own."""
     f = make_field(5, 4)
     q = f.q
@@ -193,3 +193,30 @@ def test_gap2_table_is_one_cache_entry():
     for bi in (0, 1, 7):
         assert sum(count_nk_gap2(f, 620, k, f.element(bi)).value for k in range(621)) == q ** 619
     assert counting._table.cache_info().misses == 2
+
+
+def test_table_computes_its_excesses_once(monkeypatch):
+    """A family's subset-count excesses are computed once, when its table is
+    built, not on every per-k read: a sweep of every k of a gap-3 table runs
+    each moment excess once, and the sweeps of one gap-2 family at p | n for
+    b = 1 and b = 7 run the subset-sum excess once between them."""
+    calls = {}
+
+    def counted(name):
+        inner = getattr(counting, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(counting, name, wrapper)
+
+    for name in ("_moment_excess", "_moment_excess_m1", "_sum_excess"):
+        counted(name)
+    counting._table.cache_clear()
+    f81 = make_field(3, 4)
+    assert sum(counting.count_nk_gap3(f81, 40, k).value for k in range(41)) == 81 ** 38
+    f625 = make_field(5, 4)
+    for bi in (1, 7):
+        values = [count_nk_gap2(f625, 620, k, f625.element(bi)).value for k in range(621)]
+        assert sum(values) == 625 ** 619
+    assert calls == {"_moment_excess": 1, "_moment_excess_m1": 1, "_sum_excess": 1}

@@ -129,17 +129,6 @@ def test_degrees_past_the_cycle_type_range(p, e, n):
     assert table[n] == moment_subset_count(f, n).value
 
 
-def test_table_computes_its_terms_once():
-    """A degree-n table computes the two alpha/beta sums it reads, at n - 1
-    and n, once: every other read of them is a cache hit."""
-    counting.alpha_beta.cache_clear()
-    table = [count_nk_gap3(FIELDS[81], 40, k).value for k in range(41)]
-    info = counting.alpha_beta.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    assert info.hits == 2 * 41 - 2  # each of the 41 entries reads both sums
-    assert sum(table) == 81 ** 38
-
-
 @pytest.mark.parametrize("n", [312, 626])
 def test_table_is_one_cache_entry(n):
     """Every k of a gap-3 table at q = 625, in either regime, is one cache

@@ -5,8 +5,9 @@ method of a class is read somewhere in the package outside its own body.
 __init__'s re-exports are not reads: an exported helper that nothing in the
 package calls fails too.  The oracle imports nothing from the code it
 checks, the closed forms import nothing from the package but the field, no
-closed form and no cached function takes an enumeration budget, no module
-walks cycle types, and the README's library sketch runs."""
+closed form and no cached function takes an enumeration budget, the closed
+forms cache nothing but their N_k tables, no module walks cycle types, and
+the README's library sketch runs."""
 
 import ast
 from collections import Counter
@@ -134,9 +135,8 @@ def test_closed_forms_take_no_budget():
     assert _taking_budget(functions) == []
 
 
-def test_cached_functions_take_no_budget():
-    """A budget gates work and is no input of a table, so no function of the
-    package cached with functools.cache or lru_cache takes one."""
+def _cached_functions(tree):
+    """The functions of the tree cached with functools.cache or lru_cache."""
     def cached(node):
         for decorator in node.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -145,10 +145,23 @@ def test_cached_functions_take_no_budget():
                 return True
         return False
 
-    functions = [node for tree in TREES.values() for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)]
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)]
+
+
+def test_cached_functions_take_no_budget():
+    """A budget gates work and is no input of a table, so no function of the
+    package cached with functools.cache or lru_cache takes one."""
+    functions = [node for tree in TREES.values() for node in _cached_functions(tree)]
     assert len(functions) > 1
     assert _taking_budget(functions) == []
+
+
+def test_closed_forms_cache_only_their_tables():
+    """The closed forms keep one memo, a family's whole N_k table: a second
+    cache over a value the table's build already computed would only hide a
+    lookup that recomputes it."""
+    assert [node.name for node in _cached_functions(TREES["counting.py"])] == ["_table"]
 
 
 def test_no_cycle_type_walk():

@@ -68,17 +68,6 @@ def test_moment_excesses_are_counts_over_uniform():
         assert _moment_excess_m1(f9, n) == q * q * ref_first_distinct(f9, n) - q * comb(q, n - 1), n
 
 
-def test_moment_counts_read_one_alpha_beta_pair():
-    """M(n,0,0) computes only the alpha/beta sums at n, and M1(n+1,0,0) reads
-    the same pair from the cache."""
-    f81 = make_field(3, 4)
-    alpha_beta.cache_clear()
-    moment_subset_count(f81, 40)
-    moment_subset_count_m1(f81, 41)
-    info = alpha_beta.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-
 def test_moment_subset_pinned_values():
     f9 = make_field(3, 2)
     assert [moment_subset_count(f9, n).value for n in (1, 2, 3, 4)] == [1, 0, 0, 2]

@@ -272,12 +272,14 @@ def subset_moments(q, ell, top, prime):
     *((5, 4, gap, b_index, n) for gap, b_index in ((1, 0), (2, 0), (2, 1), (3, 0))
       for n in (5, 300, 623, 624, 625, 626, 630)),
     (7, 4, 1, 0, 2399),
+    (3, 8, 3, 0, 3280),
 ])
 def test_tables_match_their_binomial_moments(p, e, gap, b_index, n):
     """Counting pairs (f, S) with S a j-set of roots of f: for j <= ell + 1 the
     j root conditions are independent on the free tail, so for every gap and
     fixed part sum_k C(k, j) N_k = C(q, j) q^(ell + 1 - j), 0 <= j <= min(ell + 1, q).
-    No enumeration; both regimes at q = 625, and one gap-1 table at q = 2401.
+    No enumeration; both regimes at q = 625, one gap-1 table at q = 2401 and
+    one gap-3 table at q = 6561.
     The sums are taken mod two 31-bit primes."""
     f = make_field(p, e)
     ell = n - gap
