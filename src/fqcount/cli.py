@@ -18,6 +18,7 @@ import random
 import signal
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from math import comb, factorial, perm
 from typing import Callable, Sequence
 
@@ -743,7 +744,10 @@ def _add_global_args(parser: argparse.ArgumentParser, default) -> None:
     parser.add_argument("--format", choices=("json", "csv", "plain"), default=default)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so no flag carries over between commands."""
     parser = _Parser(prog="fqcount", description=__doc__)
     _add_global_args(parser, None)
     # Global options may also follow the subcommand; SUPPRESS keeps a

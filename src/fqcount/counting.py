@@ -23,11 +23,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ff import FieldElement, FieldSpec, _mul_mod, make_field, quadratic_character
+
+
+# The bytes of N_k tables, by nk_table_bytes, that _table holds: past it the
+# least recently used go.
+TABLE_CACHE_BYTES = 1 << 25
+
+
+class _TableCacheInfo(NamedTuple):
+    """_table's counters: hits, misses, bytes held and tables held."""
+
+    hits: int
+    misses: int
+    held: int
+    currsize: int
 
 
 class IntegralityError(ArithmeticError):
@@ -118,15 +131,55 @@ def _reduced_regime(q: int, n: int, gap: int, z: bool) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=256)
+def _lru_tables(build):
+    """build(p, e, gap, n, zero), memoised on its arguments, least recently
+    used first.  Once the tables held pass TABLE_CACHE_BYTES, counted by
+    nk_table_bytes, the oldest are dropped, never the one just built: a
+    sweep over many degrees holds a bounded number of bytes, and per-k reads
+    of one table past the bound still build it once.  Like a
+    functools.lru_cache it has cache_info() and cache_clear()."""
+    tables: dict[tuple, tuple[int, ...]] = {}
+    held = hits = misses = 0
+
+    def size(key: tuple) -> int:
+        p, e, gap, n, _ = key
+        return nk_table_bytes(p ** e, n, gap)
+
+    def lookup(*key):
+        nonlocal held, hits, misses
+        table = tables.pop(key, None)
+        if table is None:
+            misses += 1
+            table = build(*key)
+            held += size(key)
+            while held > TABLE_CACHE_BYTES and tables:
+                oldest = next(iter(tables))
+                held -= size(oldest)
+                del tables[oldest]
+        else:
+            hits += 1
+        tables[key] = table  # the most recently used comes last
+        return table
+
+    def cache_clear() -> None:
+        nonlocal held, hits, misses
+        tables.clear()
+        held = hits = misses = 0
+
+    lookup.cache_info = lambda: _TableCacheInfo(hits, misses, held, len(tables))
+    lookup.cache_clear = cache_clear
+    return lookup
+
+
+@_lru_tables
 def _table(p: int, e: int, gap: int, n: int, zero: bool) -> tuple[int, ...]:
     """One family's N_0, ..., N_min(n,q), with its regime and excesses worked
     out once per table.  The key is plain ints, as the field is canonical for
     each (p, e), and zero says whether b = 0, so every nonzero b of a gap-2
     family shares an entry.  An entry holds at most n + 1 ints of at most
-    (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1).  A Wenger spectrum
-    at m reads m tables, so one sweep over a few dozen spectra and gap
-    families can read more than 100: 256 keep them all."""
+    (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1): nk_table_bytes.
+    A closed-forms benchmark round at q <= 625 reads about 100 tables of
+    about 1.1 MB by that bound, far below TABLE_CACHE_BYTES."""
     field = make_field(p, e)
     q = field.q
     if n >= q:
@@ -233,19 +286,22 @@ def quadlin_invariants(
     b = sum(b_i^2 / a_i) and c = b0^2 - a0*b, without inverting: one pass of
     P <- P*a_i, B' <- a_i*B' + b_i^2*P from P = a_1, B' = b_1^2.  Needs at
     least one a_i, all nonzero: then P != 0, and B', C' vanish when b, c do.
-    The pass runs on the coefficient tuples of elements the caller has
-    checked; only the three results are wrapped."""
-    mod, p = field.modulus, field.p
-    prod, b = a[0].coeffs, _mul_mod(bvec[0].coeffs, bvec[0].coeffs, mod, p)
-    for ai, bi in zip(a[1:], bvec[1:]):
-        x, y = ai.coeffs, bi.coeffs
-        y2 = _mul_mod(y, y, mod, p)
-        b = tuple((u + v) % p for u, v in zip(_mul_mod(x, b, mod, p), _mul_mod(y2, prod, mod, p)))
-        prod = _mul_mod(prod, x, mod, p)
-    b02 = _mul_mod(b0.coeffs, b0.coeffs, mod, p)
-    c = tuple((u - v) % p for u, v in zip(_mul_mod(b02, prod, mod, p),
-                                          _mul_mod(a0.coeffs, b, mod, p)))
-    return field._trusted(prod), field._trusted(b), field._trusted(c)
+
+    The pass runs on packed ints (ff._mul_mod) for elements the caller has
+    checked: each a_i and b_i is packed once and only P, B' and C' are
+    unpacked.  B' is kept as the unreduced sum of two reduced products, with
+    digits at most 2(p - 1), the digit bound the kernel takes; C' adds p to
+    every slot before subtracting, so its digits stay in [1, 2p)."""
+    k = field.kernel
+    a_packed, b_packed = [k.pack(x.coeffs) for x in a], [k.pack(y.coeffs) for y in bvec]
+    prod, b = a_packed[0], _mul_mod(b_packed[0], b_packed[0], k)
+    for x, y in zip(a_packed[1:], b_packed[1:]):
+        b = _mul_mod(x, b, k) + _mul_mod(_mul_mod(y, y, k), prod, k)
+        prod = _mul_mod(prod, x, k)
+    b0_packed = k.pack(b0.coeffs)
+    b0_squared = _mul_mod(b0_packed, b0_packed, k)
+    c = _mul_mod(b0_squared, prod, k) + k.ps - _mul_mod(k.pack(a0.coeffs), b, k)
+    return field._trusted(k.unpack(prod)), field._trusted(k.unpack(b)), field._trusted(k.unpack(c))
 
 
 def quad_lin_solution_count(

@@ -8,9 +8,17 @@ base-p digits of i, index 0 is zero and index 1 is the multiplicative
 identity.
 
 Every field operation has one route.  Products go through one
-multiply-and-reduce kernel, _mul_mod; the inverse is the Fermat power
-a^(q-2); and a candidate modulus is irreducible when it shares no factor
-with x^(p^i) - x for i <= e/2 (Lidl and Niederreiter, Finite Fields, ch. 3).
+multiply-and-reduce kernel, _mul_mod, on packed ints: an element's e digits
+sit in fixed-width s-bit slots of one Python int (Kronecker substitution;
+D. Harvey, J. Symbolic Comput. 44, 2009), so a product is one big-int
+multiply, its e - 1 high slots fold back through packed rows x^(e+k) mod m,
+and one multiply-shift-mask pass reduces every slot mod p.  The slot width
+comes from a digit bound D = 2(p - 1), a sum of two reduced elements, so
+callers may add two products before multiplying again (derivation at
+_mul_mod).  FieldSpec.mul, the irreducibility test and the quadlin
+invariant pass use it.  The inverse is the Fermat power a^(q-2); and a
+candidate modulus is irreducible when it shares no factor with
+x^(p^i) - x for i <= e/2 (Lidl and Niederreiter, Finite Fields, ch. 3).
 Fields are built once per process and cached.
 
 Everything here is pure and immutable; fields and elements can be shared
@@ -22,7 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator
+from operator import lshift
+from typing import Iterator, NamedTuple
 
 MAX_ORDER = 1 << 20
 
@@ -48,7 +57,8 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over F_p.  Coefficient tuples, constant term first.
+# Polynomial helpers over F_p.  Coefficient tuples, constant term first;
+# products on packed ints, digit i in slot i.
 # ---------------------------------------------------------------------------
 
 def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -58,24 +68,57 @@ def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...],
-             p: int) -> tuple[int, ...]:
-    """The product of two coefficient tuples of length e = deg(modulus),
-    reduced by the monic modulus in the same pass: e coefficients in [0, p)."""
-    e = len(modulus) - 1
-    if e == 1:
-        return ((a[0] * b[0]) % p,)
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for i in range(2 * e - 2, e - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(e):
-                prod[i - e + j] -= c * modulus[j]
-    return tuple(c % p for c in prod[:e])
+class _Kernel(NamedTuple):
+    """The packed-slot plan of one modulus m of degree e over F_p, read by
+    _mul_mod: the slot width s, the shifts s*i of the e low slots, the packed
+    rows x^(e+k) mod m that fold the high slots back, and the quotient
+    constants of the mod-p step.  FieldSpec.kernel builds it once per modulus.
+    """
+
+    p: int
+    shifts: tuple[int, ...]
+    mask: int                           # one slot, 2^s - 1
+    low: int                            # the e low slots
+    folds: tuple[tuple[int, int], ...]  # (s*(e+k), x^(e+k) mod m packed) for k < e - 1
+    magic: int                          # ceil(2^t / p)
+    t: int
+    rep: int                            # the low s - t bits of each low slot
+    ps: int                             # p in each low slot
+
+    def pack(self, coeffs: tuple[int, ...]) -> int:
+        """The int with coefficient i in slot i."""
+        return sum(map(lshift, coeffs, self.shifts))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The e low slots of x, each reduced mod p."""
+        p, mask = self.p, self.mask
+        return tuple([(x >> sh & mask) % p for sh in self.shifts])
+
+
+def _mul_mod(x: int, y: int, kernel: _Kernel) -> int:
+    """The product of two packed elements, reduced by the monic modulus and
+    mod p: one big-int multiply, e - 1 folds and one quotient pass.
+
+    The inputs' digits may be unreduced sums of two reduced elements, so each
+    is at most D = 2(p - 1); the result's digits lie in [0, p).  A slot of the
+    product x*y sums at most e digit products, so it is at most e D^2.  Fold
+    k adds high slot e + k times the packed row x^(e+k) mod m, whose digits
+    are below p, so after the e - 1 folds every low slot is at most
+    V = e D^2 (1 + (e - 1)(p - 1)).  All slots are then reduced mod p at
+    once: with M = ceil(2^t / p), floor(v M / 2^t) = floor(v / p) for
+    0 <= v <= V when V (M p - 2^t) < 2^t, and M p - 2^t < p, so 2^t > V p
+    suffices.  Each v M < 2^s keeps its own slot, so shifting r M right by
+    t and keeping the low s - t bits of each slot (rep) leaves floor(v / p)
+    there; r - p * that subtracts slot by slot with no borrow.  The kernel
+    takes t = bitlen(V p) and s = bitlen(V M), which also bounds every
+    slot of x*y and of the folds below 2^s.
+    """
+    p, _, mask, low, folds, magic, t, rep, _ = kernel
+    z = x * y
+    r = z & low
+    for shift, row in folds:
+        r += (z >> shift & mask) * row
+    return r - p * (r * magic >> t & rep)
 
 
 def _pdivmod(a: tuple[int, ...], b: tuple[int, ...],
@@ -118,20 +161,22 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     product of all monic irreducibles of degree dividing i is x^(p^i) - x; so
     f is irreducible when gcd(f, x^(p^i) - x) = 1 for i = 1..e // 2.  Each
     x^(p^i) mod f is the p-th power of the one before, by square-and-multiply
-    through _mul_mod.
+    through _mul_mod on packed ints, with the candidate's own kernel.
     """
     e = len(coeffs) - 1
-    x = (0, 1) + (0,) * (e - 2)
-    t = x
+    kernel = FieldSpec(p, e, p ** e, coeffs).kernel
+    t = 1 << kernel.shifts[1]  # x
     for _ in range(e // 2):
-        power, k = (1,) + (0,) * (e - 1), p
+        power, k = 1, p
         while k:
             if k & 1:
-                power = _mul_mod(power, t, coeffs, p)
-            t = _mul_mod(t, t, coeffs, p)
+                power = _mul_mod(power, t, kernel)
+            t = _mul_mod(t, t, kernel)
             k >>= 1
         t = power
-        a, b = coeffs, _trim(tuple((c - d) % p for c, d in zip(t, x)))
+        digits = list(kernel.unpack(t))
+        digits[1] = (digits[1] - 1) % p
+        a, b = coeffs, _trim(tuple(digits))
         while b:
             a, b = b, _pdivmod(a, b, p)[1]
         if len(a) > 1:
@@ -233,6 +278,29 @@ class FieldSpec:
 
     # -- arithmetic --------------------------------------------------------
 
+    @cached_property
+    def kernel(self) -> _Kernel:
+        """The packed-slot plan of this modulus for _mul_mod, built once per
+        field (and once per candidate modulus in _is_irreducible).  Digit
+        bound, slot width and quotient constants are derived at _mul_mod;
+        row k holds x^(e+k) mod m, from x^e = -(m_0 + ... + m_(e-1) x^(e-1))
+        by one multiplication by x per row."""
+        p, e = self.p, self.e
+        d = 2 * (p - 1)
+        bound = e * d * d * (1 + (e - 1) * (p - 1))
+        t = (bound * p).bit_length()
+        magic = -(-(1 << t) // p)
+        s = (bound * magic).bit_length()
+        shifts = tuple(range(0, s * e, s))
+        ones = sum(1 << sh for sh in shifts)
+        x_e = tuple(-c % p for c in self.modulus[:e])
+        folds, row = [], x_e
+        for k in range(e - 1):
+            folds.append((s * (e + k), sum(map(lshift, row, shifts))))
+            row = tuple(((row[j - 1] if j else 0) + row[-1] * c) % p for j, c in enumerate(x_e))
+        return _Kernel(p, shifts, (1 << s) - 1, (1 << s * e) - 1, tuple(folds), magic, t,
+                       ones * ((1 << s - t) - 1), ones * p)
+
     def _check(self, x: FieldElement) -> None:
         if x.field is not self and x.field != self:
             raise FieldError(f"element of GF({x.field.q}) used in GF({self.q})")
@@ -259,7 +327,8 @@ class FieldSpec:
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a), self._check(b)
-        return self._trusted(_mul_mod(a.coeffs, b.coeffs, self.modulus, self.p))
+        k = self.kernel
+        return self._trusted(k.unpack(_mul_mod(k.pack(a.coeffs), k.pack(b.coeffs), k)))
 
     def inv(self, a: FieldElement) -> FieldElement:
         """a^(q-2), the inverse by Fermat's little theorem; zero has none."""

@@ -5,7 +5,8 @@ these define ground truth by the most literal route available.  The ref_gap*
 functions keep the earlier written-out forms of the gap-2/3 closed forms, which
 the shared main-regime and reduced-regime identities must reproduce, and
 ref_quadlin_cases keeps the earlier case table of the quadratic/linear count,
-which the Gauss-sum identity must reproduce.
+which the Gauss-sum identity must reproduce, and ref_mul_mod keeps the
+schoolbook product that the packed field kernel must reproduce.
 """
 
 import itertools
@@ -18,6 +19,27 @@ import numpy as np
 
 from fqcount.counting import alpha_beta, quad_lin_solution_count, v_of
 from fqcount.ff import FieldError, quadratic_character
+
+
+def ref_mul_mod(a, b, modulus, p):
+    """The product of two coefficient tuples of length e = deg(modulus),
+    reduced by the monic modulus, by schoolbook multiplication and long
+    division: e coefficients in [0, p).  The inputs' coefficients may be any
+    nonnegative ints."""
+    e = len(modulus) - 1
+    if e == 1:
+        return ((a[0] * b[0]) % p,)
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(e):
+                prod[i - e + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:e])
 
 
 def ref_nk_distribution(field, u_high, n, ell):

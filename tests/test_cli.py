@@ -460,6 +460,21 @@ def test_csv_output_format_single_command():
     assert any(line.startswith("value,") for line in text.splitlines())
 
 
+def test_flags_do_not_carry_over_between_commands():
+    """The parser is built once per process; a flag given to one in-process
+    command is not seen by the next."""
+    count = ["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"]
+    assert cli.build_parser() is cli.build_parser()
+    code, csv_text = run(["--format", "csv"] + count)
+    assert code == 0 and any(line.startswith("value,") for line in csv_text.splitlines())
+    code, text = run(count)
+    assert code == 0 and json.loads(text)["value"] == "4"
+    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "8", "--k", "1",
+                    "--method", "oracle"]
+    assert run(["--budget", "20000"] + oracle_count)[0] == 2
+    assert run(oracle_count)[0] == 0
+
+
 def test_quadlin_cell_evaluates_invariants_once_per_instance(monkeypatch):
     """The case and the closed-form count of a drawn instance come from one
     evaluation of the invariants."""

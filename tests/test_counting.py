@@ -220,3 +220,43 @@ def test_table_computes_its_excesses_once(monkeypatch):
         values = [count_nk_gap2(f625, 620, k, f625.element(bi)).value for k in range(621)]
         assert sum(values) == 625 ** 619
     assert calls == {"_moment_excess": 1, "_moment_excess_m1": 1, "_sum_excess": 1}
+
+
+def test_table_cache_drops_the_least_recently_used(monkeypatch):
+    """Past TABLE_CACHE_BYTES the least recently used tables go, never the
+    one just built.  With room for the gap-1 tables n = 40 and 41 at q = 81,
+    reading 41, 40, 41 and then 39 drops 40; with room for none, every k of
+    one table still reads one build."""
+    f = make_field(3, 4)
+    size = {n: counting.nk_table_bytes(81, n, 1) for n in (39, 40, 41)}
+    monkeypatch.setattr(counting, "TABLE_CACHE_BYTES", size[40] + size[41])
+    counting._table.cache_clear()
+    for n in (41, 40, 41, 39):
+        counting.nk_table(f, 1, n)
+    info = counting._table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 2)
+    assert info.held == size[41] + size[39]
+    counting.nk_table(f, 1, 41)
+    counting.nk_table(f, 1, 40)
+    assert counting._table.cache_info()[:2] == (2, 4)
+    monkeypatch.setattr(counting, "TABLE_CACHE_BYTES", 1)
+    counting._table.cache_clear()
+    assert sum(count_nk_gap1(f, 40, k).value for k in range(41)) == 81 ** 40
+    assert counting._table.cache_info()[:2] == (40, 1)
+
+
+def test_degree_sweep_holds_a_bounded_table_cache():
+    """Gap-1 tables at q = 625 for n = 500..624 need about 75 MB by
+    nk_table_bytes; the cache keeps the newest within TABLE_CACHE_BYTES."""
+    f = make_field(5, 4)
+    counting._table.cache_clear()
+    for n in range(500, 625):
+        counting.nk_table(f, 1, n)
+    info = counting._table.cache_info()
+    assert info.misses == 125 and 1 < info.currsize < 125
+    assert info.held <= counting.TABLE_CACHE_BYTES
+    kept = range(625 - info.currsize, 625)
+    assert info.held == sum(counting.nk_table_bytes(625, n, 1) for n in kept)
+    counting.nk_table(f, 1, 624)
+    assert counting._table.cache_info().hits == 1
+    counting._table.cache_clear()

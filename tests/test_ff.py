@@ -10,13 +10,14 @@ from fqcount.ff import (
     FieldElement,
     FieldError,
     FieldSpec,
+    _mul_mod,
     canonical_modulus,
     is_prime,
     make_field,
     quadratic_character,
 )
 
-from helpers import char_restriction_trivial
+from helpers import char_restriction_trivial, ref_mul_mod
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 ODD_FIELDS_729 = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
@@ -297,3 +298,52 @@ def test_inverse_matches_fermat_power(p, e):
         inv = f.inv(x)
         assert inv.index == table[x.index]
         assert f.mul(x, inv) == f.one
+
+
+def _kernel_product(f, a, b):
+    """_mul_mod on two coefficient tuples, read back slot by slot without
+    reducing: the product must come out with every digit in [0, p) and no
+    bit outside the e low slots."""
+    k = f.kernel
+    z = _mul_mod(k.pack(a), k.pack(b), k)
+    digits = tuple(z >> sh & k.mask for sh in k.shifts)
+    assert z == k.pack(digits) and all(d < f.p for d in digits), (a, b, digits)
+    return digits
+
+
+KERNEL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(2, 7) if p ** e <= 81]
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_kernel_matches_schoolbook_on_every_pair(p, e):
+    """The packed kernel against the schoolbook product on every pair of
+    elements of each field with e >= 2 and q <= 81."""
+    f = make_field(p, e)
+    coeffs = [f.element(i).coeffs for i in range(f.q)]
+    for a in coeffs:
+        for b in coeffs:
+            assert _kernel_product(f, a, b) == ref_mul_mod(a, b, f.modulus, p)
+
+
+# The largest prime p for each e with p^e <= MAX_ORDER = 2^20, and the
+# largest e for p = 3 and p = 2.
+WORST_FIELDS = [(1048573, 1), (1021, 2), (101, 3), (31, 4), (3, 12), (2, 20)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(WORST_FIELDS), st.data())
+def test_kernel_matches_schoolbook_at_the_digit_bound(pe, data):
+    """The kernel takes digits up to D = 2(p - 1), the unreduced sum of two
+    reduced elements that the quadlin pass feeds it.  At the largest p for
+    each e, all-(p - 1) and all-D inputs, and digits drawn from the extremes
+    0, p - 1, D and anywhere in [0, D], match the schoolbook product."""
+    p, e = pe
+    f = make_field(p, e)
+    top = 2 * (p - 1)
+    reduced, unreduced = (p - 1,) * e, (top,) * e
+    for a, b in ((reduced, reduced), (unreduced, unreduced), (unreduced, reduced)):
+        assert _kernel_product(f, a, b) == ref_mul_mod(a, b, f.modulus, p)
+    digit = st.sampled_from([0, p - 1, top]) | st.integers(0, top)
+    a, b = (tuple(data.draw(st.lists(digit, min_size=e, max_size=e), label=name))
+            for name in ("a", "b"))
+    assert _kernel_product(f, a, b) == ref_mul_mod(a, b, f.modulus, p)

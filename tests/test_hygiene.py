@@ -136,12 +136,13 @@ def test_closed_forms_take_no_budget():
 
 
 def _cached_functions(tree):
-    """The functions of the tree cached with functools.cache or lru_cache."""
+    """The functions of the tree cached with functools.cache or lru_cache, or
+    with the byte-bounded memo of the N_k tables, counting._lru_tables."""
     def cached(node):
         for decorator in node.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator
             name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if name in ("cache", "lru_cache"):
+            if name in ("cache", "lru_cache", "_lru_tables"):
                 return True
         return False
 

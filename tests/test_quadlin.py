@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fqcount import oracle
 from fqcount.counting import quad_lin_solution_count, quadlin_case_count
 from fqcount.ff import FieldSpec, make_field
 
@@ -111,3 +112,27 @@ def test_identity_never_inverts(monkeypatch):
         got_case, got = quadlin_case_count(f, *instance)
         assert got_case == want_case == case
         assert got.value == want
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 3, 5), (3, 3, 6), (3, 4, 4), (3, 4, 5), (5, 3, 3), (5, 3, 4)])
+def test_identity_against_the_dp_oracle_at_degree_3_and_4(p, e, n):
+    """At q = 27, 81 and 125, two instances of each case against the DP
+    oracle, whose product table is pinned by sha256 in test_oracle.py, so the
+    check does not rest on the packed kernel that the invariant pass runs."""
+    f = make_field(p, e)
+    q = f.q
+    rng = random.Random(f"quadlin-oracle:{q}:{n}")
+    instances, cases = [], []
+    for case in (1, 2, 3, 4):
+        while cases.count(case) < 2:
+            a = [f.element(rng.randrange(1, q)) for _ in range(n)]
+            bvec = [f.element(rng.randrange(q)) for _ in range(n - 1)]
+            bvec.append(f.element(rng.randrange(1, q)))  # force_quadlin_case needs b_n != 0
+            a0, b0 = f.element(rng.randrange(q)), f.element(rng.randrange(q))
+            instance = force_quadlin_case(f, a, a0, bvec, b0, case)
+            if instance is not None:
+                instances.append(instance)
+                cases.append(case)
+    got = [quadlin_case_count(f, *instance) for instance in instances]
+    assert [case for case, _ in got] == cases
+    assert [count.value for _, count in got] == oracle.quadlin_counts(f, instances)
