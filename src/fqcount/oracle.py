@@ -23,10 +23,15 @@ weighted by the orbit size, which is still the exact tally over every
 vector.  A span through zero is homogeneous, since mu * f has the zeros of
 f: one vector per scalar class, weighted by q - 1.  A polynomial family
 x^n + ... keeps its distinct-root count under f(x) -> lambda^(-n) f(lambda x),
-and the lambda that fix its fixed coefficients act on its free tails.  Before
-that, a family is translated so that its x^(n-1) coefficient is zero, and a
-fixed part whose function the tails already span is dropped, which leaves a
-homogeneous span.
+and the lambda that fix its fixed coefficients act on its free tails.
+Translations f(x) -> f(x + c) keep zero counts as well.  Before the sweep,
+a family whose fixed part they keep while they move its top tail
+coefficient through the field has that coefficient fixed to zero, with
+weight q; otherwise a family is translated so that its x^(n-1) coefficient
+is zero.  A fixed part whose function the tails already span is dropped,
+which leaves a homogeneous span, and each of its parts whose top degree d
+is prime to p is swept with c_(d-1) = 0, with weight q.  The tally of each
+canonical family is read through a bounded cache, after the budget check.
 
 Subset and quadratic/linear counts come from dynamic programs over
 accumulator states instead of a walk over subsets or tuples.  A state is the
@@ -50,11 +55,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .ff import FieldElement, FieldSpec, is_prime
+from .ff import FieldElement, FieldSpec, is_prime, make_field
 
 DEFAULT_MAX_ITEMS = 10 ** 8
 TABLE_ORDER_LIMIT = 1 << 10  # dense q*q lookup tables stay desk scale
 _BLOCK_ENTRIES = 1 << 16  # table entries per block of `_level_sums`
+_TALLY_CACHE_SIZE = 256  # canonical root-count tallies kept, q + 1 int64 each
 
 MSS2_MODES = ("power-sums", "first-distinct")
 MSS2_PREDICATES = ("power-sums", "elementary")
@@ -229,37 +235,38 @@ def span_root_distribution(
     if len(fixed_row) != q or any(len(r) != q for r in basis_rows):
         raise ValueError("rows must have one value per field element")
     homogeneous = not any(fixed_row)  # index 0 is the zero element
-    orbits = [(1, q - 1) if homogeneous else (q - 1, 1)] * (m - 1)
+    orbits = [(1, q - 1, i) if homogeneous else (q - 1, 1, i) for i in range(m - 1)]
     budget.check(_swept_vectors(q, orbits, homogeneous), "coefficient-space enumeration")
-    return _orbit_distribution(field, fixed_row, basis_rows, orbits, homogeneous)
+    return _orbit_distribution(field, fixed_row, basis_rows, orbits, homogeneous).tolist()
 
 
-def _swept_vectors(q: int, orbits: Sequence[tuple[int, int]], homogeneous: bool) -> int:
+def _swept_vectors(q: int, orbits: Sequence[tuple[int, int, int]], homogeneous: bool) -> int:
     """The vectors _orbit_distribution sweeps, counted before any table."""
-    return q * (sum(reps * q ** i for i, (reps, _) in enumerate(orbits)) + (not homogeneous))
+    return q * (sum(reps * q ** free for reps, _, free in orbits) + (not homogeneous))
 
 
 def _orbit_distribution(
     field: FieldSpec,
     fixed_row: Sequence[int],
     basis_rows: Sequence[Sequence[int]],
-    orbits: Sequence[tuple[int, int]],
+    orbits: Sequence[tuple[int, int, int]],
     homogeneous: bool,
-) -> list[int]:
-    """span_root_distribution's tally, one part per last nonzero coefficient.
+) -> np.ndarray:
+    """span_root_distribution's tally, an int64 array, one part per last
+    nonzero coefficient.
 
     Part i holds the coefficient vectors whose last nonzero non-constant
-    coefficient is c_(i+1).  With orbits[i] = (reps, weight), c_(i+1) runs
-    over the first `reps` powers of the primitive element, the coefficients
-    below it and the constant run free, and the part's tally is multiplied by
-    `weight`.  This is exact when a symmetry that keeps zero counts maps the
-    vectors with c_(i+1) = r one to one onto those with c_(i+1) = r' for each
-    of `weight` values r', and these cosets of the representatives cover the
-    nonzero values once.  The vectors with no nonzero non-constant
-    coefficient are the fixed row plus a constant; a zero fixed row
-    (homogeneous) gives one function with q zeros and q - 1 with none.
+    coefficient is c_(i+1).  With orbits[i] = (reps, weight, free), c_(i+1)
+    runs over the first `reps` powers of the primitive element, c_1 ... c_free
+    and the constant run free, c_(free+1) ... c_i are zero, and the part's
+    tally is multiplied by `weight`.  This is exact when symmetries that keep
+    zero counts map the swept vectors one to one onto `weight` disjoint
+    copies that cover the part: cosets of the representatives, and, when
+    free = i - 1, the q values of c_i.  The vectors with no nonzero
+    non-constant coefficient are the fixed row plus a constant; a zero fixed
+    row (homogeneous) gives one function with q zeros and q - 1 with none.
     Otherwise they and the parts below the first weight above one, which are
-    (q - 1, 1), are one literal sweep of the lowest coefficients.
+    (q - 1, 1, i), are one literal sweep of the lowest coefficients.
     """
     q = field.q
     t = field_tables(field)
@@ -271,14 +278,14 @@ def _orbit_distribution(
         tally = np.zeros(q + 1, dtype=np.int64)
         tally[q], tally[0] = 1, q - 1
     else:
-        literal = next((i for i, (_, weight) in enumerate(orbits) if weight > 1), len(orbits))
+        literal = next((i for i, (_, weight, _) in enumerate(orbits) if weight > 1), len(orbits))
         tally = _constant_sweep_tally(add_t, start, steps[:literal])
     for i in range(literal, len(orbits)):
-        reps, weight = orbits[i]
+        reps, weight, free = orbits[i]
         # the representatives are the first level, the free coefficients below
-        part = _constant_sweep_tally(add_t, start, [steps[i][antilog[:reps]], *steps[:i]])
+        part = _constant_sweep_tally(add_t, start, [steps[i][antilog[:reps]], *steps[:free]])
         tally += weight * part
-    return [int(x) for x in tally]
+    return tally
 
 
 def _constant_sweep_tally(
@@ -332,6 +339,88 @@ def _translated(
     return out
 
 
+def _translation_pins_top_tail(
+    field: FieldSpec, u_high: Sequence[FieldElement], n: int, ell: int
+) -> bool:
+    """Whether f -> f(x + c) keeps the fixed part and moves c_ell through the
+    whole field, so that c_ell = 0 meets every orbit once.
+
+    The x^j coefficient of f(x + c) is sum over d >= j of C(d, j) c^(d-j) a_d.
+    For a fixed degree j in (ell, n) every a_d with d > j is a fixed u_d
+    (u_n = 1), so the fixed part is kept for every c exactly when
+    C(d, j) u_d = 0 for all d > j.  The x^ell coefficient becomes
+    c_ell + (ell + 1) u_(ell+1) c + sum over d > ell + 1 of C(d, ell) c^(d-ell) u_d;
+    with C(d, ell) u_d = 0 for d > ell + 1 that is c_ell + (ell + 1) u_(ell+1) c,
+    which runs over F_q with c when (ell + 1) u_(ell+1) != 0.  The lower
+    coefficients move one to one, since f(x - c) undoes the map, and the
+    roots move by -c.  So the tails with c_ell = a map one to one onto those
+    with c_ell = a' for every a, a', and the tally is q times that of the
+    family with c_ell = 0.  Gap 1 with p not dividing n passes (C(n, n-1) =
+    n); so does gap 2 at b != 0 with p | n when C(n, 2) = 0 mod p, at odd p
+    or at n = 0 mod 4 in characteristic 2.  It needs ell >= 1, so that a
+    tail is left.
+    """
+    p = field.p
+    nonzero = [d for d, u in zip(range(n, ell, -1), (field.one, *u_high)) if not u.is_zero()]
+    if ell < 1 or (ell + 1) % p == 0 or ell + 1 not in nonzero:
+        return False
+    # every C(d, j) u_d with ell <= j < d must vanish, but C(ell + 1, ell)
+    return all(comb(d, j) % p == 0 for d in nonzero if d > ell + 1 for j in range(ell, d))
+
+
+def _stabiliser_order(field: FieldSpec, u_high: Sequence[FieldElement], n: int, ell: int) -> int:
+    """gcd(q - 1, n - d over every nonzero u_d, u_n = 1), or 0 when the fixed
+    part is absorbed: when x^n + sum(u_d x^d) is, as a function on F_q, one
+    of degree <= ell, which the tails already span."""
+    q = field.q
+    s, folded = q - 1, {}
+    for coeff, d in zip((field.one, *u_high), range(n, ell, -1)):
+        if not coeff.is_zero():
+            s = gcd(s, n - d)
+            exponent = (d - 1) % (q - 1) + 1  # x^d is x^exponent on F_q, d >= 1
+            folded[exponent] = field.add(folded.get(exponent, field.zero), coeff)
+    absorbed = all(c.is_zero() for exponent, c in folded.items() if exponent > ell)
+    return 0 if absorbed else s
+
+
+def _nk_orbits(field: FieldSpec, n: int, ell: int, s: int) -> list[tuple[int, int, int]]:
+    """The `_orbit_distribution` parts of a canonical family with stabiliser
+    order s, or of the absorbed span of x^0 ... x^ell when s = 0.
+
+    With the fixed part kept, the part whose top coefficient is c_j has
+    (q - 1) / o_j coset representatives of weight o_j = s / gcd(s, n - j),
+    and every lower coefficient free.  An absorbed span's part of top degree
+    d has one representative, c_d = 1, of weight q - 1.  Its functions
+    g = x^d + c_(d-1) x^(d-1) + ... keep that part under g -> g(x + c), which
+    turns c_(d-1) into c_(d-1) + d c and is one to one on the lower
+    coefficients.  So when p does not divide d the part is q copies of its
+    vectors with c_(d-1) = 0, swept with weight q (q - 1).  At d = 1 that
+    coefficient is the constant, which the sweep already takes at once.
+    """
+    q = field.q
+    if s:
+        return [((q - 1) // o, o, j - 1) for j in range(1, ell + 1) for o in [s // gcd(s, n - j)]]
+    return [(1, q * (q - 1), d - 2) if d >= 2 and d % field.p else (1, q - 1, d - 1)
+            for d in range(1, ell + 1)]
+
+
+@lru_cache(maxsize=_TALLY_CACHE_SIZE)
+def _canonical_tally(p: int, e: int, ell: int, n: int = 0, *fixed: int) -> np.ndarray:
+    """The tally of one canonical family, on plain ints: the absorbed span of
+    degree <= ell when n = 0, otherwise x^n plus the fixed coefficients with
+    indices `fixed` for degrees n-1 down to ell+1.  It is kept as the sweep's
+    read-only int64 array, q + 1 counts in one object.  It takes no budget:
+    its callers check theirs first."""
+    field = make_field(p, e)
+    u_high = [field.element(i) for i in fixed]
+    s = _stabiliser_order(field, u_high, n, ell) if n else 0
+    fixed_row = _u_eval_row(field, u_high, n, ell) if s else np.zeros(field.q, np.int32)
+    basis = [power_row(field, i) for i in range(ell + 1)]
+    tally = _orbit_distribution(field, fixed_row, basis, _nk_orbits(field, n, ell, s), not s)
+    tally.setflags(write=False)  # shared across callers
+    return tally
+
+
 def brute_nk_distribution(
     field: FieldSpec,
     u_high: Sequence[FieldElement],
@@ -342,19 +431,28 @@ def brute_nk_distribution(
     """Root-count tally over all q^(ell+1) degree-<=ell tails of the fixed part.
 
     u_high lists the fixed coefficients for degrees n-1 down to ell+1 (so it
-    is empty for gap 1).  Works for any gap, unlike the closed forms.
+    is empty for gap 1).  Works for any gap, unlike the closed forms.  The
+    field must be the canonical one of make_field.
 
-    The family is first made canonical, by two maps that keep the tally:
-    - Translation.  When p does not divide n and u_(n-1) != 0, the fixed part
-      becomes that of f(x + c) with u'_(n-1) = 0 (`_translated`): the roots
-      move by -c, and the tails map one to one onto tails.
+    The family is first made canonical, by maps that keep the tally:
+    - Translation of the top tail coefficient.  When f -> f(x + c) keeps the
+      fixed part and sends c_ell to c_ell + (ell + 1) u_(ell+1) c with
+      (ell + 1) u_(ell+1) != 0, the tally is q times that of the family with
+      c_ell fixed to 0, one more fixed coefficient
+      (`_translation_pins_top_tail` derives the conditions).  This takes gap
+      1 with p not dividing n to the gap-2 family at b = 0.
+    - Translation of the fixed part.  When p does not divide n and
+      u_(n-1) != 0, the fixed part becomes that of f(x + c) with
+      u'_(n-1) = 0 (`_translated`): the roots move by -c, and the tails map
+      one to one onto tails.
     - Absorption.  x^d is the function x^((d-1) mod (q-1) + 1) on F_q for
       d >= 1.  When every nonzero folded coefficient sits at an exponent
       <= ell, the fixed part is a function the tails already span, so the
       tally is that of the tails alone: a homogeneous span, swept one vector
-      per scalar class with weight q - 1, as in `span_root_distribution`.
-      A fixed part that vanishes as a function is the case with no nonzero
-      folded coefficient.
+      per scalar class with weight q - 1, as in `span_root_distribution`,
+      and, in the parts whose top degree d >= 2 is prime to p, with
+      c_(d-1) = 0 and weight q (q - 1) (`_nk_orbits`).  A fixed part that
+      vanishes as a function is the case with no nonzero folded coefficient.
 
     Otherwise lambda^(-n) * f(lambda x) has the distinct-root count of f and
     turns each coefficient c_d into c_d * lambda^(d-n).  It keeps the fixed
@@ -363,8 +461,10 @@ def brute_nk_distribution(
     that subgroup moves c_j through a coset of order o_j = s / gcd(s, n - j),
     one to one on the lower coefficients, so c_j runs over (q - 1) / o_j
     coset representatives and the tally is weighted by o_j.  After
-    translation u_(n-1) = 0, so gap 2 has s = q - 1 at every b.  The budget
-    counts the tails swept and is checked before any table is built.
+    translation u_(n-1) = 0, so gap 2 has s = q - 1 at every b not moved by
+    the first map.  The budget counts the tails swept and is checked before
+    any table is built, and before the tally of each canonical family is
+    read from a bounded cache, so a family swept once is not swept again.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need 0 <= ell < n, got ell={ell}, n={n}")
@@ -372,27 +472,19 @@ def brute_nk_distribution(
         raise ValueError(f"expected {n - 1 - ell} fixed coefficients, got {len(u_high)}")
     for coeff in u_high:
         field._check(coeff)
-    q = field.q
-    if u_high and n % field.p and not u_high[0].is_zero():
+    p, e, q = field.p, field.e, field.q
+    if field != make_field(p, e):
+        raise ValueError("the root oracle reads fields built by make_field")
+    weight = 1
+    if _translation_pins_top_tail(field, u_high, n, ell):
+        u_high, ell, weight = [*u_high, field.zero], ell - 1, q
+    if u_high and n % p and not u_high[0].is_zero():
         u_high = _translated(field, u_high, n, ell)
-    s, folded = q - 1, {}
-    for coeff, d in zip((field.one, *u_high), range(n, ell, -1)):
-        if not coeff.is_zero():
-            s = gcd(s, n - d)
-            exponent = (d - 1) % (q - 1) + 1
-            folded[exponent] = field.add(folded.get(exponent, field.zero), coeff)
-    absorbed = all(c.is_zero() for exponent, c in folded.items() if exponent > ell)
-    if absorbed:
-        orbits = [(1, q - 1)] * ell
-    else:
-        orbits = []
-        for j in range(1, ell + 1):
-            o = s // gcd(s, n - j)
-            orbits.append(((q - 1) // o, o))
-    budget.check(_swept_vectors(q, orbits, absorbed), "coefficient-space enumeration")
-    basis = [power_row(field, i) for i in range(ell + 1)]
-    fixed_row = np.zeros(q, dtype=np.int32) if absorbed else _u_eval_row(field, u_high, n, ell)
-    return _orbit_distribution(field, fixed_row, basis, orbits, absorbed)
+    s = _stabiliser_order(field, u_high, n, ell)
+    budget.check(_swept_vectors(q, _nk_orbits(field, n, ell, s), not s),
+                 "coefficient-space enumeration")
+    key = (n, *(coeff.index for coeff in u_high)) if s else ()
+    return [weight * x for x in _canonical_tally(p, e, ell, *key).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ def run(argv):
     return code, out.getvalue()
 
 
+# Gap 1 at q = 5, n = 10: 5 | 10, so no translation pins c_9, and x^10 is the
+# function x^2 on F_5, so the family is the homogeneous span of its tails.
+# Its part of top degree d sweeps 5^(d-1) vectors, 5^(d-2) with c_(d-1) = 0
+# when 5 does not divide d >= 2: 5 * (1 + 1 + 5 + 25 + 625 + 625 + 5^5 + 5^6
+# + 5^7) = 490785 swept tails, over a budget of 10^4 or 2 * 10^4 and within
+# the default 10^8.
+ORACLE_COUNT = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "10", "--k", "1",
+                "--method", "oracle"]
+
+
 def test_count_gap1_anchor():
     code, text = run(["count", "--gap", "1", "--p", "2", "--e", "1", "--n", "3", "--k", "1"])
     assert code == 0
@@ -217,8 +227,9 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 
 
 def test_budget_exceeded_exit_2():
-    code, _ = run(["--budget", "10000", "count", "--gap", "1", "--p", "5", "--e", "1",
-                   "--n", "7", "--k", "1", "--method", "oracle"])
+    """Gap 1 at q = 5, n = 10 sweeps 490785 tails (`ORACLE_COUNT`), over a
+    budget of 10^4."""
+    code, _ = run(["--budget", "10000", *ORACLE_COUNT])
     assert code == 2
     # the oracle's lookup tables stop at q = 1024: a size refusal too
     code, _ = run(["count", "--gap", "1", "--p", "2", "--e", "11", "--n", "1", "--k", "1",
@@ -279,11 +290,9 @@ def test_global_options_after_subcommand():
     code_after, after = run(args + ["--format", "csv"])
     assert code_before == code_after == 0
     assert before == after and before.startswith("suite,")
-    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "7", "--k", "1",
-                    "--method", "oracle"]
-    assert run(oracle_count + ["--budget", "10000"])[0] == 2
+    assert run(ORACLE_COUNT + ["--budget", "10000"])[0] == 2  # 490785 swept tails
     # a global option given before the subcommand survives one the subcommand omits
-    assert run(["--budget", "10000"] + oracle_count)[0] == 2
+    assert run(["--budget", "10000"] + ORACLE_COUNT)[0] == 2
 
 
 def test_sieve_non_divisible_total_is_a_mismatch(monkeypatch):
@@ -386,12 +395,10 @@ def test_output_byte_determinism_run_twice():
 
 
 def test_budget_and_format_flags():
-    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "8", "--k", "1",
-                    "--method", "oracle"]
-    assert run(["--budget", "20000"] + oracle_count)[0] == 2  # 97655 swept tails
+    assert run(["--budget", "20000"] + ORACLE_COUNT)[0] == 2  # 490785 swept tails
     # given before and after the subcommand, the later --budget decides
-    assert run(["--budget", "20000"] + oracle_count + ["--budget", str(10 ** 8)])[0] == 0
-    assert run(["--budget", str(10 ** 8)] + oracle_count + ["--budget", "20000"])[0] == 2
+    assert run(["--budget", "20000"] + ORACLE_COUNT + ["--budget", str(10 ** 8)])[0] == 0
+    assert run(["--budget", str(10 ** 8)] + ORACLE_COUNT + ["--budget", "20000"])[0] == 2
     code, text = run(["--format", "plain", "count", "--gap", "1", "--p", "2", "--e", "1",
                       "--n", "3", "--k", "1"])
     assert code == 0
@@ -469,10 +476,8 @@ def test_flags_do_not_carry_over_between_commands():
     assert code == 0 and any(line.startswith("value,") for line in csv_text.splitlines())
     code, text = run(count)
     assert code == 0 and json.loads(text)["value"] == "4"
-    oracle_count = ["count", "--gap", "1", "--p", "5", "--e", "1", "--n", "8", "--k", "1",
-                    "--method", "oracle"]
-    assert run(["--budget", "20000"] + oracle_count)[0] == 2
-    assert run(oracle_count)[0] == 0
+    assert run(["--budget", "20000"] + ORACLE_COUNT)[0] == 2
+    assert run(ORACLE_COUNT)[0] == 0
 
 
 def test_quadlin_cell_evaluates_invariants_once_per_instance(monkeypatch):

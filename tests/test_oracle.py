@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqcount import oracle
+from fqcount import cli, oracle
 from fqcount.counting import (
     moment_subset_count,
     moment_subset_count_m1,
@@ -129,23 +129,51 @@ def test_brute_nk_argument_validation():
 
 
 def test_budget_refusal_names_size():
-    """Gap 1 at q = 5, n = 7: x^7 is the function x^3 on F_5, which the
-    degree-6 tails span, so the family is swept as the homogeneous span of
-    its tails, one vector per scalar class: 5 * (5^6 - 1) / 4 = 19530 of the
-    5^7 tails.  The refusal comes one below that number.  The tally at that
-    budget is checked against the functions on F_5 with k zeros, C(5, k)
-    4^(5-k) of them, each the function of 5^2 tails: the one-evaluation-at-
-    a-time reference takes about 20 s on 5^7 tails (2-core host, Python 3.11)."""
+    """Gap 1 at q = 5, n = 7: 5 does not divide 7, so f -> f(x + c) moves
+    c_6 through F_5 and the tally is 5 times that of x^7 + tails of degree
+    <= 5.  There x^7 is the function x^3 on F_5, which those tails span, so
+    the family is swept as their homogeneous span: the part of top degree d
+    sweeps 5^(d-1) vectors, 5^(d-2) with c_(d-1) = 0 when 5 does not divide
+    d >= 2.  That is 5 * (1 + 1 + 5 + 25 + 625) = 5 + 5 + 25 + 125 + 3125 =
+    3285 of the 5^7 tails.  The refusal comes one below that number.  The
+    tally at that budget is checked against the functions on F_5 with k
+    zeros, C(5, k) 4^(5-k) of them, each the function of 5^2 tails: the
+    one-evaluation-at-a-time reference takes about 20 s on 5^7 tails (2-core
+    host, Python 3.11)."""
     f5 = make_field(5, 1)
     with pytest.raises(BudgetExceededError) as info:
-        brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(19529))
-    assert info.value.required == 5 * (5 ** 6 - 1) // 4 == 19530
-    assert "19530" in str(info.value)
-    tally = brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(19530))
+        brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(3284))
+    assert info.value.required == 5 * (1 + 1 + 5 + 25 + 625) == 3285
+    assert "3285" in str(info.value)
+    tally = brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(3285))
     assert tally == [math.comb(5, k) * 5 ** 2 * 4 ** (5 - k) for k in range(6)]
 
 
-def test_orbit_budget_counts_swept_tails(monkeypatch):
+@pytest.fixture
+def fresh_tallies():
+    """An empty cache of canonical-family tallies, so that every family read
+    is swept."""
+    oracle._canonical_tally.cache_clear()
+    yield
+    oracle._canonical_tally.cache_clear()
+
+
+@pytest.fixture
+def swept(monkeypatch, fresh_tallies):
+    """The coefficient vectors each `_constant_sweep_tally` call visits: q
+    constants for each digit tuple of its steps."""
+    visits = []
+    sweep = oracle._constant_sweep_tally
+
+    def counting_sweep(add_t, start, steps):
+        visits.append(add_t.shape[0] * math.prod(len(step) for step in steps))
+        return sweep(add_t, start, steps)
+
+    monkeypatch.setattr(oracle, "_constant_sweep_tally", counting_sweep)
+    return visits
+
+
+def test_orbit_budget_counts_swept_tails(swept):
     """At q = 9 with u_(n-2) != 0 the stabiliser has order s = gcd(8, 2) = 2:
     the top coefficient c_j runs over 4 or 8 coset representatives as n - j
     is odd or even.  The refusal names the tails the sweep visits, 292293 of
@@ -157,38 +185,112 @@ def test_orbit_budget_counts_swept_tails(monkeypatch):
     assert info.value.required == \
         4 * 9 + 8 * 9 ** 2 + 4 * 9 ** 3 + 8 * 9 ** 4 + 4 * 9 ** 5 + 9 == 292293
 
-    swept = []
-    sweep = oracle._constant_sweep_tally
-
-    def counting_sweep(add_t, start, steps):
-        swept.append(9 * math.prod(len(step) for step in steps))
-        return sweep(add_t, start, steps)
-
-    monkeypatch.setattr(oracle, "_constant_sweep_tally", counting_sweep)
     tally = brute_nk_distribution(f9, u_high, 8, 5, EnumerationBudget(292293))
     assert sum(swept) == 292293
-    monkeypatch.setattr(oracle, "_constant_sweep_tally", sweep)
+    swept.clear()
     fixed = oracle._u_eval_row(f9, u_high, 8, 5)
     basis = [oracle.power_row(f9, d) for d in range(6)]
     assert tally == span_root_distribution(f9, fixed, basis)  # every tail, literally
+    assert sum(swept) == 9 ** 6
     assert sum(tally) == 9 ** 6
+
+
+@pytest.mark.parametrize("p,e,u_idx,n,ell,required", [
+    # Gap 1, 5 does not divide 4: c_3 = 0 and weight 5 leave x^4 + tails of
+    # degree <= 2, with s = 4: c_1 has 1 representative (o = 4 / gcd(4, 3))
+    # and c_2 has 2 (o = 4 / gcd(4, 2)), so 5 * (1 + 1 + 2 * 5) of 5^4 tails.
+    (5, 1, [], 4, 3, 5 * (1 + 1 + 2 * 5)),
+    # Gap 2 at b = 2 with 5 | n = 5: 4 * u_4 = -8 != 0 and C(5, 4) = 5,
+    # C(5, 3) = 10 vanish mod 5, so c_3 = 0 and weight 5.  With u_4 != 0,
+    # s = gcd(4, 1) = 1: every tail of degree <= 2 is swept, 5^3 of 5^4.
+    (5, 1, [3], 5, 3, 5 ** 3),
+    # Gap 1 at q = 4, 2 | n = 6: x^6 is the function x^3, so the span of the
+    # tails of degree <= 5.  The parts of odd top degree 3 and 5 pin
+    # c_(d-1) = 0; those of degree 2 and 4 do not: 4 * (1 + 4 + 4 + 4^3 + 4^3)
+    # of 4^6.
+    (2, 2, [], 6, 5, 4 * (1 + 4 + 4 + 4 ** 3 + 4 ** 3)),
+])
+def test_budget_counts_reduced_sweeps(swept, p, e, u_idx, n, ell, required):
+    """A family reduced by translation, of its top tail coefficient or inside
+    an absorbed span, is charged the vectors it actually sweeps, and its
+    tally equals the literal one."""
+    f = make_field(p, e)
+    u_high = [f.element(i) for i in u_idx]
+    with pytest.raises(BudgetExceededError) as info:
+        brute_nk_distribution(f, u_high, n, ell, EnumerationBudget(required - 1))
+    assert info.value.required == required
+    tally = brute_nk_distribution(f, u_high, n, ell, EnumerationBudget(required))
+    assert sum(swept) == required
+    assert tally == ref_nk_distribution(f, u_high, n, ell)
+
+
+def test_cached_family_still_refused(fresh_tallies):
+    """A family's tally is read from the cache only after the budget is
+    checked: once swept, it is still refused one below its 3285 vectors."""
+    f5 = make_field(5, 1)
+    tally = brute_nk_distribution(f5, [], 7, 6)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(3284))
+    assert info.value.required == 3285
+    hits = oracle._canonical_tally.cache_info().hits
+    assert brute_nk_distribution(f5, [], 7, 6, EnumerationBudget(3285)) == tally
+    assert oracle._canonical_tally.cache_info().hits == hits + 1
+
+
+def test_canonical_families_share_one_tally(swept):
+    """At q = 7 and n = 5 the gap-2 families at every b translate to b = 0,
+    and gap 1 pins c_4 = 0 into that family with weight 7: one sweep serves
+    all of them."""
+    f7 = make_field(7, 1)
+    b0 = brute_nk_distribution(f7, [f7.zero], 5, 3)
+    once = sum(swept)
+    for b in range(1, 7):
+        assert brute_nk_distribution(f7, [f7.element(b)], 5, 3) == b0
+    assert brute_nk_distribution(f7, [], 5, 4) == [7 * x for x in b0]
+    assert sum(swept) == once
+    assert b0 == ref_nk_distribution(f7, [f7.zero], 5, 3)
+
+
+def test_root_oracle_reads_canonical_fields():
+    """Tallies are cached by (p, e), so a field with another modulus, whose
+    element indices mean other elements, is refused."""
+    f9 = make_field(3, 2)
+    modulus = next(m for m in ((1, 0, 1), (2, 1, 1), (2, 2, 1)) if m != tuple(f9.modulus))
+    other = FieldSpec(p=3, e=2, q=9, modulus=modulus)
+    with pytest.raises(ValueError):
+        brute_nk_distribution(other, [], 2, 1)
+
+
+def test_gap_suites_sweep_pinned_vectors(swept):
+    """The root oracle's work in verify, in vectors `_constant_sweep_tally`
+    visits, suite by suite in the order of `verify --suite all` and from an
+    empty family cache: 144760, 171409 and 3268688 for gap1, gap2 and gap3,
+    3.58 * 10^6 in all.  Before the top tail coefficient was pinned by
+    translation, absorbed spans were translated and each canonical family was
+    swept once, they were 316030, 2247621 and 7637000, 10.2 * 10^6 in all."""
+    for name, vectors in (("gap1", 144760), ("gap2", 171409), ("gap3", 3268688)):
+        swept.clear()
+        assert cli.run_suite(name, cli.RunConfig()).ok
+        assert sum(swept) == vectors, name
 
 
 def test_gap_budget_refused_before_tables():
     """A refused gap-family sweep builds no lookup table, even at q = 1024.
     Whether the fixed part vanishes as a function, as x^5 - x^3 does on F_3,
     is read from its coefficients.  Such a part is absorbed: the family is
-    the homogeneous span of its tails, one vector per scalar class, so it
-    sweeps 3 * (1 + 3) = 12 of the 27 tails."""
+    the homogeneous span of its tails, one vector per scalar class.  Its
+    part of top degree 2 keeps x^2 + c_1 x + c_0 up to translation, which
+    moves c_1 through F_3 (3 does not divide 2), so it sweeps c_1 = 0 only:
+    3 * (1 + 1) = 6 of the 27 tails."""
     f3 = make_field(3, 1)
     u_high = [f3.zero, f3.element(2)]
     with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
         with pytest.raises(BudgetExceededError):
             brute_nk_distribution(make_field(2, 10), [], 40, 39, EnumerationBudget(10 ** 4))
         with pytest.raises(BudgetExceededError) as info:
-            brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(11))
-    assert info.value.required == 12
-    tally = brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(12))
+            brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(5))
+    assert info.value.required == 6
+    tally = brute_nk_distribution(f3, u_high, 5, 2, EnumerationBudget(6))
     assert tally == ref_nk_distribution(f3, u_high, 5, 2)
 
 
@@ -645,6 +747,7 @@ def test_brute_nk_orbits_match_literal(q, data):
     coeff = st.one_of(st.just(0), st.integers(1, q - 1))
     u_high = [f.element(i) for i in data.draw(
         st.lists(coeff, min_size=gap - 1, max_size=gap - 1), label="u_high")]
+    oracle._canonical_tally.cache_clear()  # sweep at the drawn block size
     with mock.patch.object(oracle, "_BLOCK_ENTRIES", _draw_block(data, q, q)):
         got = brute_nk_distribution(f, u_high, ell + gap, ell)
     assert got == ref_nk_distribution(f, u_high, ell + gap, ell)

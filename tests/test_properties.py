@@ -13,6 +13,7 @@ field arithmetic on fields of every order up to their limit, q = 1024.  The
 sieve's unconstrained and subset-sum counters recover the falling factorial
 at every field order up to 49."""
 
+import itertools
 import random
 from functools import cache
 from math import comb, perm
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fqcount import oracle
 from fqcount.counting import (
     _main_regime,
     count_nk_gap1,
@@ -378,6 +380,132 @@ def test_root_oracle_absorbed_families(q, data):
     u_high = absorbed_u_high(f, draw_elements(f, data, n - ell - 1, "u_high"), n, ell, vanish)
     assume(u_high is not None)
     assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
+
+
+TRANSLATION_WORK = 4096  # tails times field elements for the translation checks
+TRANSLATION_PROPERTY = settings(max_examples=3, deadline=None, derandomize=True)
+
+
+def tail_ells(q: int, least: int = 0) -> list[int]:
+    """Tail degrees ell >= least whose literal tally, q^(ell+1) tails at q
+    points, stays within TRANSLATION_WORK."""
+    return [ell for ell in range(least, 16) if q ** (ell + 2) <= TRANSLATION_WORK]
+
+
+def translated(f, coeffs, c):
+    """The coefficients of h(x + c), constant first, for h with the
+    coefficients `coeffs`, by Horner's rule on polynomials:
+    h(x + c) = (...(a_n (x + c) + a_(n-1)) (x + c) + ...) + a_0."""
+    out = []
+    for a in reversed(coeffs):
+        shifted = [f.zero, *out]  # x * out
+        for i, o in enumerate(out):
+            shifted[i] = f.add(shifted[i], f.mul(c, o))
+        shifted[0] = f.add(shifted[0], a)
+        out = shifted
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+def test_translation_pin_is_sound(q):
+    """Wherever `_translation_pins_top_tail` fires, h(x + c), for h the fixed
+    part with a zero tail, keeps every fixed coefficient at every c, and its
+    x^ell coefficient runs over F_q as c does.  Every fixed part with
+    coefficients 0 and 1 at n <= 9, translated by Horner's rule."""
+    f = ROOT_FIELDS[q]
+    fired = 0
+    for n in range(2, 10):
+        for ell in range(1, n):
+            for u_high in itertools.product((f.zero, f.one), repeat=n - 1 - ell):
+                if not oracle._translation_pins_top_tail(f, u_high, n, ell):
+                    continue
+                fired += 1
+                coeffs = [f.zero] * (ell + 1) + [*u_high[::-1], f.one]  # constant first
+                shifts = set()
+                for c in f.elements():
+                    image = translated(f, coeffs, c)
+                    assert image[ell + 1:] == coeffs[ell + 1:], (n, ell, u_high, c)
+                    shifts.add(image[ell])
+                assert len(shifts) == q, (n, ell, u_high)
+    assert fired
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_gap1_pins_top_tail(q, data):
+    """Gap 1 with p not dividing n: f(x + c) moves c_(n-1) through F_q, so the
+    oracle sweeps the gap-2 family at b = 0 with weight q."""
+    f = ROOT_FIELDS[q]
+    ell = data.draw(st.sampled_from([e for e in tail_ells(q, 1) if (e + 1) % f.p]), label="ell")
+    assert oracle._translation_pins_top_tail(f, [], ell + 1, ell)
+    assert brute_nk_distribution(f, [], ell + 1, ell) == ref_nk_distribution(f, [], ell + 1, ell)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])  # at q = 7 the least n = 7 has 7^6 tails
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_gap2_pins_top_tail(q, data):
+    """Gap 2 at b != 0 with odd p | n: C(n, n-1) = n and C(n, n-2) =
+    n (n - 1) / 2 vanish mod p and (n - 1) b != 0, so f(x + c) keeps -b and
+    moves c_(n-2) through F_q."""
+    f = ROOT_FIELDS[q]
+    n = data.draw(st.sampled_from([n for n in range(f.p, 40, f.p) if n - 2 in tail_ells(q, 1)]),
+                  label="n")
+    u_high = [f.neg(b) for b in draw_elements(f, data, 1, "b", nonzero=True)]
+    assert oracle._translation_pins_top_tail(f, u_high, n, n - 2)
+    assert brute_nk_distribution(f, u_high, n, n - 2) == ref_nk_distribution(f, u_high, n, n - 2)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+@TRANSLATION_PROPERTY
+@given(data=st.data())
+def test_root_oracle_char2_leaves_top_tail(q, data):
+    """Characteristic 2 with n = 2 mod 4: C(n, 2) is odd, so f(x + c) adds a
+    c^2 term to c_(n-2) and pins no tail coefficient, though (ell + 1) u_(ell+1)
+    != 0.  Gap 2 at b != 0 and n = 6 at q = 4, and, since that family has 8^5
+    tails at q = 8, x^n + u_3 x^3 + tails of degree <= 2 at n = 6 and 10."""
+    f = ROOT_FIELDS[q]
+    [top] = draw_elements(f, data, 1, "u_(ell+1)", nonzero=True)
+    if q == 4:
+        n, ell, u_high = 6, 4, [top]
+    else:
+        n = data.draw(st.sampled_from([6, 10]), label="n")
+        ell, u_high = 2, [f.zero] * (n - 4) + [top]
+    assert not oracle._translation_pins_top_tail(f, u_high, n, ell)
+    assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])  # ell >= 3 passes TRANSLATION_WORK at q >= 5
+@TRANSLATION_PROPERTY
+@given(data=st.data())
+def test_root_oracle_absorbed_span_parts(q, data):
+    """Absorbed families with ell >= 3, so that their span has parts of top
+    degree d >= 2 both prime to p, swept with c_(d-1) = 0, and divisible by
+    p, swept whole."""
+    f = ROOT_FIELDS[q]
+    ell = data.draw(st.sampled_from(tail_ells(q, 3)), label="ell")
+    n = data.draw(st.integers(max(q, ell + 1), max(q, ell + 1) + 3), label="n")
+    vanish = data.draw(st.booleans(), label="vanish")
+    u_high = absorbed_u_high(f, draw_elements(f, data, n - ell - 1, "u_high"), n, ell, vanish)
+    assume(u_high is not None)
+    assert oracle._stabiliser_order(f, u_high, n, ell) == 0
+    assert brute_nk_distribution(f, u_high, n, ell) == ref_nk_distribution(f, u_high, n, ell)
+
+
+@pytest.mark.parametrize("q", sorted(ROOT_FIELDS))
+@ROOT_PROPERTY
+@given(data=st.data())
+def test_root_oracle_gap4_fixed_parts(q, data):
+    """Gap 4 with fixed coefficients that mix zero and nonzero values, so that
+    every reduction, or none, may apply."""
+    f = ROOT_FIELDS[q]
+    ell = data.draw(st.sampled_from(tail_ells(q)), label="ell")
+    coeff = st.one_of(st.just(0), st.integers(1, q - 1))
+    u_high = [f.element(i) for i in data.draw(st.lists(coeff, min_size=3, max_size=3),
+                                              label="u_high")]
+    assert brute_nk_distribution(f, u_high, ell + 4, ell) == \
+        ref_nk_distribution(f, u_high, ell + 4, ell)
 
 
 TABLE_FIELDS = [(p, e) for p in range(2, TABLE_ORDER_LIMIT + 1) if is_prime(p)
