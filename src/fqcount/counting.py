@@ -407,8 +407,10 @@ def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
 
 
 def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
-    """Closed-form S+(n), S-(n) from alpha/beta; sieve.s_plus_minus_type_sums
-    is the independent sieve route that verify and the tests compare it with."""
+    """Closed-form S+(n), S-(n) from alpha/beta, whose form assumes odd q;
+    sieve.s_plus_minus_type_sums is the independent sieve route that verify
+    and the tests compare it with."""
+    _require_moment_field(field)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha, beta = alpha_beta(field, n)

@@ -36,9 +36,9 @@ canonical family is read through a bounded cache, after the budget check.
 Subset and quadratic/linear counts come from dynamic programs over
 accumulator states instead of a walk over subsets or tuples.  A state is the
 sum, or the sum and a second accumulator; for the quadratic/linear system it
-is the pair (sum a_i x_i^2, sum b_i x_i).  Adjoining an element or a
-coordinate maps each state through a permutation, or a sum of q of them, so
-one table of counts replaces the walk.  Quadratic/linear systems of one
+is the pair (sum a_i x_i^2, sum b_i x_i).  After each element or coordinate,
+a state's count is read from its one predecessor, or summed over q of them,
+so one table of counts replaces the walk.  Quadratic/linear systems of one
 length run as one batch, a table with one row of states per system, so a
 batch costs the numpy calls of a single system.  The counts can pass 2^63,
 so a table is kept modulo the fewest 61-bit primes whose product exceeds
@@ -63,8 +63,9 @@ _BLOCK_ENTRIES = 1 << 16  # table entries per block of `_level_sums`
 _TALLY_CACHE_SIZE = 256  # canonical root-count tallies kept, q + 1 int64 each
 
 MSS2_MODES = ("power-sums", "first-distinct")
-MSS2_PREDICATES = ("power-sums", "elementary")
-SUBSET_PREDICATES = ("sum-only", *MSS2_PREDICATES)
+_ACCUMULATORS = {"sum-only": 1, "power-sums": 2, "elementary": 2}  # per subset DP predicate
+SUBSET_PREDICATES = tuple(_ACCUMULATORS)
+MSS2_PREDICATES = tuple(name for name, r in _ACCUMULATORS.items() if r == 2)
 
 
 class BudgetExceededError(RuntimeError):
@@ -234,6 +235,8 @@ def span_root_distribution(
         raise ValueError("basis_rows[0] must be the constant-one function")
     if len(fixed_row) != q or any(len(r) != q for r in basis_rows):
         raise ValueError("rows must have one value per field element")
+    if any(not 0 <= x < q for row in (fixed_row, *basis_rows) for x in row):
+        raise ValueError(f"row entries must be element indices in [0, {q})")
     homogeneous = not any(fixed_row)  # index 0 is the zero element
     orbits = [(1, q - 1, i) if homogeneous else (q - 1, 1, i) for i in range(m - 1)]
     budget.check(_swept_vectors(q, orbits, homogeneous), "coefficient-space enumeration")
@@ -513,15 +516,19 @@ def _dp_plan(q: int, t_max: int, n_states: int) -> tuple[tuple[int, ...], int]:
     return moduli, len(moduli) * (t_max * (t_max + 1) // 2 + (q - t_max) * t_max) * n_states
 
 
-def _adjoined(field: FieldSpec, predicate: str, a, s1, s2):
-    """The state of S + {a} for a subset S with accumulators (s1, s2), broadcast
-    elementwise: s1 + a, and s2 + a * s1 ("elementary") or s2 + a^2."""
+def _removed(field: FieldSpec, predicate: str, a, digits):
+    """The state of S - {a}, flattened base q, for a subset S that holds a and
+    has the accumulator digits `digits`, the sum first, broadcast elementwise.
+    Accumulator i loses a * x, where x is the already reduced accumulator
+    i - 1 under "elementary" (1 before the sum), and a^(i-1) otherwise."""
     t = field_tables(field)
-    add_t, mul_t = t["add"], t["mul"]
-    if predicate == "sum-only":
-        return add_t[s1, a]
-    x = s1 if predicate == "elementary" else a
-    return add_t[s1, a].astype(np.intp) * field.q + add_t[s2, mul_t[a, x]]
+    x, state = 1, 0  # 1 is the index of one
+    for digit in digits:
+        loss = t["mul"][a, x]
+        reduced = t["add"][digit, t["neg"][loss]]
+        state = state * field.q + reduced
+        x = reduced if predicate == "elementary" else loss
+    return state
 
 
 @lru_cache(maxsize=8)
@@ -531,22 +538,19 @@ def _subset_dp(
     """The (moduli, t_max + 1, states) table of subset counts, modulo each
     modulus, by size and accumulator state, over every subset of the field.
 
-    Elements are adjoined one at a time.  Adjoining a sends a size-j subset in
-    state s to size j + 1 in state `_adjoined`(s), a permutation of the
-    states, for every size and modulus at once; the old values are read
-    through the inverse map, so each step is one gather-add.
+    Elements are adjoined one at a time.  A size-(j + 1) subset that holds a
+    comes from the size-j subset in state `_removed`, one predecessor per
+    state, so each step is one gather-add for every size and modulus at once.
     """
     q = field.q
-    # a state is s1 alone, or s1 * q + s2 flattened from an s1 column and an s2 row
-    s1, s2 = (np.arange(q), None) if predicate == "sum-only" else np.ogrid[:q, :q]
+    digits = np.indices((q,) * _ACCUMULATORS[predicate], sparse=True)
     mods = np.array(moduli, dtype=np.int64)[:, None, None]
-    dp = np.zeros((len(moduli), t_max + 1, q if s2 is None else q * q), dtype=np.int64)
+    dp = np.zeros((len(moduli), t_max + 1, q ** len(digits)), dtype=np.int64)
     dp[:, 0, 0] = 1  # the empty subset, in the zero state
     for a in range(q):
-        src = np.argsort(_adjoined(field, predicate, a, s1, s2), axis=None)
         k = min(t_max, a + 1)  # a subset of elements 0..a has at most a + 1 of them
         grown = dp[:, 1:k + 1]
-        grown += dp[:, :k, src]
+        grown += dp[:, :k, _removed(field, predicate, a, digits).ravel()]
         np.subtract(grown, mods, out=grown, where=grown >= mods)
     dp.setflags(write=False)  # shared across callers
     return dp
@@ -572,7 +576,7 @@ def _subset_tables(
     q = field.q
     _check_table_order(q)  # _MODULI covers every table up to this order
     for t_max in (q, t_size):  # every size when the budget allows it
-        moduli, updates = _dp_plan(q, t_max, q if predicate == "sum-only" else q * q)
+        moduli, updates = _dp_plan(q, t_max, q ** _ACCUMULATORS[predicate])
         if updates <= budget.max_items:
             break
     budget.check(updates, f"subset DP ({predicate})", "DP state updates")
@@ -604,10 +608,13 @@ def subset_pair_tally(
         raise ValueError(f"predicate must be one of {SUBSET_PREDICATES}, got {predicate!r}")
     if not 0 <= t_size <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
+    r = _ACCUMULATORS[predicate]
+    cells = np.arange(q ** r) if states is None else np.asarray(states, dtype=np.intp)
+    if not np.all((0 <= cells) & (cells < q ** r)):
+        raise ValueError(f"states must lie in [0, {q ** r}) under {predicate!r}")
     moduli, table = _subset_tables(field, t_size, predicate, budget)
-    cells = np.arange(table.shape[2]) if states is None else np.asarray(states, dtype=np.intp)
     counts = _crt(table[:, t_size, cells], moduli)
-    if states is None and predicate != "sum-only":
+    if states is None and r == 2:
         return [counts[i * q: (i + 1) * q] for i in range(q)]
     return counts
 
@@ -630,11 +637,11 @@ def brute_subsets_mss2(
 
     The `predicate` switch selects the power-sum or elementary-symmetric
     reading of the second accumulator; the two must tally identically away
-    from characteristic 2.  Both modes read the subset DP of
-    `subset_pair_tally`.  The first-distinct target states are the states of
-    S that the DP's own adjoin rule, `_adjoined`, sends to (m1, m2) on
-    adjoining the completion m1 - s1, read from the one table planned and
-    budgeted for size t - 1.
+    from characteristic 2.  Both modes read the subset DP table of one size
+    with one gather: power-sums reads the state (m1, m2) of size t, and
+    first-distinct reads, on the table of size t - 1, the q states that the
+    DP's own removal rule, `_removed`, leaves when a completion a is taken
+    out of (m1, m2), one state for each a.
     """
     q = field.q
     m1 = m1 if m1 is not None else field.zero
@@ -645,16 +652,13 @@ def brute_subsets_mss2(
     if predicate not in MSS2_PREDICATES:
         raise ValueError(f"predicate must be one of {MSS2_PREDICATES}, got {predicate!r}")
 
-    if mode == "power-sums":
-        return subset_pair_tally(field, t_size, predicate, budget, [m1.index * q + m2.index])[0]
-    if not 1 <= t_size <= q + 1:
-        raise ValueError(f"tuple size must lie in [1, {q + 1}], got {t_size}")
-    moduli, table = _subset_tables(field, t_size - 1, predicate, budget)
-    t = field_tables(field)
-    s1, s2 = np.ogrid[:q, :q]  # the states s1 * q + s2, as in `_subset_dp`
-    last = t["add"][m1.index, t["neg"][s1]]  # the completion m1 - s1
-    states = np.flatnonzero(_adjoined(field, predicate, last, s1, s2) == m1.index * q + m2.index)
-    return sum(_crt(table[:, t_size - 1, states], moduli))
+    first = mode == "first-distinct"  # reads the size-(t-1) subsets S
+    if not first <= t_size <= q + first:
+        raise ValueError(f"{mode} size must lie in [{first:d}, {q + first}], got {t_size}")
+    moduli, table = _subset_tables(field, t_size - first, predicate, budget)
+    states = (_removed(field, predicate, np.arange(q), (m1.index, m2.index)) if first
+              else [m1.index * q + m2.index])
+    return sum(_crt(table[:, t_size - first, states], moduli))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ __init__'s re-exports are not reads: an exported helper that nothing in the
 package calls fails too.  The oracle imports nothing from the code it
 checks, the closed forms import nothing from the package but the field, no
 closed form and no cached function takes an enumeration budget, the closed
-forms cache nothing but their N_k tables, no module walks cycle types, and
-the README's library sketch runs."""
+forms cache nothing but their N_k tables, no module walks cycle types, the
+oracle sorts nothing, and the README's library sketch runs."""
 
 import ast
 from collections import Counter
@@ -173,6 +173,14 @@ def test_no_cycle_type_walk():
     assert defined.isdisjoint({"enumerate_cycle_types", "perm_type_count", "_signed_type_sum"})
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom))
                    for node in ast.walk(TREES["sieve.py"]))
+
+
+def test_oracle_sorts_nothing():
+    """The subset DP reads each state's one predecessor through `_removed`,
+    so no step is inverted by sorting: oracle.py calls no sort."""
+    called = _read_names(node.func for node in ast.walk(TREES["oracle.py"])
+                         if isinstance(node, ast.Call))
+    assert called.keys().isdisjoint({"argsort", "sort", "sorted", "lexsort"})
 
 
 def test_readme_library_sketch_runs():

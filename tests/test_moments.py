@@ -48,6 +48,17 @@ def test_s_plus_minus_routes_agree(p, e, max_n):
         assert s_plus_minus(f, n) == s_plus_minus_type_sums(f, n)
 
 
+@pytest.mark.parametrize("e", [2, 4])
+def test_s_plus_minus_refuses_characteristic_2(e):
+    """The alpha/beta form assumes odd q.  At q = 4 and 16 it gave nonzero
+    values at n = 2, where the identity's s^2 and the transposition's -q
+    cancel; the sieve's signed sum keeps the definition."""
+    f = make_field(2, e)
+    assert s_plus_minus_type_sums(f, 2) == (0, 0)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        s_plus_minus(f, 2)
+
+
 def test_s_plus_minus_past_the_cycle_type_range():
     """The closed form does no cycle-type work, so a degree whose p(n) no
     enumeration reaches still answers, and the sieve's recurrence agrees."""

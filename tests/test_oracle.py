@@ -330,6 +330,19 @@ def test_span_distribution_validates_constant_row():
         span_root_distribution(f3, [0, 0, 0], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("fixed,rows", [
+    ([-1, 0, 0], [[1, 1, 1]]),  # a negative index would wrap to the last element
+    ([3, 0, 0], [[1, 1, 1]]),
+    ([0, 0, 1], [[1, 1, 1], [0, 1, -1]]),
+    ([0, 0, 1], [[1, 1, 1], [0, 1, 3]]),
+])
+def test_span_distribution_validates_row_entries(fixed, rows):
+    """Entries outside [0, q) are refused before any table is built."""
+    with mock.patch.object(oracle, "field_tables", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match="element indices"):
+            span_root_distribution(make_field(3, 1), fixed, rows)
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (3, 2)])
 def test_subset_layers_match_binomials_and_reference(p, e):
     f = make_field(p, e)
@@ -459,6 +472,17 @@ def test_mss2_modes_against_references():
         ref = ref_subset_sum_counts(f7, t)
         for b in range(7):
             assert subset_pair_tally(f7, t, "sum-only", states=[b]) == [ref[b]]
+
+
+@pytest.mark.parametrize("predicate,state", [
+    ("sum-only", -1), ("sum-only", 7), ("power-sums", -1), ("elementary", 49)])
+def test_subset_pair_tally_validates_states(predicate, state):
+    """States outside [0, q^r), r accumulators, are refused before any table
+    is read; a negative state would read the last one."""
+    f7 = make_field(7, 1)
+    with mock.patch.object(oracle, "_subset_tables", side_effect=AssertionError("read")):
+        with pytest.raises(ValueError, match="states must lie"):
+            subset_pair_tally(f7, 3, predicate, states=[0, state])
 
 
 def test_mss2_nonzero_targets():
