@@ -452,9 +452,10 @@ def write_rows_csv(rows: Sequence[CheckRow], fp) -> None:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
-# A command screens what the user gave before any work starts: a violated
-# precondition is a UsageError (exit 1), so a ValueError that still escapes
-# the library is an internal fault (exit 3).
+# A command screens what the user gave before any work starts: through the
+# library's own checks (_from_user), and through _require for the rules of its
+# own flags alone.  A violated precondition is a UsageError (exit 1), so a
+# ValueError that still escapes the library is an internal fault (exit 3).
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
@@ -462,17 +463,12 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _from_user(build, *args):
-    """Build a field, element or family from user values; the ValueError of
-    its own validation is a usage error."""
+    """Build a field, element or family from user values, or run a library
+    check on them; the ValueError of its own validation is a usage error."""
     try:
         return build(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _require_moment_field(fld, what: str) -> None:
-    _require(fld.p != 2 and fld.e % 2 == 0, f"{what} need odd characteristic and an even "
-             f"extension degree, got q = {fld.p}^{fld.e}")
 
 
 def _field_from_args(args) -> ff.FieldSpec:
@@ -504,11 +500,9 @@ def _nk_formula(fld, gap: int, n: int, k: int, b):
 def _screen_count(args, fld, budget):
     gap = args.gap
     _require(gap == 2 or args.b in (None, 0), "--b is only meaningful for --gap 2")
-    _require(args.n >= gap, f"gap-{gap} counts need degree n >= {gap}, got {args.n}")
-    _require(args.k >= 0, f"k must be >= 0, got {args.k}")
+    _from_user(counting.require_count, gap, args.n, args.k)
     if args.method != "oracle":  # the closed form builds its family's whole N_k table
-        if gap == 3:
-            _require_moment_field(fld, "gap-3 closed forms")
+        _from_user(counting.require_table, fld, gap, args.n)
         budget.check(counting.nk_table_bytes(fld.q, args.n, gap), "closed-form N_k table",
                      "bytes")
     b = _from_user(fld.element, args.b) if args.b is not None else fld.zero
@@ -525,7 +519,7 @@ def _screen_count(args, fld, budget):
 
 def _screen_subset_sum(args, fld, budget):
     b = _from_user(fld.element, args.b)
-    _require(0 <= args.n <= fld.q, f"subset size must lie in [0, {fld.q}], got {args.n}")
+    _from_user(counting.require_subset_size, fld, args.n)
     return (lambda: counting.subset_sum_count(fld, args.n, b),
             lambda: oracle.subset_pair_tally(fld, args.n, "sum-only", budget, [b.index])[0],
             {"kind": "subset-sum", "q": fld.q, "n": args.n, "b": args.b})
@@ -539,7 +533,7 @@ def _screen_mss2(args, fld, budget):
     if args.method != "oracle":
         _require(m1.is_zero() and m2.is_zero(),
                  "closed forms for two-moment counts need m1 = m2 = 0")
-        _require_moment_field(fld, "two-moment closed forms")
+        _from_user(counting.require_two_moment, fld)
         low += 1  # the closed forms start at one subset element, or two tuple entries
     _require(low <= args.t <= high,
              f"--t must lie in [{low}, {high}] for this mode and method, got {args.t}")
@@ -556,14 +550,9 @@ def _screen_quadlin(args, fld, budget):
     bvec = _parse_vector(fld, args.b)
     a0 = _from_user(fld.element, args.a0)
     b0 = _from_user(fld.element, args.b0)
-    _require(len(a) >= 1 and len(a) == len(bvec),
-             "coefficient vectors must be nonempty and equal-length")
+    _require(1 <= len(a) == len(bvec), "--a and --b must list equally many indices, at least one")
     if args.method != "oracle":
-        _require(fld.p != 2, "quadratic/linear system counts need odd q")
-        _require(not any(x.is_zero() for x in a),
-                 "every quadratic coefficient a_i must be nonzero")
-        _require(not all(x.is_zero() for x in bvec),
-                 "at least one linear coefficient b_i must be nonzero")
+        _from_user(counting.require_quadlin, fld, a, a0, bvec, b0)
     return (lambda: counting.quad_lin_solution_count(fld, a, a0, bvec, b0),
             lambda: oracle.quadlin_counts(fld, [(a, a0, bvec, b0)], budget)[0],
             {"kind": "quadlin", "q": fld.q, "a": args.a, "a0": args.a0,
@@ -631,17 +620,19 @@ def _cmd_query(args, config: RunConfig, out) -> int:
 
 def _cmd_sieve(args, config: RunConfig, out) -> int:
     fld = _field_from_args(args)
+    _require(args.system == "sum" or args.b in (None, 0), "--b is only meaningful for --system sum")
+    b = args.b or 0
     first = args.system == "two-moment-first"
     low, high = 1 + first, SIEVE_MAX_N + first
     if args.system == "sum":
-        _from_user(fld.element, args.b)
+        _from_user(fld.element, b)
         high = min(high, fld.q)
     elif args.system != "unconstrained":
-        _require_moment_field(fld, "two-moment sieves")
+        _from_user(sieve.two_moment_counter, fld)  # refuses any field but odd square q
         high = min(high, fld.q + first)
     _require(low <= args.n <= high,
              f"--n must lie in [{low}, {high}] for --system {args.system}, got {args.n}")
-    total, subsets, closed = _sieve_compare(config, fld, args.n, args.system, args.b)
+    total, subsets, closed = _sieve_compare(config, fld, args.n, args.system, b)
     payload: dict = {"query": {"kind": "sieve", "q": fld.q, "n": args.n, "system": args.system},
                      "distinct_tuples": total}
     if args.system == "unconstrained":
@@ -659,8 +650,7 @@ def _cmd_wenger(args, config: RunConfig, out) -> int:
                                "q": fld.q, "m": args.m}}
     reports = {}
     if args.method in ("formula", "both"):
-        if args.variant == 2:
-            _require_moment_field(fld, "variant-2 closed forms")
+        _from_user(wenger.require_formula, family)
         reports["formula"] = wenger.spectrum_formula(family)
     if args.method in ("oracle", "both"):
         reports["oracle"] = wenger.spectrum_oracle(family, budget=config.budget)
@@ -677,10 +667,7 @@ def _cmd_wenger(args, config: RunConfig, out) -> int:
     if args.check_moments is not None or args.export is not None:
         report = reports.get("oracle") or reports["formula"]
         if args.check_moments is not None:
-            needed = max(1, len(report.nonzero_levels()))
-            _require(args.check_moments >= needed,
-                     f"--check-moments {args.check_moments} is below the {needed} distinct "
-                     "nonzero levels; fewer moments cannot pin the spectrum")
+            _from_user(wenger.require_moments, report, args.check_moments)
         graph = wenger.build_graph(family, config.budget)
         if args.export is not None:
             with open(args.export, "w", encoding="utf-8") as fp:
@@ -779,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system",
                     choices=("unconstrained", "sum", "two-moment", "two-moment-first"),
                     default="unconstrained")
-    sp.add_argument("--b", type=int, default=0, help="target sum for --system sum")
+    sp.add_argument("--b", type=int, default=None, help="target sum for --system sum")
 
     sp = add_command("wenger", help="jumped Wenger graph spectra")
     add_field_args(sp)

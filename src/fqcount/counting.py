@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import NamedTuple, Sequence
 
 from .ff import FieldElement, FieldSpec, _mul_mod, make_field, quadratic_character
@@ -149,8 +149,8 @@ def _lru_tables(build):
         nonlocal held, hits, misses
         table = tables.pop(key, None)
         if table is None:
+            table = build(*key)  # a refused family raises here, uncounted
             misses += 1
-            table = build(*key)
             held += size(key)
             while held > TABLE_CACHE_BYTES and tables:
                 oldest = next(iter(tables))
@@ -181,6 +181,7 @@ def _table(p: int, e: int, gap: int, n: int, zero: bool) -> tuple[int, ...]:
     A closed-forms benchmark round at q <= 625 reads about 100 tables of
     about 1.1 MB by that bound, far below TABLE_CACHE_BYTES."""
     field = make_field(p, e)
+    require_table(field, gap, n)
     q = field.q
     if n >= q:
         # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
@@ -189,24 +190,37 @@ def _table(p: int, e: int, gap: int, n: int, zero: bool) -> tuple[int, ...]:
     return tuple(_main_regime(q, n, gap, excess, _moment_excess_m1(field, n) if gap == 3 else 0))
 
 
+def require_count(gap: int, n: int, k: int = 0) -> None:
+    """A count N_k of a gap family, by either route: gaps 1-3, n >= gap, k >= 0."""
+    if gap not in (1, 2, 3):
+        raise ValueError(f"closed forms cover gaps 1-3, got {gap}")
+    if n < gap:
+        raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
+def require_table(field: FieldSpec, gap: int, n: int) -> None:
+    """A family's closed-form N_k table: require_count's rules, and odd square q at gap 3."""
+    require_count(gap, n)
+    if gap == 3:
+        require_moment_field(field, "gap-3 closed forms")
+
+
 def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) -> tuple[int, ...]:
     """N_k for k = 0..min(n, q): the completions of x^n (gaps 1 and 3) or of
     x^n - b*x^(n-1) (gap 2), free below degree n - gap + 1, with exactly k
     distinct roots.  Gap 3 needs odd p and an even extension degree.
 
     One pass builds the whole table (_main_regime below q, _reduced_regime
-    from q on), cached by _table; the count_nk_gap* functions read it.
+    from q on), cached by _table; the count_nk_gap* functions read it.  The
+    cache key fixes require_table's rules, so _table checks them as it builds;
+    b's field is checked on every read.
     """
-    if gap == 3:
-        _require_moment_field(field)
-    elif gap == 2:
+    if gap == 2:
         if b is None:
             raise ValueError("gap-2 counts need the fixed coefficient b")
         field._check(b)
-    elif gap != 1:
-        raise ValueError(f"closed forms cover gaps 1-3, got {gap}")
-    if n < gap:
-        raise ValueError(f"gap-{gap} counts need degree n >= {gap}, got {n}")
     return _table(field.p, field.e, gap, n, gap != 2 or b.is_zero())
 
 
@@ -215,11 +229,12 @@ def nk_table_bytes(q: int, n: int, gap: int) -> int:
     return (min(n, q) + 1) * ((n - gap + 1) * q.bit_length() // 8 + 1)
 
 
-def _entry(table: tuple[int, ...], k: int, note: str | None) -> ExactCount:
+def _entry(table: tuple[int, ...], gap: int, n: int, k: int, note: str | None) -> ExactCount:
     """N_k read from its family's table; 0 past min(n, q), the most roots there are."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return ExactCount(table[k], note) if k < len(table) else ExactCount(0)
+    if 0 <= k < len(table):
+        return ExactCount(table[k], note)
+    require_count(gap, n, k)
+    return ExactCount(0)
 
 
 def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
@@ -231,7 +246,7 @@ def count_nk_gap1(field: FieldSpec, n: int, k: int) -> ExactCount:
     field with k zeros.
     """
     note = "reduced-degree regime (n >= q)" if n >= field.q else None
-    return _entry(nk_table(field, 1, n), k, note)
+    return _entry(nk_table(field, 1, n), 1, n, k, note)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +262,17 @@ def _sum_excess(field: FieldSpec, n: int, zero: bool) -> int:
     return (-1) ** (n + n // p) * (q - 1 if zero else -1) * comb(q // p, n // p)
 
 
+def require_subset_size(field: FieldSpec, n: int, smallest: int = 0) -> None:
+    """A subset of the field has n in [smallest, q] elements."""
+    if not smallest <= n <= field.q:
+        raise ValueError(f"subset size must lie in [{smallest}, {field.q}], got {n}")
+
+
 def subset_sum_count(field: FieldSpec, n: int, b: FieldElement) -> ExactCount:
     """Number M(n, b) of n-element subsets of the field summing to b."""
     q = field.q
     field._check(b)
-    if not 0 <= n <= q:
-        raise ValueError(f"subset size must lie in [0, {q}], got {n}")
+    require_subset_size(field, n)
     return ExactCount(_exact_int(comb(q, n) + _sum_excess(field, n, b.is_zero()), f"M({n}, b)", q))
 
 
@@ -268,7 +288,7 @@ def count_nk_gap2(field: FieldSpec, n: int, k: int, b: FieldElement) -> ExactCou
     """
     q = field.q
     note = None if n < q else f"reduced-degree regime (n {'>' if n > q else '=='} q)"
-    return _entry(nk_table(field, 2, n, b), k, note)
+    return _entry(nk_table(field, 2, n, b), 2, n, k, note)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +322,22 @@ def quadlin_invariants(
     b0_squared = _mul_mod(b0_packed, b0_packed, k)
     c = _mul_mod(b0_squared, prod, k) + k.ps - _mul_mod(k.pack(a0.coeffs), b, k)
     return field._trusted(k.unpack(prod)), field._trusted(k.unpack(b)), field._trusted(k.unpack(c))
+
+
+def require_quadlin(field: FieldSpec, a: Sequence[FieldElement], a0: FieldElement,
+                    bvec: Sequence[FieldElement], b0: FieldElement) -> None:
+    """The closed form's conditions on a quadratic/linear system: odd q, the
+    field's elements, every a_i and some b_i nonzero, one length for both."""
+    if field.p == 2:
+        raise ValueError("quadratic/linear system counts need odd q")
+    if not 1 <= len(a) == len(bvec):
+        raise ValueError("coefficient vectors must be nonempty and equal-length")
+    for x in (*a, *bvec, a0, b0):
+        field._check(x)
+    if any(ai.is_zero() for ai in a):
+        raise ValueError("every quadratic coefficient a_i must be nonzero")
+    if all(bi.is_zero() for bi in bvec):
+        raise ValueError("at least one linear coefficient b_i must be nonzero")
 
 
 def quad_lin_solution_count(
@@ -346,21 +382,8 @@ def quadlin_case_count(
     and nothing when b = 0 != b0, with eta the quadratic character, v as in
     v_of and P = prod(a_i), so that b P = B' and c P = C'.
     """
-    q = field.q
-    if field.p == 2:
-        raise ValueError("quadratic/linear system counts need odd q")
-    n = len(a)
-    if n < 1 or len(bvec) != n:
-        raise ValueError("coefficient vectors must be nonempty and equal-length")
-    for ai in a:
-        field._check(ai)
-        if ai.is_zero():
-            raise ValueError("every quadratic coefficient a_i must be nonzero")
-    for x in (*bvec, a0, b0):
-        field._check(x)
-    if all(bi.is_zero() for bi in bvec):
-        raise ValueError("at least one linear coefficient b_i must be nonzero")
-
+    require_quadlin(field, a, a0, bvec, b0)
+    q, n = field.q, len(a)
     eta = lambda x: quadratic_character(field, x)
     prod, pb, pc = quadlin_invariants(field, a, a0, bvec, b0)
     g = q if q % 4 == 1 else -q
@@ -382,10 +405,18 @@ def quadlin_case_count(
 # two-moment subset counts, and gap 3 (fixed x^n, free tail of degree <= n - 3).
 # ---------------------------------------------------------------------------
 
-def _sqrt_q(field: FieldSpec) -> int:
-    if field.e % 2:
-        raise ValueError(f"needs an even extension degree, got e={field.e}")
+def require_moment_field(field: FieldSpec, what: str) -> int:
+    """sqrt(q) where the alpha/beta closed forms hold, at odd p and even e;
+    elsewhere a ValueError naming `what`, the caller's quantity."""
+    if field.p == 2 or field.e % 2:
+        raise ValueError(f"{what} need odd characteristic and an even extension degree, "
+                         f"got q = {field.p}^{field.e}")
     return field.p ** (field.e // 2)
+
+
+def require_two_moment(field: FieldSpec) -> None:
+    """The field rule of the two-moment subset counts M(n,0,0) and M1(n,0,0)."""
+    require_moment_field(field, "two-moment closed forms")
 
 
 def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
@@ -394,10 +425,10 @@ def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     alpha(n) runs over i + p*j = n with 0 <= i <= sqrt(q); beta(n) over the
     same lattice with an alternating sign in j.
     """
+    s = require_moment_field(field, "alpha/beta sums")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     q, p = field.q, field.p
-    s = _sqrt_q(field)
     alpha = beta = 0
     for j in range(n // p + 1):
         i = n - p * j
@@ -410,7 +441,7 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
     """Closed-form S+(n), S-(n) from alpha/beta, whose form assumes odd q;
     sieve.s_plus_minus_type_sums is the independent sieve route that verify
     and the tests compare it with."""
-    _require_moment_field(field)
+    require_moment_field(field, "S+- closed forms")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha, beta = alpha_beta(field, n)
@@ -420,18 +451,12 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
     return s_plus, s_minus
 
 
-def _require_moment_field(field: FieldSpec) -> int:
-    if field.p == 2:
-        raise ValueError("two-moment subset counts need odd characteristic")
-    return _sqrt_q(field)
-
-
 def _moment_excess(field: FieldSpec, n: int) -> int:
     """The excess q^2 M(n,0,0) - C(q,n), from alpha/beta at n."""
     q, p = field.q, field.p
     alpha, beta = alpha_beta(field, n)
     if n % p:
-        return _sqrt_q(field) * (q - 1) // 2 * (alpha - (-1) ** n * beta)
+        return isqrt(q) * (q - 1) // 2 * (alpha - (-1) ** n * beta)
     return (q - 1) * comb(q // p, n // p) + q * (q - 1) // 2 * (alpha + (-1) ** n * beta)
 
 
@@ -441,15 +466,14 @@ def _moment_excess_m1(field: FieldSpec, n: int) -> int:
     alpha, beta = alpha_beta(field, n - 1)
     if n % field.p:
         return q * (q - 1) // 2 * (alpha - (-1) ** n * beta)
-    return q * _sqrt_q(field) * (q - 1) // 2 * (alpha + (-1) ** n * beta)
+    return q * isqrt(q) * (q - 1) // 2 * (alpha + (-1) ** n * beta)
 
 
 def moment_subset_count(field: FieldSpec, n: int) -> ExactCount:
     """Number M(n,0,0) of n-subsets whose first and second power sums vanish."""
     q = field.q
-    _require_moment_field(field)
-    if not 1 <= n <= q:
-        raise ValueError(f"subset size must lie in [1, {q}], got {n}")
+    require_two_moment(field)
+    require_subset_size(field, n, 1)
     total = comb(q, n) + _moment_excess(field, n)
     return ExactCount(_exact_int(total, f"M({n},0,0)", q * q))
 
@@ -458,7 +482,7 @@ def moment_subset_count_m1(field: FieldSpec, n: int) -> ExactCount:
     """Number M1(n,0,0): (n-1)-subsets S such that appending x_n = -sum(S)
     gives a tuple with vanishing second power sum; x_n may repeat a member."""
     q = field.q
-    _require_moment_field(field)
+    require_two_moment(field)
     if not 2 <= n <= q + 1:
         raise ValueError(f"tuple size must lie in [2, {q + 1}], got {n}")
     total = q * comb(q, n - 1) + _moment_excess_m1(field, n)
@@ -481,4 +505,4 @@ def count_nk_gap3(field: FieldSpec, n: int, k: int) -> ExactCount:
     note = (None if n < q else "reduced-degree regime (n == q)" if n == q else
             "reduced-degree regime (n == q + 1)" if n == q + 1 else
             "reduced-degree regime (n > q + 1)")
-    return _entry(nk_table(field, 3, n), k, note)
+    return _entry(nk_table(field, 3, n), 3, n, k, note)

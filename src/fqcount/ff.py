@@ -342,8 +342,6 @@ class FieldSpec:
         self._check(a)
         if k < 0:
             return self.pow_(self.inv(a), -k)
-        if self.e == 1:
-            return self._trusted((pow(a.coeffs[0], k, self.p),))
         result = self.one
         acc = a
         while k:

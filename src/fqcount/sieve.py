@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .counting import _exact_int, _require_moment_field, _sqrt_q
+from .counting import _exact_int, require_moment_field
 from .ff import FieldElement, FieldSpec
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
 
@@ -93,9 +93,11 @@ def sieve_first_n_minus_1(n: int, count: Counter) -> int:
 def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
     """S+(n) and S-(n) directly: (-1)^n times the signed sum of the split
     weight at Y = sqrt(q), one part for each parity of the coprime cycles."""
+    if field.e % 2:
+        raise ValueError(f"S+- type sums need an even extension degree, got q = {field.p}^{field.e}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    even, odd = _signed_sum(n, _weights(field, _sqrt_q(field))[2])
+    even, odd = _signed_sum(n, _weights(field, field.p ** (field.e // 2))[2])
     return (-1) ** n * even, (-1) ** n * odd
 
 
@@ -128,7 +130,7 @@ def two_moment_counter(field: FieldSpec, budget: EnumerationBudget = DEFAULT_BUD
     otherwise.  Each other cycle is a free factor q; at N = 0 that is all.
     """
     q, p = field.q, field.p
-    s = _require_moment_field(field)
+    s = require_moment_field(field, "two-moment sieves")
 
     def combine(n: int, free: Pair, divisible: Pair, split: Pair) -> int:
         even, odd = split

@@ -25,7 +25,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .counting import nk_table
+from .counting import nk_table, require_moment_field
 from .ff import FieldSpec
 from .oracle import (
     DEFAULT_BUDGET,
@@ -237,11 +237,18 @@ def _assemble_levels(family: WengerFamily, low: Sequence[int] | None = None) -> 
     return _report(family, counts, "closed-form")
 
 
+def require_formula(family: WengerFamily) -> None:
+    """spectrum_formula's rule: variant 2 reads a gap-3 table, so needs odd square q."""
+    if family.variant == 2:
+        require_moment_field(family.field, "variant-2 closed forms")
+
+
 def spectrum_formula(family: WengerFamily) -> SpectrumReport:
     """Level multiplicities assembled from the closed-form root counts of the
     family's own completions, read once for every level; it enumerates
     nothing.  Variant 2 needs odd square q, as the gap-3 closed form does, and
-    raises its ValueError on any other field."""
+    raises require_formula's ValueError on any other field."""
+    require_formula(family)
     return _assemble_levels(family)
 
 
@@ -305,6 +312,14 @@ def _orbit_point_gram_traces(graph: BipartiteGraph, big_t: int) -> list[int]:
     return [q ** graph.family.m * (w0 + (q - 1) * w1) for w0, w1 in zip(*walks)]
 
 
+def require_moments(report: SpectrumReport, big_t: int) -> None:
+    """moment_check's rule: moments as many as the distinct nonzero levels, and at least one."""
+    needed = max(1, len(report.nonzero_levels()))
+    if big_t < needed:
+        raise ValueError(f"{needed} distinct nonzero levels need at least {needed} moments "
+                         f"to pin the spectrum, got {big_t}")
+
+
 def moment_check(graph: BipartiteGraph, report: SpectrumReport, big_t: int) -> bool:
     """Exact spectral verification: even trace moments of the adjacency matrix
     against the claimed level multiset, t = 1..big_t.
@@ -315,12 +330,8 @@ def moment_check(graph: BipartiteGraph, report: SpectrumReport, big_t: int) -> b
     nonzero levels, agreement determines the spectrum exactly; fewer moments
     raise ValueError.
     """
+    require_moments(report, big_t)
     q = graph.family.field.q
-    needed = max(1, len(report.nonzero_levels()))
-    if big_t < needed:
-        raise ValueError(
-            f"big_t={big_t} is below the {needed} distinct nonzero levels; "
-            "fewer moments cannot pin the spectrum")
     if report.vertex_count != graph.vertex_count:
         return False
     traces = _orbit_point_gram_traces(graph, big_t)

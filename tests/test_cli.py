@@ -159,6 +159,7 @@ def test_usage_errors_exit_1():
     "sieve --p 3 --e 1 --n 0",
     "sieve --p 3 --e 1 --n 2 --system two-moment",
     "sieve --p 3 --e 1 --n 1025",
+    "sieve --p 3 --e 2 --n 2 --system two-moment --b 2",
     "wenger --variant 1 --p 3 --e 1 --m 3",
     "wenger --variant 1 --p 3 --e 1 --m 1 --check-moments 1",
     "wenger --variant 2 --p 7 --e 1 --m 1",
@@ -167,6 +168,34 @@ def test_usage_errors_exit_1():
 def test_user_preconditions_exit_1(argv, capsys):
     assert run(argv.split())[0] == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+F3 = ff.make_field(3, 1)
+F3_WENGER = wenger.WengerFamily(1, F3, 1)
+
+
+@pytest.mark.parametrize("argv,refused", [
+    ("count --gap 3 --p 3 --e 1 --n 4 --k 1", lambda: counting.count_nk_gap3(F3, 4, 1)),
+    ("mss2 --p 3 --e 1 --t 2", lambda: counting.moment_subset_count(F3, 2)),
+    ("sieve --p 3 --e 1 --n 2 --system two-moment", lambda: sieve.two_moment_counter(F3)),
+    ("wenger --variant 2 --p 7 --e 1 --m 1",
+     lambda: wenger.spectrum_formula(wenger.WengerFamily(2, ff.make_field(7, 1), 1))),
+    ("quadlin --p 3 --e 1 --a 0,1 --b 1,1",
+     lambda: counting.quad_lin_solution_count(F3, [F3.zero, F3.one], F3.zero, [F3.one] * 2, F3.zero)),
+    ("count --gap 2 --p 3 --e 1 --n 1 --k 0", lambda: counting.count_nk_gap2(F3, 1, 0, F3.zero)),
+    ("count --gap 1 --p 3 --e 1 --n 3 --k -1", lambda: counting.count_nk_gap1(F3, 3, -1)),
+    ("subset-sum --p 3 --e 1 --n 4", lambda: counting.subset_sum_count(F3, 4, F3.zero)),
+    ("wenger --variant 1 --p 3 --e 1 --m 1 --check-moments 1",
+     lambda: wenger.moment_check(wenger.build_graph(F3_WENGER), wenger.spectrum_oracle(F3_WENGER), 1)),
+], ids=["gap3-field", "mss2-field", "sieve-field", "variant2-field", "quadlin", "degree", "k",
+        "subset-size", "moments"])
+def test_user_errors_are_the_library_refusals(argv, refused, capsys):
+    """A screen refuses through the library's own check: the user reads the
+    ValueError that the library raises for the same values."""
+    with pytest.raises(ValueError) as refusal:
+        refused()
+    assert run(argv.split()) == (1, "")
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
 
 QUERY_ARGS = {"count": "--gap 1 --n 3 --k 1", "subset-sum": "--n 2", "mss2": "--t 4",

@@ -195,6 +195,21 @@ def test_gap2_table_is_one_cache_entry():
     assert counting._table.cache_info().misses == 2
 
 
+def test_refused_family_is_not_a_miss():
+    """The table cache checks a family's rules as it builds, so a family the
+    closed forms refuse is neither held nor counted; the same lookup on a
+    field they take is one miss."""
+    f3 = make_field(3, 1)
+    counting._table.cache_clear()
+    with pytest.raises(ValueError, match="^gap-3 closed forms"):
+        counting.count_nk_gap3(f3, 4, 1)
+    with pytest.raises(ValueError, match="^gap-2 counts need degree"):
+        count_nk_gap2(f3, 1, 0, f3.zero)
+    assert counting._table.cache_info() == (0, 0, 0, 0)
+    counting.count_nk_gap3(make_field(3, 2), 4, 1)
+    assert counting._table.cache_info()[:2] == (0, 1)
+
+
 def test_table_computes_its_excesses_once(monkeypatch):
     """A family's subset-count excesses are computed once, when its table is
     built, not on every per-k read: a sweep of every k of a gap-3 table runs

@@ -7,10 +7,12 @@ package calls fails too.  The oracle imports nothing from the code it
 checks, the closed forms import nothing from the package but the field, no
 closed form and no cached function takes an enumeration budget, the closed
 forms cache nothing but their N_k tables, no module walks cycle types, the
-oracle sorts nothing, and the README's library sketch runs."""
+oracle sorts nothing, no two modules define one top-level name, the command
+line writes no error message of the library's again, and the README's
+library sketch runs."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -181,6 +183,54 @@ def test_oracle_sorts_nothing():
     called = _read_names(node.func for node in ast.walk(TREES["oracle.py"])
                          if isinstance(node, ast.Call))
     assert called.keys().isdisjoint({"argsort", "sort", "sorted", "lexsort"})
+
+
+def _top_level_names(tree):
+    """The names a module binds at top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for target in targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name))
+
+
+def test_no_name_defined_twice():
+    """Each top-level name has one home: a second definition elsewhere is a
+    rule two modules must keep in step, where an import would read the one."""
+    homes = defaultdict(list)
+    for module, tree in TREES.items():
+        for name in _top_level_names(tree):
+            homes[name].append(module)
+    assert {name: modules for name, modules in homes.items() if len(modules) > 1} == {}
+
+
+def _message_pieces(tree):
+    """The literal text of the tree's error messages, raised or handed to
+    cli._require: each string piece of three words or more (an f-string
+    gives one piece per literal part)."""
+    pieces = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            args = node.exc.args
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require":
+            args = node.args[1:]
+        else:
+            continue
+        pieces.update(text.value for arg in args for text in ast.walk(arg)
+                      if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                      and len(text.value.split()) >= 3)
+    return pieces
+
+
+def test_cli_writes_no_library_message():
+    """The command line screens user values through the library's own checks,
+    so no message of a library rule is written again in cli.py: it keeps the
+    messages of its own flags alone."""
+    library = set().union(*(_message_pieces(tree) for module, tree in TREES.items()
+                            if module != "cli.py"))
+    assert _message_pieces(TREES["cli.py"]) & library == set()
 
 
 def test_readme_library_sketch_runs():

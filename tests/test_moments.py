@@ -3,18 +3,21 @@ subset counts, against pinned values and literal subset enumeration."""
 
 from math import comb, factorial
 
+import re
+
 import pytest
 
 from fqcount.counting import (
     _moment_excess,
     _moment_excess_m1,
     alpha_beta,
+    count_nk_gap3,
     moment_subset_count,
     moment_subset_count_m1,
     s_plus_minus,
 )
 from fqcount.ff import make_field
-from fqcount.sieve import s_plus_minus_type_sums
+from fqcount.sieve import s_plus_minus_type_sums, two_moment_counter
 
 from helpers import ref_first_distinct, ref_two_moment_subsets
 
@@ -130,3 +133,18 @@ def test_m1_against_reference_q9(n):
 def test_m1_against_reference_q25(n):
     f25 = make_field(5, 2)
     assert moment_subset_count_m1(f25, n).value == ref_first_distinct(f25, n)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("quantity,refused", [
+    ("gap-3 closed forms", lambda f: count_nk_gap3(f, 4, 1)),
+    ("two-moment closed forms", lambda f: moment_subset_count(f, 2)),
+    ("S+- closed forms", lambda f: s_plus_minus(f, 2)),
+    ("two-moment sieves", two_moment_counter),
+], ids=["gap3", "mss2", "s-plus-minus", "sieve"])
+def test_moment_field_refusals_name_their_quantity(p, e, quantity, refused):
+    """Every closed form built on alpha/beta needs odd p and even e, and its
+    refusal names the caller's own quantity, in characteristic 2 and at odd e."""
+    message = f"{quantity} need odd characteristic and an even extension degree, got q = {p}^{e}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused(make_field(p, e))
