@@ -821,6 +821,9 @@ def run_command(argv: Sequence[str], out=None) -> int:
         return EXIT_MISMATCH
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except Exception as exc:  # any other fault of the package, never a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def main() -> None:

@@ -23,24 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, isqrt
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .ff import FieldElement, FieldSpec, _mul_mod, make_field, quadratic_character
 
 
-# The bytes of N_k tables, by nk_table_bytes, that _table holds: past it the
-# least recently used go.
+# The bytes of N_k tables, by nk_table_bytes, that _table holds (_held): past
+# TABLE_CACHE_BYTES the memo starts over from the table just built.
 TABLE_CACHE_BYTES = 1 << 25
-
-
-class _TableCacheInfo(NamedTuple):
-    """_table's counters: hits, misses, bytes held and tables held."""
-
-    hits: int
-    misses: int
-    held: int
-    currsize: int
+_held = 0
 
 
 class IntegralityError(ArithmeticError):
@@ -131,63 +124,35 @@ def _reduced_regime(q: int, n: int, gap: int, z: bool) -> list[int]:
     return table
 
 
-def _lru_tables(build):
-    """build(p, e, gap, n, zero), memoised on its arguments, least recently
-    used first.  Once the tables held pass TABLE_CACHE_BYTES, counted by
-    nk_table_bytes, the oldest are dropped, never the one just built: a
-    sweep over many degrees holds a bounded number of bytes, and per-k reads
-    of one table past the bound still build it once.  Like a
-    functools.lru_cache it has cache_info() and cache_clear()."""
-    tables: dict[tuple, tuple[int, ...]] = {}
-    held = hits = misses = 0
-
-    def size(key: tuple) -> int:
-        p, e, gap, n, _ = key
-        return nk_table_bytes(p ** e, n, gap)
-
-    def lookup(*key):
-        nonlocal held, hits, misses
-        table = tables.pop(key, None)
-        if table is None:
-            table = build(*key)  # a refused family raises here, uncounted
-            misses += 1
-            held += size(key)
-            while held > TABLE_CACHE_BYTES and tables:
-                oldest = next(iter(tables))
-                held -= size(oldest)
-                del tables[oldest]
-        else:
-            hits += 1
-        tables[key] = table  # the most recently used comes last
-        return table
-
-    def cache_clear() -> None:
-        nonlocal held, hits, misses
-        tables.clear()
-        held = hits = misses = 0
-
-    lookup.cache_info = lambda: _TableCacheInfo(hits, misses, held, len(tables))
-    lookup.cache_clear = cache_clear
-    return lookup
-
-
-@_lru_tables
+@lru_cache(maxsize=None)
 def _table(p: int, e: int, gap: int, n: int, zero: bool) -> tuple[int, ...]:
     """One family's N_0, ..., N_min(n,q), with its regime and excesses worked
     out once per table.  The key is plain ints, as the field is canonical for
     each (p, e), and zero says whether b = 0, so every nonzero b of a gap-2
-    family shares an entry.  An entry holds at most n + 1 ints of at most
-    (n - gap + 1) log2 q bits each, as N_k <= q^(n-gap+1): nk_table_bytes.
-    A closed-forms benchmark round at q <= 625 reads about 100 tables of
-    about 1.1 MB by that bound, far below TABLE_CACHE_BYTES."""
+    family shares an entry.  A miss adds the built table's nk_table_bytes to
+    _held, first clearing the memo if they would pass TABLE_CACHE_BYTES, and
+    functools then stores the table: a degree sweep holds a bounded number of
+    bytes, and per-k reads of one table past the bound build it once.  A
+    closed-forms benchmark round at q <= 625 holds about 100 tables, 1.1 MB
+    in all by that count."""
+    global _held
     field = make_field(p, e)
-    require_table(field, gap, n)
+    require_table(field, gap, n)  # a refused family raises here: not held, no bytes
     q = field.q
     if n >= q:
         # x^q - b x^(q-1) reduces to x - b x^(q-1): -b on x^(q-1), plus 1 at q = 2.
-        return tuple(_reduced_regime(q, n, gap, gap != 2 or n > q or zero != (q == 2)))
-    excess = _sum_excess(field, n, zero) if gap == 2 else _moment_excess(field, n) if gap == 3 else 0
-    return tuple(_main_regime(q, n, gap, excess, _moment_excess_m1(field, n) if gap == 3 else 0))
+        table = _reduced_regime(q, n, gap, gap != 2 or n > q or zero != (q == 2))
+    else:
+        excess = _sum_excess(field, n, zero) if gap == 2 else _moment_excess(field, n) if gap == 3 else 0
+        table = _main_regime(q, n, gap, excess, _moment_excess_m1(field, n) if gap == 3 else 0)
+    size = nk_table_bytes(q, n, gap)
+    if not _table.cache_info().currsize:  # cleared from outside
+        _held = 0
+    elif _held + size > TABLE_CACHE_BYTES:
+        _table.cache_clear()
+        _held = 0
+    _held += size
+    return tuple(table)
 
 
 def require_count(gap: int, n: int, k: int = 0) -> None:
@@ -213,9 +178,9 @@ def nk_table(field: FieldSpec, gap: int, n: int, b: FieldElement | None = None) 
     distinct roots.  Gap 3 needs odd p and an even extension degree.
 
     One pass builds the whole table (_main_regime below q, _reduced_regime
-    from q on), cached by _table; the count_nk_gap* functions read it.  The
-    cache key fixes require_table's rules, so _table checks them as it builds;
-    b's field is checked on every read.
+    from q on), cached by _table up to TABLE_CACHE_BYTES; count_nk_gap* read
+    it.  The cache key fixes require_table's rules, so _table checks them as
+    it builds; b's field is checked on every read.
     """
     if gap == 2:
         if b is None:
@@ -419,6 +384,12 @@ def require_two_moment(field: FieldSpec) -> None:
     require_moment_field(field, "two-moment closed forms")
 
 
+def require_n(n: int, smallest: int = 1) -> None:
+    """The n of a sum over n-element sets or tuples is at least `smallest`."""
+    if n < smallest:
+        raise ValueError(f"n must be >= {smallest}, got {n}")
+
+
 def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     """The two finite binomial sums driving the sieve closed forms.
 
@@ -426,8 +397,7 @@ def alpha_beta(field: FieldSpec, n: int) -> tuple[int, int]:
     same lattice with an alternating sign in j.
     """
     s = require_moment_field(field, "alpha/beta sums")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    require_n(n, 0)
     q, p = field.q, field.p
     alpha = beta = 0
     for j in range(n // p + 1):
@@ -442,8 +412,7 @@ def s_plus_minus(field: FieldSpec, n: int) -> tuple[int, int]:
     sieve.s_plus_minus_type_sums is the independent sieve route that verify
     and the tests compare it with."""
     require_moment_field(field, "S+- closed forms")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_n(n)
     alpha, beta = alpha_beta(field, n)
     fact = factorial(n)
     s_plus = _exact_int(fact * ((-1) ** n * alpha + beta), f"S+({n})", 2)

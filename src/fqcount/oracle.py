@@ -583,6 +583,11 @@ def _subset_tables(
     return moduli, _subset_dp(field, predicate, t_max, moduli)
 
 
+def _require_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
+
+
 def subset_pair_tally(
     field: FieldSpec,
     t_size: int,
@@ -604,8 +609,7 @@ def subset_pair_tally(
     allows it, and a table of sizes 0..t otherwise.
     """
     q = field.q
-    if predicate not in SUBSET_PREDICATES:
-        raise ValueError(f"predicate must be one of {SUBSET_PREDICATES}, got {predicate!r}")
+    _require_choice("predicate", predicate, SUBSET_PREDICATES)
     if not 0 <= t_size <= q:
         raise ValueError(f"subset size must lie in [0, {q}], got {t_size}")
     r = _ACCUMULATORS[predicate]
@@ -647,10 +651,8 @@ def brute_subsets_mss2(
     m1 = m1 if m1 is not None else field.zero
     m2 = m2 if m2 is not None else field.zero
     field._check(m1), field._check(m2)
-    if mode not in MSS2_MODES:
-        raise ValueError(f"mode must be one of {MSS2_MODES}, got {mode!r}")
-    if predicate not in MSS2_PREDICATES:
-        raise ValueError(f"predicate must be one of {MSS2_PREDICATES}, got {predicate!r}")
+    _require_choice("mode", mode, MSS2_MODES)
+    _require_choice("predicate", predicate, MSS2_PREDICATES)
 
     first = mode == "first-distinct"  # reads the size-(t-1) subsets S
     if not first <= t_size <= q + first:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .counting import _exact_int, require_moment_field
+from .counting import _exact_int, require_moment_field, require_n
 from .ff import FieldElement, FieldSpec
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
 
@@ -78,8 +78,7 @@ def _counter(combine: Callable[..., int], weights: tuple[Weight, ...],
 
 def sieve_distinct(n: int, count: Counter) -> int:
     """Exact count of all-coordinates-distinct n-tuples in the counted set."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_n(n)
     return count(n, False)
 
 
@@ -95,8 +94,7 @@ def s_plus_minus_type_sums(field: FieldSpec, n: int) -> tuple[int, int]:
     weight at Y = sqrt(q), one part for each parity of the coprime cycles."""
     if field.e % 2:
         raise ValueError(f"S+- type sums need an even extension degree, got q = {field.p}^{field.e}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_n(n)
     even, odd = _signed_sum(n, _weights(field, field.p ** (field.e // 2))[2])
     return (-1) ** n * even, (-1) ** n * odd
 

@@ -98,12 +98,6 @@ class BipartiteGraph:
             for l1 in range(self.family.field.q):
                 yield point, int(self.lines_of_point[point, l1])
 
-    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.family.field.q
-        point_deg = np.full(self.n_points, q, dtype=np.int64)
-        line_deg = np.bincount(self.lines_of_point.ravel(), minlength=self.n_lines)
-        return point_deg, line_deg
-
 
 def _digit_columns(count: int, q: int, width: int) -> np.ndarray:
     idx = np.arange(count, dtype=np.int64)
@@ -113,12 +107,13 @@ def _digit_columns(count: int, q: int, width: int) -> np.ndarray:
 
 def build_graph(family: WengerFamily, budget: EnumerationBudget = DEFAULT_BUDGET) -> BipartiteGraph:
     """Materialize the incidence lists: for each point and each first line
-    coordinate l1 there is exactly one incident line, so the graph is q-regular."""
+    coordinate l1 there is exactly one incident line, so the graph is q-regular.
+    The budget is charged the q^(m+2) incidences the lists hold."""
     f = family.field
     q = f.q
     m = family.m
     n_vec = q ** (m + 1)
-    budget.check(n_vec, "point/line materialization")
+    budget.check(n_vec * q, "point/line materialization", "point/line incidences")
     if n_vec > 1 << 31:
         raise BudgetExceededError("int32 point/line indices", n_vec, 1 << 31, "vectors")
     tables = field_tables(f)

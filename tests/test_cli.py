@@ -313,6 +313,20 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
+@pytest.mark.parametrize("fault", [IndexError, KeyError, TypeError, RuntimeError, MemoryError])
+def test_unexpected_exception_exits_3(monkeypatch, capsys, fault):
+    """Any other exception inside a command is an internal fault too, named
+    by its type: it neither escapes with a traceback nor exits 1."""
+    def failing(*args):
+        raise fault("planted")
+
+    monkeypatch.setattr(oracle, "brute_nk_distribution", failing)
+    code, text = run(["count", "--gap", "1", "--p", "3", "--e", "1", "--n", "2", "--k", "1",
+                      "--method", "oracle"])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == f"internal error: {fault.__name__}: {fault('planted')}\n"
+
+
 def test_global_options_after_subcommand():
     args = ["verify", "--suite", "gap1", "--max-q", "5"]
     code_before, before = run(["--format", "csv"] + args)
@@ -393,6 +407,17 @@ def test_verify_detects_corrupted_formula(monkeypatch):
     assert code == 3
     assert "MISMATCH" in text
     assert "count --gap 2" in text
+
+
+@pytest.mark.parametrize("name", cli.SUITE_NAMES)
+def test_verify_reproducers_run(name):
+    """Every reproducer a verify row names is a command line that runs: each
+    distinct one of the suite's small cells exits 0."""
+    rows = cli.run_suite(name, cli.RunConfig(), max_q=9, max_n=3).rows
+    repros = sorted({row.repro for row in rows if row.repro})
+    assert repros
+    for repro in repros:
+        assert run(repro.split())[0] == 0, repro
 
 
 @pytest.mark.parametrize("name", cli.SUITE_NAMES)

@@ -195,19 +195,20 @@ def test_gap2_table_is_one_cache_entry():
     assert counting._table.cache_info().misses == 2
 
 
-def test_refused_family_is_not_a_miss():
+def test_refused_family_is_not_held():
     """The table cache checks a family's rules as it builds, so a family the
-    closed forms refuse is neither held nor counted; the same lookup on a
-    field they take is one miss."""
+    closed forms refuse is not held and adds no bytes; the same lookup on a
+    field they take holds its table."""
     f3 = make_field(3, 1)
     counting._table.cache_clear()
     with pytest.raises(ValueError, match="^gap-3 closed forms"):
         counting.count_nk_gap3(f3, 4, 1)
     with pytest.raises(ValueError, match="^gap-2 counts need degree"):
         count_nk_gap2(f3, 1, 0, f3.zero)
-    assert counting._table.cache_info() == (0, 0, 0, 0)
+    assert counting._table.cache_info().currsize == 0
     counting.count_nk_gap3(make_field(3, 2), 4, 1)
-    assert counting._table.cache_info()[:2] == (0, 1)
+    assert counting._table.cache_info().currsize == 1
+    assert counting._held == counting.nk_table_bytes(9, 4, 3)
 
 
 def test_table_computes_its_excesses_once(monkeypatch):
@@ -237,41 +238,43 @@ def test_table_computes_its_excesses_once(monkeypatch):
     assert calls == {"_moment_excess": 1, "_moment_excess_m1": 1, "_sum_excess": 1}
 
 
-def test_table_cache_drops_the_least_recently_used(monkeypatch):
-    """Past TABLE_CACHE_BYTES the least recently used tables go, never the
-    one just built.  With room for the gap-1 tables n = 40 and 41 at q = 81,
-    reading 41, 40, 41 and then 39 drops 40; with room for none, every k of
-    one table still reads one build."""
+def test_table_cache_starts_over_past_its_bound(monkeypatch):
+    """Past TABLE_CACHE_BYTES the memo starts over from the table just built,
+    which is never dropped.  With room for the gap-1 tables n = 40 and 41 at
+    q = 81, reading 41, 40, 41 holds both, and 39 then leaves only itself;
+    with room for none, every k of one table still reads one build."""
     f = make_field(3, 4)
     size = {n: counting.nk_table_bytes(81, n, 1) for n in (39, 40, 41)}
     monkeypatch.setattr(counting, "TABLE_CACHE_BYTES", size[40] + size[41])
     counting._table.cache_clear()
-    for n in (41, 40, 41, 39):
+    for n in (41, 40, 41):
         counting.nk_table(f, 1, n)
-    info = counting._table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 2)
-    assert info.held == size[41] + size[39]
-    counting.nk_table(f, 1, 41)
-    counting.nk_table(f, 1, 40)
-    assert counting._table.cache_info()[:2] == (2, 4)
+    assert counting._table.cache_info()[:2] == (1, 2)
+    assert counting._held == size[40] + size[41]
+    counting.nk_table(f, 1, 39)
+    assert counting._table.cache_info().currsize == 1 and counting._held == size[39]
+    counting.nk_table(f, 1, 39)
+    assert counting._table.cache_info().hits == 1
+    builds, build = [], counting._main_regime
+    monkeypatch.setattr(counting, "_main_regime", lambda *args: builds.append(args) or build(*args))
     monkeypatch.setattr(counting, "TABLE_CACHE_BYTES", 1)
     counting._table.cache_clear()
     assert sum(count_nk_gap1(f, 40, k).value for k in range(41)) == 81 ** 40
-    assert counting._table.cache_info()[:2] == (40, 1)
+    assert len(builds) == 1 and counting._table.cache_info().currsize == 1
+    counting._table.cache_clear()
 
 
 def test_degree_sweep_holds_a_bounded_table_cache():
     """Gap-1 tables at q = 625 for n = 500..624 need about 75 MB by
-    nk_table_bytes; the cache keeps the newest within TABLE_CACHE_BYTES."""
+    nk_table_bytes; the cache holds at most TABLE_CACHE_BYTES of them, the
+    newest degrees."""
     f = make_field(5, 4)
     counting._table.cache_clear()
     for n in range(500, 625):
         counting.nk_table(f, 1, n)
-    info = counting._table.cache_info()
-    assert info.misses == 125 and 1 < info.currsize < 125
-    assert info.held <= counting.TABLE_CACHE_BYTES
-    kept = range(625 - info.currsize, 625)
-    assert info.held == sum(counting.nk_table_bytes(625, n, 1) for n in kept)
+    held = counting._table.cache_info().currsize
+    assert 1 < held < 125 and counting._held <= counting.TABLE_CACHE_BYTES
+    assert counting._held == sum(counting.nk_table_bytes(625, n, 1) for n in range(625 - held, 625))
     counting.nk_table(f, 1, 624)
     assert counting._table.cache_info().hits == 1
     counting._table.cache_clear()

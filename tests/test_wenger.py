@@ -69,19 +69,27 @@ def test_build_graph_structure(fam31):
     g = build_graph(fam31)
     assert g.n_points == g.n_lines == 9
     assert g.vertex_count == 18
-    assert g.lines_of_point.size == 27  # q^(m+2) edges
-    point_deg, line_deg = g.degrees()
-    assert set(point_deg.tolist()) == {3}
+    assert g.lines_of_point.size == 27  # q^(m+2) edges, q for each point
+    line_deg = np.bincount(g.lines_of_point.ravel(), minlength=g.n_lines)
     assert set(line_deg.tolist()) == {3}
 
 
 @pytest.mark.parametrize("variant,p,e,m", [(1, 3, 1, 1), (1, 2, 2, 1), (1, 5, 1, 2), (2, 3, 2, 1)])
 def test_regularity_across_families(variant, p, e, m):
     g = build_graph(WengerFamily(variant, make_field(p, e), m))
-    point_deg, line_deg = g.degrees()
+    line_deg = np.bincount(g.lines_of_point.ravel(), minlength=g.n_lines)
     q = p ** e
-    assert set(point_deg.tolist()) == {q} and set(line_deg.tolist()) == {q}
-    assert g.lines_of_point.size == q ** (m + 2)
+    assert g.lines_of_point.shape == (q ** (m + 1), q) and set(line_deg.tolist()) == {q}
+    assert all(len(set(lines)) == q for lines in g.lines_of_point.tolist())  # point degrees
+
+
+def test_build_graph_charges_its_incidences():
+    """The budget counts the q^(m+2) point/line incidences the lists hold,
+    not the q^(m+1) vectors: 14 641 at q = 11, m = 2, over 1331 vectors."""
+    fam = WengerFamily(1, make_field(11, 1), 2)
+    with pytest.raises(oracle.BudgetExceededError, match="14641 point/line incidences"):
+        build_graph(fam, oracle.EnumerationBudget(10 ** 4))
+    assert build_graph(fam, oracle.EnumerationBudget(14641)).lines_of_point.size == 14641
 
 
 def test_edges_match_predicate(fam31):
